@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ThresholdTooSmall
-from .params import ModelParams
+from .params import PORTS, ModelParams
 
 BRANCH_COMPLEX_PAIR = "complex-pair"
 BRANCH_REPEATED = "repeated"
@@ -124,9 +124,12 @@ def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
 
     The mantissa entries are O(1) for any lambda; s = Re(a_i) + Re(b_i).
     """
-    ze = zone_eigen(lam, zone, params)
+    return _scaled_from_eigen(zone_eigen(lam, zone, params), lam, params)
+
+
+def _scaled_from_eigen(ze: ZoneEigen, lam, params: ModelParams) -> tuple:
     lam = complex(lam)
-    v = params.v[zone - 1]
+    v = params.v[ze.zone - 1]
     R, P = params.R, params.P
     shat, chat = _schat_chat(ze.b)
     phi_a = lam + R - ze.a
@@ -255,18 +258,24 @@ class ReturnMapEval:
 
 
 def return_map(lam, params: ModelParams) -> ReturnMapEval:
-    """Six-factor loop product M1 . diag(v4/v1,1) . M4 . M3 . diag(v2/v3,1) . M2."""
+    """Loop product M1 . D1 . M4 . M3 . D3 . M2 from x = -1 round the loop.
+
+    D_k = diag(v_up/v_in, 1) carries the liquid flux across the injecting
+    port at the inlet of zone k; a withdrawing port's factor is I.
+    """
     v = params.v
-    d41 = np.diag([v[3] / v[0], 1.0]).astype(complex)
-    d23 = np.diag([v[1] / v[2], 1.0]).astype(complex)
-    zone_factors = {i: zone_matrix_scaled(lam, i, params) for i in (1, 2, 3, 4)}
-    factors = (zone_factors[1], (d41, 0.0), zone_factors[4],
-               zone_factors[3], (d23, 0.0), zone_factors[2])
+    zes = [zone_eigen(lam, i, params) for i in (1, 2, 3, 4)]
+    factors = []
+    for port in (PORTS[0], *PORTS[:0:-1]):      # zones 1, 4, 3, 2
+        factors.append(_scaled_from_eigen(zes[port.zone - 1], lam, params))
+        if port.injects:
+            w_up, w_in = port.weights(v)
+            factors.append((np.diag([w_up / w_in, 1.0]).astype(complex), 0.0))
     mantissa, scale = scaled_product(factors)
     # det C = (v2 v4)/(v1 v3) * prod_i det M_i with det M_i = e^{2 a_i}
     det_log = complex(math.log(v[1] * v[3] / (v[0] * v[2])))
-    for i in (1, 2, 3, 4):
-        det_log += 2.0 * zone_eigen(lam, i, params).a
+    for ze in zes:
+        det_log += 2.0 * ze.a
     return ReturnMapEval(lam=complex(lam), mantissa=mantissa,
                          log_scale=scale, det_log=det_log)
 

@@ -27,14 +27,13 @@ from .charfun import return_map
 from .eigfun import (adjoint_eigenfunction, eigenfunction, evaluate,
                      steady_state)
 from .errors import (InsufficientSamples, NumericalError, ValidationError)
-from .params import (ModelParams, case_study, limit_params, load_params,
-                     params_to_dict)
+from .params import (PRESETS, ModelParams, load_params, params_to_dict,
+                     time_constant)
 from .sensitivity import full_report
-from .spectrum import (collocation_spectrum, dominant_eigenvalue,
+# dominant_eigenvalue is not called here; perfbench's tracer rebinds it
+from .spectrum import (collocation_spectrum, dominant_eigenvalue,  # noqa: F401
                        imaginary_vanishing_k, limit_residual, limit_spectrum,
-                       real_root_scan, threads_from_env)
-
-_PRESETS = {"case-study": case_study, "limit": limit_params}
+                       real_root_scan)
 
 
 def _fmt(x) -> str:
@@ -65,7 +64,7 @@ def _load_params(args) -> ModelParams:
     if args.params is not None:
         p = load_params(args.params)
     else:
-        p = _PRESETS[args.preset]()
+        p = PRESETS[args.preset]()
     if args.f0 is not None:
         p = replace(p, f0=args.f0)
     return p
@@ -77,13 +76,14 @@ def _outdir(args) -> Path:
     return out
 
 
-def _manifest(args, out: Path, command: str, tolerances: dict) -> None:
+def _manifest(args, out: Path, params: ModelParams, command: str,
+              tolerances: dict) -> None:
     flags = {k: v for k, v in sorted(vars(args).items())
              if k != "func" and v is not None}
     _write_json(out / "manifest.json", {
         "command": command,
         "version": __version__,
-        "params": params_to_dict(_load_params(args)),
+        "params": params_to_dict(params),
         "params_path": args.params,
         "output_dir": str(out),
         "deterministic": True,
@@ -112,6 +112,11 @@ def _solution_json(sol) -> dict:
     }
 
 
+def _sensitivity_json(rep) -> dict:
+    return {"dv": [z.real for z in rep.dv], "dR": rep.dR.real,
+            "dP": rep.dP.real, "fd_rel_err": list(rep.fd_check)}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -125,31 +130,25 @@ def cmd_analyze(args) -> int:
         summary["note"] = ("equal velocities: dominant eigenvalue is 0 "
                            "exactly; sensitivities skipped")
         summary["sensitivities"] = None
+        direct = eigenfunction(lam0, params)
+        adjoint = adjoint_eigenfunction(lam0, params)
     else:
-        lam0 = dominant_eigenvalue(params, tol=args.tol)
+        rep = full_report(params, tol=args.tol)
+        lam0, direct, adjoint = rep.lam.real, rep.direct, rep.adjoint
+        summary["sensitivities"] = _sensitivity_json(rep)
     summary["lambda0"] = lam0
-    if params.physical is not None:
+    phys = params.physical
+    if phys is not None:
         summary["time_constant_min"] = (
-            params.physical.L_column
-            / (params.physical.u_s * abs(lam0))) if lam0 != 0 else None
-    direct = eigenfunction(lam0, params)
-    adjoint = adjoint_eigenfunction(lam0, params)
+            time_constant(lam0, phys, phys.L_column) if lam0 != 0 else None)
     summary["direct"] = _solution_json(direct)
     summary["adjoint"] = _solution_json(adjoint)
     _write_csv(out / "direct_profile.csv", _PROFILE_HEADER,
                _profile_rows(evaluate(direct, args.grid)))
     _write_csv(out / "adjoint_profile.csv", _PROFILE_HEADER,
                _profile_rows(evaluate(adjoint, args.grid)))
-    if not params.limit_case:
-        rep = full_report(params, tol=args.tol)
-        summary["sensitivities"] = {
-            "dv": [z.real for z in rep.dv],
-            "dR": rep.dR.real,
-            "dP": rep.dP.real,
-            "fd_rel_err": list(rep.fd_check),
-        }
     _write_json(out / "analyze_summary.json", summary)
-    _manifest(args, out, "analyze", {"tol": args.tol})
+    _manifest(args, out, params, "analyze", {"tol": args.tol})
     return 0
 
 
@@ -157,11 +156,9 @@ def cmd_spectrum(args) -> int:
     params = _load_params(args)
     out = _outdir(args)
     lo, hi = args.range
-    threads = threads_from_env()
     rows = []
     for root, blo, bhi in real_root_scan(params, (lo, hi), grid_n=args.grid,
-                                         tol=args.tol, threads=threads,
-                                         with_brackets=True):
+                                         tol=args.tol, with_brackets=True):
         residual = abs(return_map(root, params)._delta_parts[0])
         rows.append((root, residual, blo, bhi))
     _write_csv(out / "real_roots.csv",
@@ -171,7 +168,7 @@ def cmd_spectrum(args) -> int:
         for z in collocation_spectrum(params, N=N):
             crows.append((z.real, z.imag, N))
     _write_csv(out / "collocation.csv", ["re", "im", "N"], crows)
-    _manifest(args, out, "spectrum",
+    _manifest(args, out, params, "spectrum",
               {"tol": args.tol, "range": [lo, hi], "grid": args.grid})
     return 0
 
@@ -194,7 +191,7 @@ def cmd_limit(args) -> int:
                 limit_residual(e.lambda_minus, params))
             for e in table if abs(e.k) <= min(args.grid, 20)),
     })
-    _manifest(args, out, "limit", {"k_max": args.grid})
+    _manifest(args, out, params, "limit", {"k_max": args.grid})
     return 0
 
 
@@ -202,14 +199,9 @@ def cmd_sensitivity(args) -> int:
     params = _load_params(args)
     out = _outdir(args)
     rep = full_report(params, tol=args.tol)
-    _write_json(out / "sensitivity.json", {
-        "lambda0": rep.lam.real,
-        "dv": [z.real for z in rep.dv],
-        "dR": rep.dR.real,
-        "dP": rep.dP.real,
-        "fd_rel_err": list(rep.fd_check),
-    })
-    _manifest(args, out, "sensitivity", {"tol": args.tol})
+    _write_json(out / "sensitivity.json",
+                {"lambda0": rep.lam.real, **_sensitivity_json(rep)})
+    _manifest(args, out, params, "sensitivity", {"tol": args.tol})
     return 0
 
 
@@ -228,7 +220,7 @@ def cmd_steady(args) -> int:
         "q_max": float(samples.q.real.max()),
         "residual": float(sol.residual),
     })
-    _manifest(args, out, "steady", {})
+    _manifest(args, out, params, "steady", {})
     return 0
 
 
@@ -264,7 +256,7 @@ def cmd_simulate(args) -> int:
     except InsufficientSamples:
         summary["decay_rate"] = None
     _write_json(out / "simulate_summary.json", summary)
-    _manifest(args, out, "simulate",
+    _manifest(args, out, params, "simulate",
               {"Nx": args.Nx, "p": args.p, "T": args.T,
                "record_every": args.record_every})
     return 0
@@ -293,7 +285,7 @@ def cmd_delta_scan(args) -> int:
     _write_csv(out / "delta_scan.csv",
                ["lambda", "delta", "atan_delta", "sign", "log_abs_delta",
                 "trace_log", "det_log"], rows)
-    _manifest(args, out, "delta-scan",
+    _manifest(args, out, params, "delta-scan",
               {"range": [lo, hi], "grid": args.grid})
     return 0
 
@@ -321,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", help="JSON parameter file")
-    common.add_argument("--preset", choices=sorted(_PRESETS),
+    common.add_argument("--preset", choices=sorted(PRESETS),
                         default="case-study",
                         help="built-in parameter set (default: case-study)")
     common.add_argument("--out", default="tmb_out",

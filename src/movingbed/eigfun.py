@@ -24,9 +24,7 @@ import numpy as np
 from .charfun import zone_eigen
 from .errors import (DegenerateNullspace, NearZeroPairing, NotAnEigenvalue,
                      SingularSystem, ValidationError)
-from .params import ModelParams
-
-ZONE_LEFT = (-2.0, -1.0, 0.0, 1.0)
+from .params import PORTS, ZONE_LEFT, ModelParams
 
 # Singular values below RANK_RTOL * sigma_max count as zero when deciding
 # whether lambda is an eigenvalue.  (The adjoint system at the case-study
@@ -46,57 +44,45 @@ def _zone_tables(lam, params: ModelParams):
     return nus, phis
 
 
-def assemble_direct(lam, params: ModelParams) -> np.ndarray:
-    """8x8 boundary matrix for the direct problem.
+def _conditions(sign: int) -> list:
+    """(port, liquid) of each row of the port-condition matrix.
 
-    Unknown order is zone-major: (C_1^1, C_1^2, C_2^1, ..., C_4^2).  Rows:
-    q-continuity at -1, 0, +1, +-2; c-continuity at -1, +1; the v-weighted
-    wrap v1 c(-2) = v4 c(2); and the x=0 jump row v2 c(0-) - v3 c(0+).
+    Rows go q at every port and c at the unweighted ports, both by
+    upstream zone, then v c at the weighted ports (``Port.weighted``) by
+    zone: the order sets the rounding of the solves.
     """
-    nus, phis = _zone_tables(lam, params)
-    v = params.v
-    e = np.exp
-    (n11, n21), (n12, n22), (n13, n23), (n14, n24) = nus
-    (f11, f21), (f12, f22), (f13, f23), (f14, f24) = phis
-    M = np.zeros((8, 8), dtype=complex)
-    M[0] = [e(-n11), e(-n21), -e(-n12), -e(-n22), 0, 0, 0, 0]
-    M[1] = [0, 0, 1, 1, -1, -1, 0, 0]
-    M[2] = [0, 0, 0, 0, e(n13), e(n23), -e(n14), -e(n24)]
-    M[3] = [-e(-2 * n11), -e(-2 * n21), 0, 0, 0, 0, e(2 * n14), e(2 * n24)]
-    M[4] = [f11 * e(-n11), f21 * e(-n21), -f12 * e(-n12), -f22 * e(-n22),
-            0, 0, 0, 0]
-    M[5] = [0, 0, 0, 0, f13 * e(n13), f23 * e(n23),
-            -f14 * e(n14), -f24 * e(n24)]
-    M[6] = [v[0] * f11 * e(-2 * n11), v[0] * f21 * e(-2 * n21), 0, 0, 0, 0,
-            -v[3] * f14 * e(2 * n14), -v[3] * f24 * e(2 * n24)]
-    M[7] = [0, 0, v[1] * f12, v[1] * f22, -v[2] * f13, -v[2] * f23, 0, 0]
-    return M
+    by_up = PORTS[1:] + PORTS[:1]
+    return ([(port, False) for port in by_up]
+            + [(port, True) for port in by_up if not port.weighted(sign < 0)]
+            + [(port, True) for port in PORTS if port.weighted(sign < 0)])
 
 
-def assemble_adjoint(lam, params: ModelParams) -> np.ndarray:
-    """8x8 boundary matrix for the adjoint problem (basis exp(-nu x)).
+# the direct row of the feed port, whose right-hand side carries -f0
+_FEED_ROW = next(r for r, (port, liquid) in enumerate(_conditions(+1))
+                 if liquid and port.feed)
 
-    The adjoint port conditions swap the roles of c and q relative to the
-    direct problem: v_i c* is continuous at the inner ports and c* is
-    continuous at 0 and +-2, while q* is continuous everywhere.
+
+def _assemble(nus, phis, params: ModelParams, sign: int) -> np.ndarray:
+    """8x8 port-condition matrix in the basis exp(sign nu x).
+
+    Unknown order is zone-major: (C_1^1, C_1^2, C_2^1, ..., C_4^2).  A q
+    row (without its common factor R P) is the upstream outlet value minus
+    the inlet value, a c row the value left in x minus the one right in
+    x.  A flipped row solves to the same numbers up to the sign of exactly
+    zero imaginary parts, so the signs fix those bits.
     """
-    nus, phis = _zone_tables(lam, params)
-    v = params.v
-    e = np.exp
-    (n11, n21), (n12, n22), (n13, n23), (n14, n24) = nus
-    (f11, f21), (f12, f22), (f13, f23), (f14, f24) = phis
     M = np.zeros((8, 8), dtype=complex)
-    M[0] = [e(n11), e(n21), -e(n12), -e(n22), 0, 0, 0, 0]
-    M[1] = [0, 0, 1, 1, -1, -1, 0, 0]
-    M[2] = [0, 0, 0, 0, e(-n13), e(-n23), -e(-n14), -e(-n24)]
-    M[3] = [-e(2 * n11), -e(2 * n21), 0, 0, 0, 0, e(-2 * n14), e(-2 * n24)]
-    M[4] = [0, 0, f12, f22, -f13, -f23, 0, 0]
-    M[5] = [f11 * e(2 * n11), f21 * e(2 * n21), 0, 0, 0, 0,
-            -f14 * e(-2 * n14), -f24 * e(-2 * n24)]
-    M[6] = [v[0] * f11 * e(n11), v[0] * f21 * e(n21), -v[1] * f12 * e(n12),
-            -v[1] * f22 * e(n22), 0, 0, 0, 0]
-    M[7] = [0, 0, 0, 0, v[2] * f13 * e(-n13), v[2] * f23 * e(-n23),
-            -v[3] * f14 * e(-n14), -v[3] * f24 * e(-n24)]
+    for r, (port, liquid) in enumerate(_conditions(sign)):
+        w_up, w_in = (port.weights(params.v, adjoint=sign < 0) if liquid
+                      else (1.0, 1.0))
+        s = -1.0 if liquid and port.x_up > port.x else 1.0
+        for zone, x, w, side in ((port.up, port.x_up, w_up, s),
+                                 (port.zone, port.x, w_in, -s)):
+            i = zone - 1
+            for j in range(2):
+                phi = phis[i, j] if liquid else 1.0
+                M[r, 2 * i + j] = (side * w * phi
+                                   * np.exp(sign * nus[i, j] * x))
     return M
 
 
@@ -123,14 +109,6 @@ class EigenSolution:
         c = ex @ (cc * self.phis[j])
         q = self.params.R * self.params.P * (ex @ cc)
         return c, q
-
-    def zone_c_derivative(self, zone: int, x) -> np.ndarray:
-        """d/dx of the c component on points x inside zone."""
-        x = np.asarray(x, dtype=float)
-        j = zone - 1
-        ex = np.exp(self.sign * np.outer(x, self.nus[j]))
-        cc = self.coeffs[2 * j:2 * j + 2]
-        return ex @ (cc * self.phis[j] * self.sign * self.nus[j])
 
 
 def _solve_nullspace(M: np.ndarray) -> tuple:
@@ -161,48 +139,47 @@ def _solve_nullspace(M: np.ndarray) -> tuple:
     return null, "unit norm (SVD; C11 ~ 0)"
 
 
+def _eigensolution(lam, params: ModelParams, sign: int) -> EigenSolution:
+    nus, phis = _zone_tables(lam, params)
+    M = _assemble(nus, phis, params, sign)
+    coeffs, tag = _solve_nullspace(M)
+    return EigenSolution(lam=complex(lam),
+                         kind="direct" if sign > 0 else "adjoint",
+                         coeffs=coeffs, normalization=tag,
+                         residual=float(np.max(np.abs(M @ coeffs))),
+                         params=params, nus=nus, phis=phis, sign=sign)
+
+
 def eigenfunction(lam, params: ModelParams) -> EigenSolution:
     """Direct eigenfunction at a root of Delta, normalized to C_1^1 = 1."""
-    M = assemble_direct(lam, params)
-    coeffs, tag = _solve_nullspace(M)
-    nus, phis = _zone_tables(lam, params)
-    return EigenSolution(lam=complex(lam), kind="direct", coeffs=coeffs,
-                         normalization=tag,
-                         residual=float(np.max(np.abs(M @ coeffs))),
-                         params=params, nus=nus, phis=phis, sign=+1)
+    return _eigensolution(lam, params, +1)
 
 
 def adjoint_eigenfunction(lam, params: ModelParams) -> EigenSolution:
     """Adjoint eigenfunction at a root of Delta, normalized to C_1^1 = 1."""
-    M = assemble_adjoint(lam, params)
-    coeffs, tag = _solve_nullspace(M)
-    nus, phis = _zone_tables(lam, params)
-    return EigenSolution(lam=complex(lam), kind="adjoint", coeffs=coeffs,
-                         normalization=tag,
-                         residual=float(np.max(np.abs(M @ coeffs))),
-                         params=params, nus=nus, phis=phis, sign=-1)
+    return _eigensolution(lam, params, -1)
 
 
 def steady_state(params: ModelParams) -> EigenSolution:
-    """Steady state driven by the feed term params.f0 at the x=0 port.
+    """Steady state driven by the feed term params.f0 at the feed port.
 
-    Right-hand side is zero except the jump row: v2 c(0-) - v3 c(0+) = -f0.
+    Right-hand side is zero except the feed row: v2 c(0-) - v3 c(0+) = -f0.
     The system is nonsingular exactly when 0 is not an eigenvalue (strict
     port ordering).
     """
     if params.limit_case:
         raise SingularSystem(
             "equal velocities: 0 is an eigenvalue, no unique steady state")
-    M = assemble_direct(0.0, params)
+    nus, phis = _zone_tables(0.0, params)
+    M = _assemble(nus, phis, params, +1)
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise SingularSystem(
             f"steady-state system singular (sigma_min/sigma_max = "
             f"{sv[-1] / sv[0]:.3e}); 0 appears to be an eigenvalue")
     rhs = np.zeros(8, dtype=complex)
-    rhs[7] = -params.f0
+    rhs[_FEED_ROW] = -params.f0
     coeffs = np.linalg.solve(M, rhs)
-    nus, phis = _zone_tables(0.0, params)
     return EigenSolution(lam=0.0 + 0.0j, kind="steady", coeffs=coeffs,
                          normalization=f"feed f0={params.f0}",
                          residual=float(np.max(np.abs(M @ coeffs - rhs))),

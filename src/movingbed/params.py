@@ -7,8 +7,9 @@ group ``P = sqrt(F*H)`` with ``F = (1-eps)/eps``, and the feed inflow
 
 Two velocity regimes are supported:
 
-* ``strict_ports`` -- v1 > v2, v3 > v4, v3 > v2, v1 > v4 (all four ports
-  active); and
+* ``strict_ports`` -- the liquid velocity rises across each injecting
+  port and falls across each withdrawing one (all four ports active; see
+  ``PORTS``); and
 * ``limit_case``   -- all four velocities equal (no port dissipation).
 
 Anything in between (some but not all equalities) is rejected at
@@ -68,8 +69,54 @@ class PhysicalParams:
         return (self.m1, self.m2, self.m3, self.m4)
 
 
-# Port inequalities that must all hold strictly outside the limit case.
-_PORT_INEQUALITIES = (("v1", "v2"), ("v3", "v4"), ("v3", "v2"), ("v1", "v4"))
+# Left end of each zone; zone i occupies [ZONE_LEFT[i-1], ZONE_LEFT[i-1] + 1].
+ZONE_LEFT = (-2.0, -1.0, 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class Port:
+    """The port at the inlet x of ``zone``, fed by the outlet x_up of ``up``.
+
+    The solid crosses every port unchanged.  The direct problem keeps the
+    liquid flux v c across an injecting port and c across a withdrawing
+    one; the adjoint problem does the reverse.
+    """
+
+    name: str
+    zone: int
+    injects: bool        # liquid enters the loop here (else it leaves)
+    feed: bool = False   # the injected liquid carries f0
+
+    @property
+    def up(self) -> int:
+        return 4 if self.zone == 1 else self.zone - 1
+
+    @property
+    def x(self) -> float:
+        return ZONE_LEFT[self.zone - 1]
+
+    @property
+    def x_up(self) -> float:
+        return ZONE_LEFT[self.up - 1] + 1.0      # x = 2 across the wrap
+
+    def weighted(self, adjoint: bool = False) -> bool:
+        """Whether the liquid condition here keeps v c rather than c."""
+        return self.injects != adjoint
+
+    def weights(self, v, adjoint: bool = False) -> tuple:
+        """(w_up, w_in) multiplying c on the upstream and inlet sides."""
+        if self.weighted(adjoint):
+            return v[self.up - 1], v[self.zone - 1]
+        return 1.0, 1.0
+
+
+# The loop topology, one entry per zone inlet in loop order.
+PORTS = (
+    Port("eluent", 1, injects=True),
+    Port("extract", 2, injects=False),
+    Port("feed", 3, injects=True, feed=True),
+    Port("raffinate", 4, injects=False),
+)
 
 
 @dataclass(frozen=True)
@@ -95,12 +142,15 @@ class ModelParams:
             raise NonPositiveParameter(
                 f"f0 must be a nonnegative finite number, got {self.f0}")
         if not self.limit_case:
-            for lhs, rhs in _PORT_INEQUALITIES:
-                if not getattr(self, lhs) > getattr(self, rhs):
+            # v_in > v_up where liquid is injected, v_up > v_in where it
+            # is withdrawn
+            for port in PORTS:
+                hi, lo = ((port.zone, port.up) if port.injects
+                          else (port.up, port.zone))
+                if not self.v[hi - 1] > self.v[lo - 1]:
                     raise PortOrderingViolated(
-                        f"{lhs} > {rhs} violated: "
-                        f"{lhs}={getattr(self, lhs)}, {rhs}={getattr(self, rhs)}"
-                    )
+                        f"v{hi} > v{lo} violated at the {port.name} port: "
+                        f"v{hi}={self.v[hi - 1]}, v{lo}={self.v[lo - 1]}")
 
     @property
     def v(self) -> tuple:
@@ -115,16 +165,6 @@ class ModelParams:
     def strict_ports(self) -> bool:
         """True when all four port inequalities hold strictly."""
         return not self.limit_case
-
-
-def validate(params: ModelParams) -> ModelParams:
-    """Re-run the construction checks and return the (tagged) params.
-
-    Idempotent: construction already validates, so this re-asserts the
-    invariants (useful after deserialization from untrusted sources).
-    """
-    return ModelParams(params.v1, params.v2, params.v3, params.v4,
-                       params.R, params.P, params.f0, params.physical)
 
 
 def from_physical(phys: PhysicalParams, use_rounded_F: bool = False) -> ModelParams:
@@ -213,13 +253,13 @@ def limit_params(v: float = 1.275, R: float = 18.0, P: float = 1.03,
     return ModelParams(v, v, v, v, R=R, P=P, f0=f0)
 
 
+PRESETS = {"case-study": case_study, "limit": limit_params}
+
+
 def preset(name: str) -> ModelParams:
-    presets = {
-        "case-study": case_study,
-        "limit": limit_params,
-    }
     try:
-        return presets[name]()
+        return PRESETS[name]()
     except KeyError:
         raise ValidationError(
-            f"unknown preset {name!r}; choose from {sorted(presets)}") from None
+            f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
+        ) from None

@@ -30,7 +30,7 @@ import numpy as np
 from .eigfun import (ZONE_LEFT, EigenSolution, adjoint_eigenfunction,
                      eigenfunction, inner_product)
 from .errors import ZeroDenominator
-from .params import ModelParams
+from .params import PORTS, ModelParams
 from .spectrum import dominant_eigenvalue
 
 # Exponent below this is treated as exactly zero (the "difference of the
@@ -115,9 +115,11 @@ def _checked_denominator(direct, adjoint) -> complex:
     return den
 
 
-# boundary term per velocity: (zone, port x, sign); inlets carry -, exits +
-_BOUNDARY = {1: (1, -2.0, -1.0), 2: (2, 0.0, +1.0),
-             3: (3, 0.0, -1.0), 4: (4, 2.0, +1.0)}
+# boundary term per velocity: (zone, port x, sign) where the zone meets a
+# v-weighted port; inlets carry -, exits +
+_BOUNDARY = {zone: (zone, x, sgn) for port in PORTS if port.weighted()
+             for zone, x, sgn in ((port.zone, port.x, -1.0),
+                                  (port.up, port.x_up, +1.0))}
 
 
 def dlambda_dv(k: int, direct: EigenSolution, adjoint: EigenSolution,
@@ -129,8 +131,7 @@ def dlambda_dv(k: int, direct: EigenSolution, adjoint: EigenSolution,
     ca, _, na = _amplitudes(adjoint, zone)
     cb, _ = direct.zone_values(zone, xb)
     cab, _ = adjoint.zone_values(zone, xb)
-    num = sgn * complex(cb[0] if np.ndim(cb) else cb) \
-        * np.conj(complex(cab[0] if np.ndim(cab) else cab))
+    num = sgn * complex(cb[0]) * np.conj(complex(cab[0]))
     num -= _zone_pair_integral(cd * nd, ca, nd, na, lo, lo + 1.0)
     return num / _checked_denominator(direct, adjoint)
 
@@ -183,6 +184,8 @@ class SensitivityReport:
     dR: complex
     dP: complex
     denominator: complex
+    direct: EigenSolution
+    adjoint: EigenSolution
     fd_check: np.ndarray | None = None   # 6 relative errors vs FD
 
 
@@ -206,4 +209,5 @@ def full_report(params: ModelParams, tol: float = 1e-10,
             errs.append(abs(a - f) / max(abs(a), 1e-3))
         fd_check = np.array(errs)
     return SensitivityReport(lam=complex(lam0), dv=dv, dR=dR, dP=dP,
-                             denominator=den, fd_check=fd_check)
+                             denominator=den, direct=direct, adjoint=adjoint,
+                             fd_check=fd_check)

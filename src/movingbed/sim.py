@@ -31,10 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eigfun import ZONE_LEFT, eigenfunction, steady_state
+from .eigfun import ZONE_LEFT, EigenSolution, eigenfunction, steady_state
 from .errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                      ValidationError, ZeroProfile)
-from .params import ModelParams
+from .params import PORTS, ModelParams
 from .spectrum import dominant_eigenvalue
 
 
@@ -108,12 +108,15 @@ def _port_map(params: ModelParams) -> tuple:
     """(alpha, beta) of the ports at the inlets of zones 1..4.
 
     The liquid entering zone i is c_in = alpha_i * c_out + beta_i, with
-    c_out the exit value of zone i-1: eluent, extract, feed, raffinate.
-    The solid crosses every port unchanged.
+    c_out the exit value of zone i-1: w_in c_in = w_up c_out (+ f0 at the
+    feed).  The solid crosses every port unchanged.
     """
-    v1, v2, v3, v4 = params.v
-    return (np.array([v4 / v1, 1.0, v2 / v3, 1.0]),
-            np.array([0.0, 0.0, params.f0 / v3, 0.0]))
+    alpha, beta = [], []
+    for port in PORTS:
+        w_up, w_in = port.weights(params.v)
+        alpha.append(w_up / w_in)
+        beta.append(params.f0 / w_in if port.feed else 0.0)
+    return np.array(alpha), np.array(beta)
 
 
 @lru_cache(maxsize=32)
@@ -184,6 +187,16 @@ def cell_centers(Nx: int) -> np.ndarray:
     return np.asarray(ZONE_LEFT, dtype=float)[:, None] + offs[None, :]
 
 
+def _sample(sol: EigenSolution, Nx: int) -> tuple:
+    """Real parts of a solution's (c, q) at the cell centers, (4, Nx) each."""
+    xs = cell_centers(Nx)
+    c, q = np.empty((2, 4, Nx))
+    for zone in range(1, 5):
+        cz, qz = sol.zone_values(zone, xs[zone - 1])
+        c[zone - 1], q[zone - 1] = cz.real, qz.real
+    return c, q
+
+
 def sample_eigenfunction(params: ModelParams, Nx: int,
                          lam: float | None = None) -> tuple:
     """Dominant (or given-eigenvalue) mode at the cell centers.
@@ -195,28 +208,12 @@ def sample_eigenfunction(params: ModelParams, Nx: int,
     if lam is None:
         # equal velocities: the dominant eigenvalue is 0 exactly
         lam = 0.0 if params.limit_case else dominant_eigenvalue(params)
-    sol = eigenfunction(lam, params)
-    xs = cell_centers(Nx)
-    c = np.empty((4, Nx))
-    q = np.empty((4, Nx))
-    for zone in range(1, 5):
-        cz, qz = sol.zone_values(zone, xs[zone - 1])
-        c[zone - 1] = cz.real
-        q[zone - 1] = qz.real
-    return c, q
+    return _sample(eigenfunction(lam, params), Nx)
 
 
 def sample_steady_state(params: ModelParams, Nx: int) -> tuple:
     """Forced steady profile at the cell centers, shape (4, Nx) each."""
-    sol = steady_state(params)
-    xs = cell_centers(Nx)
-    c = np.empty((4, Nx))
-    q = np.empty((4, Nx))
-    for zone in range(1, 5):
-        cz, qz = sol.zone_values(zone, xs[zone - 1])
-        c[zone - 1] = cz.real
-        q[zone - 1] = qz.real
-    return c, q
+    return _sample(steady_state(params), Nx)
 
 
 def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState:

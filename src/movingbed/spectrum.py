@@ -11,8 +11,6 @@ so roots are located by sign changes on a geometric grid accumulating at
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +19,7 @@ import scipy.linalg
 from .charfun import delta_sign_log, return_map
 from .errors import (EigSolverFailure, LimitCaseHasNoBracket, NotLimitCase,
                      NoSignChangeFound, ValidationError)
-from .params import ModelParams
+from .params import PORTS, ModelParams
 
 
 @dataclass(frozen=True)
@@ -48,21 +46,6 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
     return BracketBudget(M0=M0, Q0=Q0, v_min=v_min, v_max=v_max)
 
 
-def _signs(grid, params: ModelParams, threads: int = 1):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(lambda x: delta_sign_log(x, params)[0], grid))
-    return [delta_sign_log(x, params)[0] for x in grid]
-
-
-def threads_from_env() -> int:
-    """Worker count for grid scans, from TMB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("TMB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def refine_bracket(lo: float, hi: float, params: ModelParams,
                    tol: float) -> float:
     """Bisection on a sign-change bracket; stops on interval width."""
@@ -81,8 +64,7 @@ def refine_bracket(lo: float, hi: float, params: ModelParams,
     return 0.5 * (lo + hi)
 
 
-def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10,
-                        threads: int = 1) -> float:
+def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10) -> float:
     """Largest real root of Delta in [-M0, 0).
 
     Scans a 200-point geometric grid from -tol toward -M0 (the root hugs 0
@@ -95,13 +77,13 @@ def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10,
     if tol >= bb.M0:
         raise ValidationError(f"tol={tol} exceeds bracket width M0={bb.M0}")
     grid = -np.geomspace(tol, bb.M0, 200)
-    signs = _signs(grid, params, threads)
+    signs = [delta_sign_log(x, params)[0] for x in grid]
     for i in range(len(grid) - 1):
         if signs[i] == 0:
             return float(grid[i])
         if signs[i] * signs[i + 1] < 0:
             sub = -np.geomspace(-grid[i], -grid[i + 1], 21)
-            ssub = _signs(sub, params, threads)
+            ssub = [delta_sign_log(x, params)[0] for x in sub]
             for j in range(len(sub) - 1):
                 if ssub[j] == 0:
                     return float(sub[j])
@@ -115,8 +97,7 @@ def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10,
 
 
 def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
-                   tol: float = 1e-12, threads: int = 1,
-                   with_brackets: bool = False) -> list:
+                   tol: float = 1e-12, with_brackets: bool = False) -> list:
     """All sign-change-bracketed real roots of Delta on [lo, hi].
 
     Returns floats, or (root, bracket_lo, bracket_hi) triples when
@@ -128,7 +109,7 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     if lo == hi or grid_n < 2:
         return []
     grid = np.linspace(lo, hi, grid_n)
-    signs = _signs(grid, params, threads)
+    signs = [delta_sign_log(x, params)[0] for x in grid]
     found = []
     for i in range(len(grid) - 1):
         if signs[i] == 0:
@@ -286,21 +267,19 @@ def collocation_spectrum(params: ModelParams, N: int = 30) -> np.ndarray:
         A[c0:c0 + m, q0:q0 + m] = R * P * np.eye(m)
         A[q0:q0 + m, q0:q0 + m] = Dx - R * np.eye(m)
         A[q0:q0 + m, c0:c0 + m] = R * P * np.eye(m)
-    # c constraints at zone inlets (node 0), q constraints at outlets (node N)
-    constraints = []
-    constraints.append((cblk[0], [(cblk[0], v[0]), (cblk[3] + N, -v[3])]))
-    constraints.append((cblk[1], [(cblk[1], 1.0), (cblk[0] + N, -1.0)]))
-    constraints.append((cblk[2], [(cblk[2], v[2]), (cblk[1] + N, -v[1])]))
-    constraints.append((cblk[3], [(cblk[3], 1.0), (cblk[2] + N, -1.0)]))
-    constraints.append((qblk[0] + N, [(qblk[0] + N, 1.0), (qblk[1], -1.0)]))
-    constraints.append((qblk[1] + N, [(qblk[1] + N, 1.0), (qblk[2], -1.0)]))
-    constraints.append((qblk[2] + N, [(qblk[2] + N, 1.0), (qblk[3], -1.0)]))
-    constraints.append((qblk[3] + N, [(qblk[3] + N, 1.0), (qblk[0], -1.0)]))
-    for row, entries in constraints:
-        A[row, :] = 0.0
-        B[row, row] = 0.0
-        for col, val in entries:
-            A[row, col] = val
+    # at each port, the liquid condition replaces the c row at the zone
+    # inlet (node 0), the solid one the q row at the upstream outlet
+    # (node N)
+    for port in PORTS:
+        c_in, c_up = cblk[port.zone - 1], cblk[port.up - 1] + N
+        q_in, q_up = qblk[port.zone - 1], qblk[port.up - 1] + N
+        w_up, w_in = port.weights(v)
+        for row, entries in ((c_in, ((c_in, w_in), (c_up, -w_up))),
+                             (q_up, ((q_up, 1.0), (q_in, -1.0)))):
+            A[row, :] = 0.0
+            B[row, row] = 0.0
+            for col, val in entries:
+                A[row, col] = val
     try:
         w = scipy.linalg.eig(A, B, right=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from movingbed import cli
 from movingbed.cli import main
-from movingbed.params import case_study, save_params
+from movingbed.params import case_study, params_to_dict, save_params
 
 
 def _read_json(path):
@@ -144,6 +145,48 @@ def test_delta_scan(tmp_path):
                  "--out", str(single)]) == 0
     _, rows = _read_csv(single / "delta_scan.csv")
     assert len(rows) == 1 and float(rows[0][0]) == -5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady", "--f0", "1.0"],
+    ["delta-scan"],
+    ["simulate", "--Nx", "64", "--T", "2"]], ids=lambda argv: argv[0])
+def test_identical_invocations_write_identical_files(tmp_path, argv):
+    outs = [tmp_path / name for name in ("a", "b")]
+    for out in outs:
+        assert main([*argv, "--out", str(out)]) == 0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        a, b = (out / name for out in outs)
+        if name == "manifest.json":
+            # only the output directory may differ
+            ma, mb = _read_json(a), _read_json(b)
+            for m in (ma, mb):
+                del m["output_dir"], m["flags"]["out"]
+            assert ma == mb
+        else:
+            assert a.read_bytes() == b.read_bytes(), name
+
+
+def test_manifest_echoes_the_params_the_run_used(tmp_path, monkeypatch):
+    # one read of the params file: a file that changes during the run
+    # cannot make the manifest disagree with the results
+    pfile = tmp_path / "params.json"
+    save_params(case_study(), pfile)
+    reads = []
+    real_load = cli.load_params
+
+    def load(path):
+        reads.append(path)
+        return real_load(path)
+    monkeypatch.setattr(cli, "load_params", load)
+    out = tmp_path / "run"
+    assert main(["steady", "--params", str(pfile), "--f0", "1.0",
+                 "--out", str(out)]) == 0
+    assert len(reads) == 1
+    manifest = _read_json(out / "manifest.json")
+    assert manifest["params"] == params_to_dict(case_study(f0=1.0))
 
 
 def test_params_file_round_trip(tmp_path):

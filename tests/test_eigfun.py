@@ -7,8 +7,8 @@ from movingbed.eigfun import (EigenSolution, ProfileSamples,
                               steady_state)
 from movingbed.errors import (NearZeroPairing, NotAnEigenvalue,
                               SingularSystem, ValidationError)
-from movingbed.params import limit_params
-from movingbed.spectrum import real_root_scan
+from movingbed.params import ModelParams, case_study
+from movingbed.spectrum import dominant_eigenvalue, real_root_scan
 
 # Regression values for the dominant mode of the reference case, frozen
 # from a validated run (direct solve + SVD agree, residuals < 1e-7, and
@@ -64,26 +64,56 @@ def test_adjoint_coefficients_regression(adjoint):
         assert adjoint.coeffs[idx] == pytest.approx(want, rel=1e-8)
 
 
-def test_direct_port_conditions(direct, cs):
-    p = cs
-    c1m2, q1m2 = direct.zone_values(1, -2.0)
-    c1m1, q1m1 = direct.zone_values(1, -1.0)
-    c2m1, q2m1 = direct.zone_values(2, -1.0)
-    c20, q20 = direct.zone_values(2, 0.0)
-    c30, q30 = direct.zone_values(3, 0.0)
-    c31, q31 = direct.zone_values(3, 1.0)
-    c41, q41 = direct.zone_values(4, 1.0)
-    c42, q42 = direct.zone_values(4, 2.0)
-    tol = 1e-10
-    # liquid: continuous at the interior ports, flux-matched at the wrap,
-    # and (f0 = 0) flux-matched at the feed port
-    assert abs(c1m1 - c2m1) <= tol
-    assert abs(c31 - c41) <= tol
-    assert abs(p.v1 * c1m2 - p.v4 * c42) <= tol
-    assert abs(p.v2 * c20 - p.v3 * c30) <= tol
+# the case study and one strict draw away from it
+_PORT_CASES = (case_study(),
+               ModelParams(1.53, 1.12, 1.43, 1.02, R=18.0 * 0.85,
+                           P=1.03 * 1.05))
+
+
+def _port_sides(sol):
+    """(c, q) at both ends of every zone, keyed (zone, x), and their scale."""
+    values = {(zone, x): tuple(complex(v[0]) for v in sol.zone_values(zone, x))
+              for zone, lo in zip((1, 2, 3, 4), (-2.0, -1.0, 0.0, 1.0))
+              for x in (lo, lo + 1.0)}
+    scale = max(max(abs(c), abs(q)) for c, q in values.values())
+    return values, scale
+
+
+def _assert_solid_continuous(s, tol):
     # solid: continuous everywhere, including the wrap
-    for lhs, rhs in ((q1m1, q2m1), (q20, q30), (q31, q41), (q1m2, q42)):
-        assert abs(lhs - rhs) <= tol
+    for lhs, rhs in (((1, -1.0), (2, -1.0)), ((2, 0.0), (3, 0.0)),
+                     ((3, 1.0), (4, 1.0)), ((1, -2.0), (4, 2.0))):
+        assert abs(s[lhs][1] - s[rhs][1]) <= tol
+
+
+def test_direct_port_conditions():
+    for p in _PORT_CASES:
+        lam = dominant_eigenvalue(p, tol=1e-12)
+        s, scale = _port_sides(eigenfunction(lam, p))
+        c = {key: cq[0] for key, cq in s.items()}
+        tol = 1e-11 * scale
+        # liquid: continuous at the withdrawal ports, flux-matched at the
+        # wrap and (f0 = 0) at the feed port
+        assert abs(c[1, -1.0] - c[2, -1.0]) <= tol
+        assert abs(c[3, 1.0] - c[4, 1.0]) <= tol
+        assert abs(p.v1 * c[1, -2.0] - p.v4 * c[4, 2.0]) <= tol
+        assert abs(p.v2 * c[2, 0.0] - p.v3 * c[3, 0.0]) <= tol
+        _assert_solid_continuous(s, tol)
+
+
+def test_adjoint_port_conditions():
+    for p in _PORT_CASES:
+        lam = dominant_eigenvalue(p, tol=1e-12)
+        s, scale = _port_sides(adjoint_eigenfunction(lam, p))
+        c = {key: cq[0] for key, cq in s.items()}
+        tol = 1e-11 * scale
+        # liquid, the reverse of the direct mode: c* continuous at the
+        # feed port and the wrap, v c* continuous at the withdrawal ports
+        assert abs(c[2, 0.0] - c[3, 0.0]) <= tol
+        assert abs(c[1, -2.0] - c[4, 2.0]) <= tol
+        assert abs(p.v1 * c[1, -1.0] - p.v2 * c[2, -1.0]) <= tol
+        assert abs(p.v3 * c[3, 1.0] - p.v4 * c[4, 1.0]) <= tol
+        _assert_solid_continuous(s, tol)
 
 
 def test_not_an_eigenvalue(cs, lam0):

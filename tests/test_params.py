@@ -56,6 +56,16 @@ def test_port_ordering_validation():
         ModelParams(1.12, 1.53, 1.43, 1.02, R=18.0, P=1.03)
 
 
+@pytest.mark.parametrize("v,port", [
+    ((1.2, 1.0, 1.5, 1.3), "eluent"),       # only v1 > v4 fails
+    ((1.2, 1.3, 1.5, 1.0), "extract"),      # only v1 > v2 fails
+    ((1.5, 1.3, 1.2, 1.0), "feed"),         # only v3 > v2 fails
+    ((1.5, 1.0, 1.2, 1.3), "raffinate")])   # only v3 > v4 fails
+def test_each_port_inequality_is_checked(v, port):
+    with pytest.raises(PortOrderingViolated, match=f"at the {port} port"):
+        ModelParams(*v, R=18.0, P=1.03)
+
+
 def test_dict_round_trip(cs):
     assert params_from_dict(params_to_dict(cs)) == cs
 

@@ -148,6 +148,9 @@ def test_full_report(cs):
     assert rep.fd_check is not None and rep.fd_check.shape == (6,)
     assert rep.fd_check.max() <= 1e-4
     assert abs(rep.denominator) > 0
+    # the modes the derivatives came from, at the reported eigenvalue
+    assert (rep.direct.kind, rep.adjoint.kind) == ("direct", "adjoint")
+    assert rep.direct.lam == rep.adjoint.lam == rep.lam
 
 
 def test_limit_case_closed_forms():

@@ -10,7 +10,7 @@ from movingbed.spectrum import (bracket_bound, collocation_spectrum,
                                 dominant_eigenvalue, imaginary_vanishing_k,
                                 limit_asymptote, limit_residual,
                                 limit_spectrum, real_root_scan,
-                                stable_eigenvalues, threads_from_env)
+                                stable_eigenvalues)
 
 
 def test_bracket_bound_frozen_values(cs):
@@ -36,19 +36,6 @@ def test_dominant_eigenvalue_tol_validation(cs):
         dominant_eigenvalue(cs, tol=0.0)
     with pytest.raises(ValidationError):
         dominant_eigenvalue(cs, tol=10.0)   # larger than the bracket bound
-
-
-def test_dominant_eigenvalue_threads_agree(cs):
-    a = dominant_eigenvalue(cs, tol=1e-11, threads=1)
-    b = dominant_eigenvalue(cs, tol=1e-11, threads=4)
-    assert a == b
-
-
-def test_threads_from_env(monkeypatch):
-    monkeypatch.setenv("TMB_THREADS", "3")
-    assert threads_from_env() == 3
-    monkeypatch.delenv("TMB_THREADS")
-    assert threads_from_env() >= 1
 
 
 def test_real_root_scan_finds_deeper_roots(cs, lam0):
