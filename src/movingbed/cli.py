@@ -231,9 +231,12 @@ def cmd_simulate(args) -> int:
                               record_every=args.record_every,
                               strang=args.strang)
     eigen_profile = None
+    initial = args.initial
     if params.strict_ports and params.f0 == 0.0:
         eigen_profile = simmod.sample_eigenfunction(params, args.Nx)
-    state = simmod.init(config, params, args.initial)
+        if initial == "eigenfunction":
+            initial = eigen_profile
+    state = simmod.init(config, params, initial)
     state, rows = simmod.run(state, config, params,
                              eigen_profile=eigen_profile)
     _write_csv(out / "diagnostics.csv",

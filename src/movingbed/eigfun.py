@@ -13,10 +13,15 @@ eigenvalues; coefficients are normalized by C_1^1 = 1.
 The steady state with feed strength f0 solves the same system at
 lambda = 0 with the x=0 jump row carrying the feed:
 v2 c(0-) + f0 = v3 c(0+), i.e. right-hand side -f0 on that row.
+
+The pairing of two solutions (``inner_product``) is a finite sum of
+exponential integrals, evaluated in closed form.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,11 @@ from .params import PORTS, ZONE_LEFT, ModelParams
 # nullspace, so anything looser than ~1e-8 here misclassifies it.)
 RANK_RTOL = 1e-8
 _FALLBACK_COND = 1e12
+
+# Exponent below this is treated as exactly zero (the "difference of the
+# nu's is zero" case); the Taylor band above it avoids cancellation.
+_MU_ZERO = 1e-12
+_MU_TAYLOR = 1e-8
 
 
 def _zone_tables(lam, params: ModelParams):
@@ -109,6 +119,18 @@ class EigenSolution:
         c = ex @ (cc * self.phis[j])
         q = self.params.R * self.params.P * (ex @ cc)
         return c, q
+
+    def amplitudes(self, zone: int) -> tuple:
+        """(c amplitudes, q amplitudes, signed rates) of zone (1..4).
+
+        On the zone c = sum c_amp exp(rate x) and q likewise; the rates are
+        +nu for the direct and steady solutions and -nu for the adjoint.
+        """
+        j = zone - 1
+        cc = self.coeffs[2 * j:2 * j + 2]
+        nus = self.nus[j]
+        return (cc * self.phis[j], cc * (self.params.R * self.params.P),
+                nus if self.sign > 0 else -nus)
 
 
 def _solve_nullspace(M: np.ndarray) -> tuple:
@@ -218,24 +240,73 @@ def evaluate(sol: EigenSolution, n_per_zone: int = 101) -> ProfileSamples:
                           q=np.concatenate(qs), side=np.concatenate(sides))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+def _cexpm1(z: complex) -> complex:
+    """exp(z) - 1 without cancellation for small |z| (complex z)."""
+    x, y = z.real, z.imag
+    # e^x cos y - 1 = expm1(x) cos y + (cos y - 1); both addends stay small
+    # exactly when z does, so no subtractive cancellation anywhere
+    return complex(math.expm1(x) * math.cos(y)
+                   - 2.0 * math.sin(y / 2.0) ** 2,
+                   math.exp(x) * math.sin(y))
+
+
+def exp_integral(D, Dstar, nu, nustar, x_lo: float, x_hi: float) -> complex:
+    """int_{x_lo}^{x_hi} D conj(Dstar) exp((nu - conj(nustar)) x) dx.
+
+    Closed form with a case split on the exponent mu = nu - conj(nustar):
+    exactly linear in the interval length for |mu| <= 1e-12, first-order
+    Taylor in the band up to 1e-8, else the primitive (stable via a
+    complex expm1).
+    """
+    amp = D * np.conj(Dstar)
+    mu = complex(nu - np.conj(nustar))
+    length = x_hi - x_lo
+    if abs(mu) <= _MU_ZERO:
+        return amp * length
+    if abs(mu) <= _MU_TAYLOR:
+        return amp * length * (1.0 + mu * (x_lo + x_hi) / 2.0)
+    return amp * cmath.exp(mu * x_lo) * _cexpm1(mu * length) / mu
+
+
+def zone_integral(amp_a, amp_b, rates_a, rates_b, zone: int) -> complex:
+    """Integral over one zone of a conj(b), a = sum amp_a exp(rates_a x).
+
+    b likewise; amplitudes and signed rates as ``EigenSolution.amplitudes``
+    gives them, so the exponent of each pair is rate_a + conj(rate_b).
+    """
+    lo = ZONE_LEFT[zone - 1]
+    total = 0.0 + 0.0j
+    for j in range(2):
+        for l in range(2):
+            total += exp_integral(amp_a[j], amp_b[l], rates_a[j], -rates_b[l],
+                                  lo, lo + 1.0)
+    return complex(total)
 
 
 def inner_product(a: EigenSolution, b: EigenSolution) -> complex:
     """<a, b> = integral over [-2,2] of (c_a conj(c_b) + q_a conj(q_b)).
 
-    Composite 32-node Gauss-Legendre per zone; the integrands are sums of
-    exponentials, so this is exact to rounding.
+    Closed form, zone by zone; a and b may be direct, adjoint or steady.
     """
     total = 0.0 + 0.0j
     for zone in range(1, 5):
-        lo = ZONE_LEFT[zone - 1]
-        x = lo + 0.5 * (1.0 + _GL_NODES)
-        ca, qa = a.zone_values(zone, x)
-        cb, qb = b.zone_values(zone, x)
-        total += 0.5 * np.sum(_GL_WEIGHTS * (ca * np.conj(cb)
-                                             + qa * np.conj(qb)))
+        ca, qa, ra = a.amplitudes(zone)
+        cb, qb, rb = b.amplitudes(zone)
+        total += zone_integral(ca, cb, ra, rb, zone)
+        total += zone_integral(qa, qb, ra, rb, zone)
     return complex(total)
+
+
+def checked_pairing(direct: EigenSolution, adjoint: EigenSolution) -> complex:
+    """<u, u*>, refused when it is negligible against the two norms."""
+    pairing = inner_product(direct, adjoint)
+    scale = (abs(inner_product(direct, direct))
+             * abs(inner_product(adjoint, adjoint))) ** 0.5
+    if abs(pairing) <= 1e-12 * max(scale, 1e-30):
+        raise NearZeroPairing(
+            f"pairing <u,u*> = {pairing:.3e} negligible against norm scale "
+            f"{scale:.3e}")
+    return pairing
 
 
 def _samples_inner_adjoint(initial: ProfileSamples,
@@ -269,11 +340,5 @@ def projection_coefficient(direct: EigenSolution, adjoint: EigenSolution,
     With the adjoint rescaled so <u0, u0*> = 1, returns M1 = <initial, u0*>;
     the long-time solution behaves like M1 exp(lambda0 t) u0.
     """
-    pairing = inner_product(direct, adjoint)
-    na = abs(inner_product(direct, direct)) ** 0.5
-    nb = abs(inner_product(adjoint, adjoint)) ** 0.5
-    if abs(pairing) <= 1e-12 * na * nb:
-        raise NearZeroPairing(
-            f"<u0, u0*> = {pairing:.3e} is negligible against "
-            f"norms {na:.3e} * {nb:.3e}")
-    return _samples_inner_adjoint(initial, adjoint) / pairing
+    return (_samples_inner_adjoint(initial, adjoint)
+            / checked_pairing(direct, adjoint))

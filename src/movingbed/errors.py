@@ -75,12 +75,11 @@ class SingularSystem(NumericalError):
     pass
 
 
-class ZeroDenominator(NumericalError):
-    pass
-
-
 class NearZeroPairing(NumericalError):
     pass
+
+
+ZeroDenominator = NearZeroPairing    # the sensitivity-side name
 
 
 class NonFiniteDetected(NumericalError):

@@ -31,10 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eigfun import ZONE_LEFT, EigenSolution, eigenfunction, steady_state
+from .eigfun import EigenSolution, eigenfunction, steady_state
 from .errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                      ValidationError, ZeroProfile)
-from .params import PORTS, ModelParams
+from .params import PORTS, ZONE_LEFT, ModelParams
 from .spectrum import dominant_eigenvalue
 
 

@@ -180,6 +180,8 @@ def limit_point(params: ModelParams, k: int) -> LimitSpectrum:
 def limit_spectrum(params: ModelParams, k_max: int = 80) -> list:
     """The closed-form spectrum for k = -k_max .. k_max."""
     _require_limit(params)
+    if k_max < 0:
+        raise ValidationError(f"k_max must be >= 0, got {k_max}")
     return [limit_point(params, k) for k in range(-k_max, k_max + 1)]
 
 

@@ -128,6 +128,28 @@ def test_simulate_with_feed_has_no_profile_column(tmp_path):
     assert all(r[4] == "" for r in rows)
 
 
+def test_simulate_eigenfunction_solves_the_mode_once(tmp_path, monkeypatch):
+    # the sampled eigen-profile is both the initial state and the
+    # reference of the profile distance
+    from movingbed import sim
+    calls = []
+    real = sim.dominant_eigenvalue
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(sim, "dominant_eigenvalue", counted)
+    assert main(["simulate", "--Nx", "16", "--T", "0.1", "--initial",
+                 "eigenfunction", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+def test_limit_negative_grid_is_a_validation_error(tmp_path, capsys):
+    assert main(["limit", "--preset", "limit", "--grid", "-1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "k_max" in capsys.readouterr().err
+
+
 def test_delta_scan(tmp_path):
     out = tmp_path / "run"
     assert main(["delta-scan", "--range=-60:60", "--grid", "7",

@@ -3,11 +3,10 @@ import pytest
 
 from movingbed.eigfun import adjoint_eigenfunction, eigenfunction
 from movingbed.errors import ZeroDenominator
-from movingbed.params import limit_params
+from movingbed.params import ModelParams, limit_params
 from movingbed.sensitivity import (SensitivityReport, central_difference,
                                    dlambda_dP, dlambda_dR, dlambda_dv,
-                                   exp_integral, full_report,
-                                   pairing_denominator)
+                                   exp_integral, full_report, inner_product)
 from movingbed.spectrum import dominant_eigenvalue, real_root_scan
 
 from oracles import central_diff, gl64
@@ -132,7 +131,7 @@ def test_zero_denominator_between_modes(cs, lam0):
     deep = real_root_scan(cs, (-12.7, -12.5), grid_n=100, tol=1e-12)[0]
     direct = eigenfunction(lam0, cs)
     other = adjoint_eigenfunction(deep, cs)
-    assert abs(pairing_denominator(direct, other)) < 1e-8
+    assert abs(inner_product(direct, other)) < 1e-8
     with pytest.raises(ZeroDenominator):
         dlambda_dR(direct, other, cs)
 
@@ -162,3 +161,57 @@ def test_limit_case_closed_forms():
                                      rel=1e-10)
     assert abs(dlambda_dR(direct, adjoint, lp)) <= 1e-12
     assert abs(dlambda_dP(direct, adjoint, lp)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# closed-form pairing and numerators vs quadrature of the sampled modes
+# ---------------------------------------------------------------------------
+
+def _gl_pairing(a, b, integrand):
+    """Sum over the zones of gl64 of integrand(c_a, q_a, c_b, q_b)."""
+    total = 0.0 + 0.0j
+    for zone, lo in zip(range(1, 5), (-2.0, -1.0, 0.0, 1.0)):
+        def f(x, zone=zone):
+            return integrand(*a.zone_values(zone, x), *b.zone_values(zone, x))
+        total += gl64(f, lo, lo + 1.0)
+    return total
+
+
+def _plain(ca, qa, cb, qb):
+    return ca * np.conj(cb) + qa * np.conj(qb)
+
+
+@pytest.fixture(scope="module", params=["lam0", "deep", "strict"])
+def modes(request, cs, lam0):
+    if request.param == "lam0":
+        params, lam = cs, lam0
+    elif request.param == "deep":
+        params = cs
+        lam = real_root_scan(cs, (-12.7, -12.5), grid_n=100, tol=1e-12)[0]
+    else:
+        params = ModelParams(1.53, 1.12, 1.43, 1.02, R=18.0 * 0.85,
+                             P=1.03 * 1.05)
+        lam = dominant_eigenvalue(params, tol=1e-12)
+    return params, eigenfunction(lam, params), adjoint_eigenfunction(lam,
+                                                                     params)
+
+
+def test_inner_product_matches_quadrature(modes):
+    _, direct, adjoint = modes
+    for a, b in ((direct, direct), (adjoint, adjoint), (direct, adjoint)):
+        ref = _gl_pairing(a, b, _plain)
+        assert abs(inner_product(a, b) - ref) <= 1e-12 * abs(ref)
+
+
+def test_dR_dP_match_quadrature(modes):
+    params, direct, adjoint = modes
+    R, P = params.R, params.P
+    den = _gl_pairing(direct, adjoint, _plain)
+    num_R = -_gl_pairing(direct, adjoint, lambda c, q, cs_, qs_:
+                         (P * c - q) * np.conj(P * cs_ - qs_))
+    num_P = _gl_pairing(direct, adjoint, lambda c, q, cs_, qs_:
+                        R * (-2.0 * P * c + q) * np.conj(cs_)
+                        + R * c * np.conj(qs_))
+    for got, ref in ((dlambda_dR(direct, adjoint, params), num_R / den),
+                     (dlambda_dP(direct, adjoint, params), num_P / den)):
+        assert abs(got - ref) <= 1e-12 * abs(ref)

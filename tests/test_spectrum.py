@@ -118,6 +118,12 @@ def test_limit_spectrum_rejects_strict_ports(cs):
         limit_spectrum(cs, k_max=3)
 
 
+def test_limit_spectrum_rejects_negative_k_max(lp):
+    with pytest.raises(ValidationError):
+        limit_spectrum(lp, k_max=-1)
+    assert len(limit_spectrum(lp, k_max=0)) == 1
+
+
 # ---------------------------------------------------------------------------
 # collocation cross-check
 # ---------------------------------------------------------------------------
