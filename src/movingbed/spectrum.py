@@ -46,28 +46,44 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
     return BracketBudget(M0=M0, Q0=Q0, v_min=v_min, v_max=v_max)
 
 
-def refine_bracket(lo: float, hi: float, params: ModelParams,
-                   tol: float) -> float:
-    """Bisection on a sign-change bracket; stops on interval width."""
-    slo = delta_sign_log(lo, params)[0]
+def _sign_walk(grid, params: ModelParams, signs: dict):
+    """Zero points (x, x, 0) and sign-change cells (a, b, sign at a) of
+    Delta along grid, in order.  Delta is evaluated lazily, once per point
+    missing from signs (known signs by abscissa), which the walk fills."""
+    def sign(x):
+        if x not in signs:
+            signs[x] = delta_sign_log(x, params)[0]
+        return signs[x]
+
+    xs = [float(x) for x in grid]
+    for a, b in zip(xs, xs[1:] + [None]):
+        if sign(a) == 0:
+            yield a, a, 0
+        elif b is not None and sign(a) * sign(b) < 0:
+            yield a, b, signs[a]
+
+
+def _bisect(a: float, b: float, s: int, params: ModelParams,
+            tol: float) -> float:
+    """Root in a cell of ``_sign_walk``: bisection, stopped on width."""
     for _ in range(300):
-        if hi - lo < tol:
+        if abs(b - a) < tol:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (a + b)
         smid = delta_sign_log(mid, params)[0]
         if smid == 0:
             return mid
-        if smid == slo:
-            lo = mid
+        if smid == s:
+            a = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            b = mid
+    return 0.5 * (a + b)
 
 
 def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10) -> float:
     """Largest real root of Delta in [-M0, 0).
 
-    Scans a 200-point geometric grid from -tol toward -M0 (the root hugs 0
+    Walks a 200-point geometric grid from -tol toward -M0 (the root hugs 0
     while Delta stays nearly flat over most of the bracket), densifies the
     first sign-change cell tenfold, then bisects to |interval| < tol.
     """
@@ -77,23 +93,15 @@ def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10) -> float:
     if tol >= bb.M0:
         raise ValidationError(f"tol={tol} exceeds bracket width M0={bb.M0}")
     grid = -np.geomspace(tol, bb.M0, 200)
-    signs = [delta_sign_log(x, params)[0] for x in grid]
-    for i in range(len(grid) - 1):
-        if signs[i] == 0:
-            return float(grid[i])
-        if signs[i] * signs[i + 1] < 0:
-            sub = -np.geomspace(-grid[i], -grid[i + 1], 21)
-            ssub = [delta_sign_log(x, params)[0] for x in sub]
-            for j in range(len(sub) - 1):
-                if ssub[j] == 0:
-                    return float(sub[j])
-                if ssub[j] * ssub[j + 1] < 0:
-                    return refine_bracket(float(sub[j + 1]), float(sub[j]),
-                                          params, tol)
+    signs = {}
+    for a, b, s in _sign_walk(grid, params, signs):
+        if s != 0:  # densify tenfold; geomspace keeps the known ends exactly
+            a, b, s = next(_sign_walk(-np.geomspace(-a, -b, 21), params,
+                                      signs))
+        return _bisect(a, b, s, params, tol)
     raise NoSignChangeFound(
         f"no sign change of Delta on 200-point geometric grid in "
-        f"[{-bb.M0}, {-tol}]; sign at {-tol} is {signs[0]}, "
-        f"at {-bb.M0} is {signs[-1]}")
+        f"[{-bb.M0}, {-tol}]: its sign is {signs[grid[0]]} throughout")
 
 
 def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
@@ -104,23 +112,14 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     with_brackets is set.
     """
     lo, hi = range_
-    if lo > hi:
-        raise ValidationError(f"bad range [{lo}, {hi}]")
-    if lo == hi or grid_n < 2:
+    if lo > hi or grid_n < 2:
+        raise ValidationError(
+            f"need lo <= hi and grid_n >= 2, got [{lo}, {hi}], {grid_n}")
+    if lo == hi:
         return []
     grid = np.linspace(lo, hi, grid_n)
-    signs = [delta_sign_log(x, params)[0] for x in grid]
-    found = []
-    for i in range(len(grid) - 1):
-        if signs[i] == 0:
-            found.append((float(grid[i]), float(grid[i]), float(grid[i])))
-        elif signs[i] * signs[i + 1] < 0:
-            width = tol * max(1.0, abs(grid[i]))
-            root = refine_bracket(float(grid[i]), float(grid[i + 1]),
-                                  params, width)
-            found.append((root, float(grid[i]), float(grid[i + 1])))
-    if signs and signs[-1] == 0:
-        found.append((float(grid[-1]), float(grid[-1]), float(grid[-1])))
+    found = [(_bisect(a, b, s, params, tol * max(1.0, abs(a))), a, b)
+             for a, b, s in _sign_walk(grid, params, {})]
     if with_brackets:
         return found
     return [f[0] for f in found]

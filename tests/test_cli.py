@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -239,6 +240,21 @@ def test_exit_code_numerical(tmp_path, capsys):
     assert main(["steady", "--preset", "limit", "--f0", "1.0",
                  "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sensitivity_where_the_raw_rank_test_refused(tmp_path):
+    # P = 0.93: the adjoint solve raised DegenerateNullspace (exit 3) when
+    # rank was decided on the unscaled port matrix
+    pfile = tmp_path / "params.json"
+    save_params(replace(case_study(), P=0.93, physical=None), pfile)
+    assert main(["sensitivity", "--params", str(pfile),
+                 "--out", str(tmp_path / "run")]) == 0
+
+
+def test_spectrum_grid_below_two_is_a_validation_error(tmp_path, capsys):
+    assert main(["spectrum", "--grid", "-3",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "grid_n" in capsys.readouterr().err
 
 
 def test_exit_code_validation(tmp_path):

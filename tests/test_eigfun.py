@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from movingbed.eigfun import (EigenSolution, ProfileSamples,
 from movingbed.errors import (NearZeroPairing, NotAnEigenvalue,
                               SingularSystem, ValidationError)
 from movingbed.params import ModelParams, case_study
-from movingbed.spectrum import dominant_eigenvalue, real_root_scan
+from movingbed.spectrum import (bracket_bound, dominant_eigenvalue,
+                                real_root_scan)
 
 # Regression values for the dominant mode of the reference case, frozen
 # from a validated run (direct solve + SVD agree, residuals < 1e-7, and
@@ -64,10 +67,14 @@ def test_adjoint_coefficients_regression(adjoint):
         assert adjoint.coeffs[idx] == pytest.approx(want, rel=1e-8)
 
 
-# the case study and one strict draw away from it
+# the case study, one strict draw away from it, and two sets whose
+# unscaled adjoint port matrix looked rank-deficient (sigma_7/sigma_max
+# ~ 4.5e-9)
 _PORT_CASES = (case_study(),
                ModelParams(1.53, 1.12, 1.43, 1.02, R=18.0 * 0.85,
-                           P=1.03 * 1.05))
+                           P=1.03 * 1.05),
+               replace(case_study(), P=0.93),
+               replace(case_study(), R=22.0, P=1.0))
 
 
 def _port_sides(sol):
@@ -196,3 +203,50 @@ def test_limit_zero_mode_is_constant(lp):
         c, q = sol.zone_values(zone, x)
         assert np.ptp(np.abs(c)) <= 1e-10 * np.abs(c).max()
         assert np.allclose(q / c, lp.P, atol=1e-10)
+
+
+@pytest.mark.parametrize("R, P", [(25.0, 0.8), (60.0, 1.03)])
+def test_steady_state_with_wide_column_norms(cs, R, P):
+    # strict ports, so 0 is no eigenvalue; the unscaled matrix has
+    # sigma_min/sigma_max ~ 1e-16 here, the column-scaled one ~ 5e-3
+    p = replace(cs, R=R, P=P, f0=1.0)
+    sol = steady_state(p)
+    s, scale = _port_sides(sol)
+    c = {key: cq[0] for key, cq in s.items()}
+    tol = 1e-11 * max(scale, p.f0)
+    assert abs(c[1, -1.0] - c[2, -1.0]) <= tol
+    assert abs(c[3, 1.0] - c[4, 1.0]) <= tol
+    assert abs(p.v1 * c[1, -2.0] - p.v4 * c[4, 2.0]) <= tol
+    # the feed row carries the whole source
+    assert abs(p.v3 * c[3, 0.0] - p.v2 * c[2, 0.0] - p.f0) <= tol
+    _assert_solid_continuous(s, tol)
+
+
+def _wide_box(n: int, seed: int = 0) -> list:
+    """n strict-port sets drawn uniformly from the whole parameter box:
+    v_i +-10%, R +-25% and P +-10% around the case study."""
+    rng = np.random.default_rng(seed)
+    cs = case_study()
+    return [ModelParams(*(vi * rng.uniform(0.9, 1.1) for vi in cs.v),
+                        R=cs.R * rng.uniform(0.75, 1.25),
+                        P=cs.P * rng.uniform(0.9, 1.1))
+            for _ in range(n)]
+
+
+def test_wide_box_sweep():
+    for p in _wide_box(30):
+        lam = dominant_eigenvalue(p)
+        assert -bracket_bound(p).M0 <= lam < 0.0
+        for sol in (eigenfunction(lam, p), adjoint_eigenfunction(lam, p)):
+            assert sol.coeffs[0] == 1.0
+            assert sol.residual <= 1e-10 * _port_sides(sol)[1]
+        steady = steady_state(replace(p, f0=1.0))
+        assert steady.residual <= 1e-10 * max(_port_sides(steady)[1], 1.0)
+
+
+def test_limit_zero_modes_are_positive(lp):
+    # the unit-norm null vector's phase is fixed, not left to the SVD
+    for sol in (eigenfunction(0.0, lp), adjoint_eigenfunction(0.0, lp)):
+        assert sol.normalization == "unit norm (SVD; C11 ~ 0)"
+        c, q = sol.zone_values(1, np.linspace(-2.0, -1.0, 5))
+        assert np.all(c.real > 0) and np.all(q.real > 0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,14 @@ def test_full_report(cs):
     # the modes the derivatives came from, at the reported eigenvalue
     assert (rep.direct.kind, rep.adjoint.kind) == ("direct", "adjoint")
     assert rep.direct.lam == rep.adjoint.lam == rep.lam
+
+
+@pytest.mark.parametrize("kw", [{"P": 0.93}, {"R": 22.0, "P": 1.0}])
+def test_full_report_where_the_raw_rank_test_refused(cs, kw):
+    # the adjoint solve at these sets raised DegenerateNullspace when rank
+    # was decided on the unscaled port matrix
+    rep = full_report(replace(cs, **kw), fd=True)
+    assert rep.fd_check.max() <= 1e-4
 
 
 def test_limit_case_closed_forms():

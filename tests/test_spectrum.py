@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from movingbed import charfun
 from movingbed.charfun import return_map
 from movingbed.errors import (LimitCaseHasNoBracket, ValidationError)
 from movingbed.params import limit_params
@@ -57,6 +58,27 @@ def test_real_root_scan_empty_and_invalid(cs):
     assert real_root_scan(cs, (-5.0, -5.0)) == []
     with pytest.raises(ValidationError):
         real_root_scan(cs, (1.0, -1.0))
+
+
+@pytest.mark.parametrize("grid_n", [1, 0, -3])
+def test_real_root_scan_rejects_a_grid_below_two(cs, grid_n):
+    with pytest.raises(ValidationError):
+        real_root_scan(cs, (-1.0, -0.01), grid_n=grid_n)
+
+
+def test_dominant_eigenvalue_stops_scanning_at_the_root(cs, monkeypatch):
+    # the grid walk stops at the first sign change and never re-evaluates
+    # a point whose sign it knows; scanning the whole grid takes 245
+    calls = []
+    real = charfun.return_map
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(charfun, "return_map", counted)
+    dominant_eigenvalue(cs)
+    assert len(calls) <= 210
+    assert len(set(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------------------
