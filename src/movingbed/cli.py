@@ -299,11 +299,12 @@ def cmd_delta_scan(args) -> int:
 
 def _range_arg(text: str) -> tuple:
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected lo:hi, got {text!r}") from exc
+        lo, hi = map(float, text.split(":"))
+        if math.isfinite(lo) and math.isfinite(hi):
+            return lo, hi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected finite lo:hi, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,12 +60,16 @@ class SimState:
     dx: float
     c: np.ndarray = field(init=False, repr=False)    # (4, Nx+1) view
     q: np.ndarray = field(init=False, repr=False)    # (4, Nx+1) view
+    work: np.ndarray = field(init=False, repr=False)  # advection scratch
 
     def __post_init__(self):
         # the steps update u through flat views, which need one block
         self.u = np.ascontiguousarray(self.u, dtype=float)
         self.c = self.u[:4, :-1]
         self.q = self.u[4:, :-1]
+        # allocated once: fresh ~0.1 MB temporaries every step can make
+        # malloc trim the heap top and fault it back in on the next step
+        self.work = np.empty((3, self.u.size))
 
 
 @dataclass(frozen=True)
@@ -228,8 +232,8 @@ def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState
         raise ValidationError(f"Nx={config.Nx} below the minimum of 8")
     if config.record_every < 1:
         raise ValidationError("record_every must be a positive integer")
-    if config.T < 0:
-        raise ValidationError(f"T={config.T} must be nonnegative")
+    if not 0.0 <= config.T < math.inf:
+        raise ValidationError(f"T={config.T} must be nonnegative and finite")
     p = _resolve_p(config, params)
     dx = 1.0 / config.Nx
     state = SimState(u=np.zeros((8, config.Nx + 2)), t=0.0, dt=p * dx, dx=dx)
@@ -276,33 +280,32 @@ def advection_step(state: SimState, params: ModelParams,
     """
     u = state.u
     flat = u.reshape(-1)
-    size, half = flat.size, flat.size // 2
+    half = flat.size // 2
     cells, faces = _port_tables(params, u.shape[1])
     h, s = _advection_consts(params, frac * state.dt / state.dx)
     # backward differences along the flat array; those that straddle two
     # rows only reach ghost columns, which are refilled at the end
-    diff = np.empty(size)
+    diff, slope, face = state.work
     diff[0] = 0.0
     np.subtract(flat[1:], flat[:-1], out=diff[1:])
     # van Leer half-slope ab/(a+b) where the one-sided differences a, b
     # agree in sign, else 0 (a zero denominator only meets a zero a*b)
-    slope = np.empty(size)
     slope[-1] = 0.0
     a, b = diff[:-1], diff[1:]
-    num = slope[:-1]
+    num, den = slope[:-1], face[:-1]
     np.multiply(a, b, out=num)
     np.maximum(num, 0.0, out=num)
-    den = a + b
+    np.add(a, b, out=den)
     den += den == 0.0
     np.divide(num, den, out=num)
     # face values: liquid at each cell's right face, solid at its left
     # face stored one column to the left, so both phases update as
     # u[k] -= s * (face[k] - face[k-1])
-    offs = (h * slope.reshape(u.shape)).reshape(-1)
-    face = np.empty(size)
+    offs = slope.reshape(u.shape)
+    np.multiply(h, offs, out=offs)
     face[-1] = 0.0
-    np.add(flat[:half], offs[:half], out=face[:half])
-    np.add(flat[half:], offs[half:], out=face[half - 1:-1])
+    np.add(flat[:half], slope[:half], out=face[:half])
+    np.add(flat[half:], slope[half:], out=face[half - 1:-1])
     _apply(face, faces)
     np.subtract(face[1:], face[:-1], out=diff[1:])
     step = diff.reshape(u.shape)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .charfun import delta_sign_log, return_map
 from .errors import (EigSolverFailure, LimitCaseHasNoBracket, NotLimitCase,
@@ -87,7 +86,7 @@ def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10) -> float:
     while Delta stays nearly flat over most of the bracket), densifies the
     first sign-change cell tenfold, then bisects to |interval| < tol.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     bb = bracket_bound(params)  # rejects the equal-velocity case
     if tol >= bb.M0:
@@ -112,9 +111,11 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     with_brackets is set.
     """
     lo, hi = range_
-    if lo > hi or grid_n < 2:
-        raise ValidationError(
-            f"need lo <= hi and grid_n >= 2, got [{lo}, {hi}], {grid_n}")
+    if not -math.inf < lo <= hi < math.inf or grid_n < 2:
+        raise ValidationError(f"need finite lo <= hi and grid_n >= 2, "
+                              f"got [{lo}, {hi}], {grid_n}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     if lo == hi:
         return []
     grid = np.linspace(lo, hi, grid_n)
@@ -246,10 +247,9 @@ def collocation_spectrum(params: ModelParams, N: int = 30) -> np.ndarray:
     """Discrete spectrum of the transport operator on the four zones.
 
     Per zone, both components are collocated on N+1 Chebyshev points
-    (mapped so node index runs left to right in x); the eight coupling
-    conditions replace the c-rows at zone inlets and the q-rows at zone
-    outlets, giving a generalized problem A u = lambda B u with B the
-    identity zeroed on constraint rows.  Returns the finite eigenvalues.
+    (mapped so node index runs left to right in x).  The port conditions
+    pin 8 nodes to free partners, u = S w, which leaves the standard
+    problem A[free] S w = lambda w.  Returns its 8N eigenvalues, sorted.
     """
     if N < 8:
         raise ValidationError(f"polynomial degree N={N} too small (need >= 8)")
@@ -259,7 +259,7 @@ def collocation_spectrum(params: ModelParams, N: int = 30) -> np.ndarray:
     v, R, P = params.v, params.R, params.P
     n = 8 * m
     A = np.zeros((n, n))
-    B = np.eye(n)
+    S = np.eye(n)
     cblk = [i * m for i in range(4)]          # c_1..c_4 block offsets
     qblk = [(4 + i) * m for i in range(4)]    # q_1..q_4 block offsets
     for i in range(4):
@@ -268,24 +268,22 @@ def collocation_spectrum(params: ModelParams, N: int = 30) -> np.ndarray:
         A[c0:c0 + m, q0:q0 + m] = R * P * np.eye(m)
         A[q0:q0 + m, q0:q0 + m] = Dx - R * np.eye(m)
         A[q0:q0 + m, c0:c0 + m] = R * P * np.eye(m)
-    # at each port, the liquid condition replaces the c row at the zone
-    # inlet (node 0), the solid one the q row at the upstream outlet
-    # (node N)
+    # each port pins c at the zone inlet (node 0) to c at the upstream
+    # outlet (node N), c_in = (w_up/w_in) c_up, and q at that outlet to q
+    # at the zone inlet, q_up = q_in; no partner is itself pinned
     for port in PORTS:
         c_in, c_up = cblk[port.zone - 1], cblk[port.up - 1] + N
         q_in, q_up = qblk[port.zone - 1], qblk[port.up - 1] + N
         w_up, w_in = port.weights(v)
-        for row, entries in ((c_in, ((c_in, w_in), (c_up, -w_up))),
-                             (q_up, ((q_up, 1.0), (q_in, -1.0)))):
-            A[row, :] = 0.0
-            B[row, row] = 0.0
-            for col, val in entries:
-                A[row, col] = val
+        for node, partner, ratio in ((c_in, c_up, w_up / w_in),
+                                     (q_up, q_in, 1.0)):
+            S[node, node], S[node, partner] = 0.0, ratio
+    free = S.diagonal() == 1.0       # pinned nodes have a zero diagonal
     try:
-        w = scipy.linalg.eig(A, B, right=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        w = np.linalg.eigvals(A[free] @ S[:, free])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigSolverFailure(str(exc)) from exc
-    return w[np.isfinite(w)]
+    return np.sort_complex(w)
 
 
 def stable_eigenvalues(params: ModelParams, N1: int = 30, N2: int = 45,
@@ -297,7 +295,5 @@ def stable_eigenvalues(params: ModelParams, N1: int = 30, N2: int = 45,
     """
     w1 = collocation_spectrum(params, N1)
     w2 = collocation_spectrum(params, N2)
-    if len(w2) == 0:
-        return np.array([], dtype=complex)
     keep = [lam for lam in w1 if np.min(np.abs(w2 - lam)) <= match_tol]
     return np.array(keep, dtype=complex)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import movingbed
 from movingbed import cli
 from movingbed.cli import main
 from movingbed.params import case_study, params_to_dict, save_params
@@ -173,7 +178,9 @@ def test_delta_scan(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["steady", "--f0", "1.0"],
     ["delta-scan"],
-    ["simulate", "--Nx", "64", "--T", "2"]], ids=lambda argv: argv[0])
+    ["simulate", "--Nx", "64", "--T", "2"],
+    ["spectrum", "--range=-14:-0.01", "--grid", "50"]],
+    ids=lambda argv: argv[0])
 def test_identical_invocations_write_identical_files(tmp_path, argv):
     outs = [tmp_path / name for name in ("a", "b")]
     for out in outs:
@@ -260,6 +267,34 @@ def test_spectrum_grid_below_two_is_a_validation_error(tmp_path, capsys):
 def test_exit_code_validation(tmp_path):
     assert main(["simulate", "--Nx", "16", "--T", "0.5", "--p", "1.5",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--tol", "nan"],
+    ["spectrum", "--range=nan:0"],
+    ["spectrum", "--range=-inf:0"],
+    ["delta-scan", "--range=-inf:0"],
+    ["simulate", "--T", "nan"],
+    ["simulate", "--T", "inf"],
+    ["spectrum", "--tol", "-1"],
+    ["spectrum", "--tol", "nan"]], ids=" ".join)
+def test_non_finite_or_nonpositive_input_exits_2(tmp_path, argv):
+    # a bad --range is refused by the argument parser, which exits
+    try:
+        code = main([*argv, "--out", str(tmp_path / "o")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(movingbed.__file__).parents[1])
+    probe = ("import sys, movingbed.cli; print(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "[]"
 
 
 def test_bad_range_string(tmp_path):

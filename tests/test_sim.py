@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,9 @@ def test_init_validation(cs):
         init(SimConfig(Nx=4, T=1.0), cs)
     with pytest.raises(ValidationError):
         init(SimConfig(Nx=16, T=-1.0), cs)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            init(SimConfig(Nx=16, T=T), cs)
     with pytest.raises(ValidationError):
         init(SimConfig(Nx=16, T=1.0, record_every=0), cs)
     with pytest.raises(BadCFL):

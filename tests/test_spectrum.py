@@ -36,6 +36,8 @@ def test_dominant_eigenvalue_tol_validation(cs):
     with pytest.raises(ValidationError):
         dominant_eigenvalue(cs, tol=0.0)
     with pytest.raises(ValidationError):
+        dominant_eigenvalue(cs, tol=math.nan)
+    with pytest.raises(ValidationError):
         dominant_eigenvalue(cs, tol=10.0)   # larger than the bracket bound
 
 
@@ -56,8 +58,14 @@ def test_real_root_scan_brackets(cs):
 
 def test_real_root_scan_empty_and_invalid(cs):
     assert real_root_scan(cs, (-5.0, -5.0)) == []
-    with pytest.raises(ValidationError):
-        real_root_scan(cs, (1.0, -1.0))
+    for range_ in ((1.0, -1.0), (math.nan, 0.0), (-math.inf, 0.0),
+                   (-1.0, math.inf)):
+        with pytest.raises(ValidationError):
+            real_root_scan(cs, range_)
+    # tol=inf returned -0.15276 here, where the root is -0.11038
+    for tol in (math.inf, -1.0, 0.0, math.nan):
+        with pytest.raises(ValidationError):
+            real_root_scan(cs, (-14.0, -0.01), 50, tol=tol)
 
 
 @pytest.mark.parametrize("grid_n", [1, 0, -3])
@@ -164,6 +172,14 @@ def test_collocation_limit_matches_closed_form(lp):
             continue
         for lam in (e.lambda_plus, e.lambda_minus):
             assert np.abs(eigs - lam).min() <= 1e-6
+
+
+@pytest.mark.parametrize("N", [8, 30])
+def test_collocation_returns_8N_finite_sorted_eigenvalues(cs, N):
+    eigs = collocation_spectrum(cs, N=N)
+    assert eigs.shape == (8 * N,)
+    assert np.all(np.isfinite(eigs))
+    assert np.array_equal(eigs, np.sort_complex(eigs))
 
 
 def test_collocation_validates_N(cs):
