@@ -16,6 +16,9 @@ for lambda -> -inf and like 4*lambda for lambda -> +inf.
 Determinants are accumulated factor-by-factor from the Liouville identity
 det M_i = exp(2 a_i) (computing them from the multiplied-out product would
 lose all relative accuracy whenever |det| << ||C||^2).
+
+The return map is evaluated over a 1-D array of lambda (real or complex)
+in one numpy pass; a scalar lambda is the one-point case of the same code.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ThresholdTooSmall
+from .errors import NonFiniteDetected, ThresholdTooSmall, ValidationError
 from .params import PORTS, ModelParams
 
 BRANCH_COMPLEX_PAIR = "complex-pair"
@@ -56,6 +59,17 @@ class ZoneEigen:
     b: complex           # principal sqrt(a^2 + beta/v_i); Re(b) >= 0
 
 
+def _exponents(lam, v, R: float, P: float) -> tuple:
+    """(alpha, beta, a, disc) of a zone with velocity v at lambda.
+
+    b = sqrt(disc)/v.  Plain arithmetic, so lam and v may be scalars or
+    numpy arrays that broadcast (lambdas by row, velocities by column).
+    """
+    alpha = ((v - 1.0) * lam + (v - P * P) * R) / 2.0
+    beta = lam * lam + lam * R * (1.0 + P * P)
+    return alpha, beta, alpha / v, alpha * alpha + v * beta
+
+
 def zone_eigen(lam, zone: int, params: ModelParams) -> ZoneEigen:
     """Per-zone exponents nu_{1,2} and eigenvector weights phi_{1,2}.
 
@@ -64,12 +78,9 @@ def zone_eigen(lam, zone: int, params: ModelParams) -> ZoneEigen:
     tagged complex-pair.
     """
     v = params.v[zone - 1]
-    R, P = params.R, params.P
+    R = params.R
     lam = complex(lam)
-    alpha = ((v - 1.0) * lam + (v - P * P) * R) / 2.0
-    beta = lam * lam + lam * R * (1.0 + P * P)
-    a = alpha / v
-    disc = alpha * alpha + v * beta
+    alpha, beta, a, disc = _exponents(lam, v, R, params.P)
     scale = max(abs(alpha) ** 2, abs(v * beta), 1.0)
     if abs(disc) <= _REPEATED_RTOL * scale:
         branch = BRANCH_REPEATED
@@ -101,22 +112,64 @@ def branch_boundaries(zone: int, params: ModelParams) -> tuple:
     return lam1, lam2
 
 
-def _schat_chat(b: complex) -> tuple:
+def _lambdas(lam) -> tuple:
+    """(1-D complex array, was lam a scalar); refuses what Delta cannot
+    take."""
+    arr = np.asarray(lam)
+    lams = np.atleast_1d(arr).astype(complex)
+    if lams.ndim != 1 or lams.size == 0 or not np.isfinite(lams).all():
+        raise ValidationError(
+            f"lambda must be a finite scalar or a non-empty finite 1-D "
+            f"array, got shape {arr.shape}")
+    return lams, arr.ndim == 0
+
+
+def _schat_chat(b: np.ndarray) -> tuple:
     """Scaled hyperbolics: (sinh(b)/b * e^{-Re b}, cosh(b) * e^{-Re b}).
 
     Both stay O(1) for any b with Re(b) >= 0.  Written via e^{i Im b} and
     e^{-2 Re b - i Im b} so that purely real or purely imaginary b yields
-    exactly real results in floating point.
+    exactly real results in floating point.  Call under np.errstate that
+    ignores division by zero: b = 0 takes the series.
     """
-    osc = cmath.exp(1j * b.imag)
-    damp = cmath.exp(-2.0 * b.real - 1j * b.imag)
+    osc = np.exp(1j * b.imag)
+    damp = np.exp(-2.0 * b.real - 1j * b.imag)
     chat = 0.5 * (osc + damp)
-    if abs(b) >= _SMALL_B:
-        shat = 0.5 * (osc - damp) / b
-    else:
+    shat = 0.5 * (osc - damp) / b
+    small = np.abs(b) < _SMALL_B
+    if small.any():
         b2 = b * b
-        shat = (1.0 + b2 / 6.0 + b2 * b2 / 120.0) * math.exp(-b.real)
+        shat = np.where(small, (1.0 + b2 / 6.0 + b2 * b2 / 120.0)
+                        * np.exp(-b.real), shat)
     return shat, chat
+
+
+def _zone_factors(lams: np.ndarray, params: ModelParams) -> tuple:
+    """Zone matrices of zones 1..4 over a lambda array: (K, s, a) with
+    M_i = e^{s_i} K_i.
+
+    K is (4, n, 2, 2) with O(1) entries; s = Re(a_i) + Re(b_i) and the
+    half-traces a = a_i are (4, n).  Call under np.errstate that ignores
+    division by zero (b = 0 takes the series).
+    """
+    v = np.array(params.v)[:, None]
+    R, P = params.R, params.P
+    _, _, a, disc = _exponents(lams, v, R, P)
+    # as in zone_eigen: an exactly zero imaginary part for real lambda
+    disc.imag[:, lams.imag == 0.0] = 0.0
+    b = np.sqrt(disc) / v
+    shat, chat = _schat_chat(b)
+    if a.imag.any():
+        phase = np.exp(1j * a.imag)
+        shat, chat = shat * phase, chat * phase
+    phi_shat = (lams + R - a) * shat
+    RP = R * P
+    K = np.empty(a.shape + (2, 2), dtype=complex)
+    K[..., 0, 0] = chat - phi_shat
+    K[..., 0, 1] = (RP / v) * shat
+    K[..., 1, 0] = -RP * shat
+    K[..., 1, 1] = chat + phi_shat
+    return K, a.real + b.real, a
 
 
 def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
@@ -124,21 +177,10 @@ def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
 
     The mantissa entries are O(1) for any lambda; s = Re(a_i) + Re(b_i).
     """
-    return _scaled_from_eigen(zone_eigen(lam, zone, params), lam, params)
-
-
-def _scaled_from_eigen(ze: ZoneEigen, lam, params: ModelParams) -> tuple:
-    lam = complex(lam)
-    v = params.v[ze.zone - 1]
-    R, P = params.R, params.P
-    shat, chat = _schat_chat(ze.b)
-    phi_a = lam + R - ze.a
-    RP = R * P
-    K = np.array([[chat - phi_a * shat, (RP / v) * shat],
-                  [-RP * shat, chat + phi_a * shat]], dtype=complex)
-    if ze.a.imag != 0.0:
-        K = K * cmath.exp(1j * ze.a.imag)
-    return K, ze.a.real + ze.b.real
+    lams, _ = _lambdas(lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K, s, _ = _zone_factors(lams, params)
+    return K[zone - 1, 0], float(s[zone - 1, 0])
 
 
 def zone_matrix(lam, zone: int, params: ModelParams) -> np.ndarray:
@@ -158,18 +200,18 @@ def zone_matrix(lam, zone: int, params: ModelParams) -> np.ndarray:
 def scaled_product(factors) -> tuple:
     """Multiply (matrix, log_scale) factors left to right, renormalizing.
 
-    Returns (mantissa, log_scale) with the mantissa's largest entry of
+    Matrices are 2x2 or stacks (n, 2, 2) with log_scales of shape (n,).
+    Returns (mantissa, log_scale) with each mantissa's largest entry of
     modulus 1.
     """
     prod = np.eye(2, dtype=complex)
     scale = 0.0
     for K, s in factors:
         prod = prod @ K
-        scale += s
-        m = float(np.max(np.abs(prod)))
-        if m > 0.0:
-            prod = prod / m
-            scale += math.log(m)
+        m = np.abs(prod).max(axis=(-2, -1))
+        m = np.where(m > 0.0, m, 1.0)
+        prod = prod / m[..., None, None]
+        scale = scale + s + np.log(m)
     return prod, scale
 
 
@@ -178,7 +220,10 @@ class ReturnMapEval:
     """The loop return map C(lambda) in scaled form, with Delta(lambda).
 
     C = exp(log_scale) * mantissa.  det_log is the factor-accumulated
-    complex logarithm of det C (exact Liouville dets per factor).
+    complex logarithm of det C (exact Liouville dets per factor).  For an
+    array of n lambdas the fields are arrays: lam, log_scale and det_log
+    of shape (n,), the mantissa (n, 2, 2); every property is then an
+    array over the same n.
     """
 
     lam: complex
@@ -190,17 +235,17 @@ class ReturnMapEval:
     def C(self) -> np.ndarray:
         """Plain C(lambda); may overflow to inf for large scales."""
         with np.errstate(over="ignore"):
-            return self.mantissa * np.exp(self.log_scale)
+            return self.mantissa * np.exp(self.log_scale)[..., None, None]
 
     @property
     def trace_mantissa(self) -> complex:
-        return self.mantissa[0, 0] + self.mantissa[1, 1]
+        return self.mantissa[..., 0, 0] + self.mantissa[..., 1, 1]
 
     @property
     def trace_log(self) -> float:
-        """log |trace C|."""
-        t = abs(self.trace_mantissa)
-        return self.log_scale + math.log(t) if t > 0.0 else -math.inf
+        """log |trace C|; -inf where the trace vanishes."""
+        with np.errstate(divide="ignore"):
+            return self.log_scale + np.log(np.abs(self.trace_mantissa))
 
     @property
     def det_log_numeric(self) -> complex:
@@ -210,30 +255,27 @@ class ReturnMapEval:
         (e.g. when all zones sit on the complex-pair branch); det_log is
         the accurate representation.
         """
-        d = self.mantissa[0, 0] * self.mantissa[1, 1] \
-            - self.mantissa[0, 1] * self.mantissa[1, 0]
-        if d == 0.0:
-            return complex(-math.inf, 0.0)
-        return cmath.log(d) + 2.0 * self.log_scale
-
-    def _terms(self):
-        """Delta as a sum of three scaled terms (mantissa, log_scale)."""
-        return ((self.trace_mantissa, self.log_scale),
-                (-cmath.exp(1j * self.det_log.imag), self.det_log.real),
-                (complex(-1.0), 0.0))
+        m = self.mantissa
+        d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(d) + 2.0 * self.log_scale
 
     @cached_property
     def _delta_parts(self) -> tuple:
-        """(z, L) with Delta = z * e^{L}, |z| <= 3."""
-        terms = self._terms()
-        logs = [s + math.log(abs(m)) if m != 0.0 else -math.inf
-                for m, s in terms]
-        lmax = max(logs)
-        if lmax == -math.inf:
-            return 0.0j, 0.0
-        # each term is exp(log m + s - lmax); modulus <= 1 by construction
-        z = sum(cmath.exp(cmath.log(m) + (s - lmax))
-                for m, s in terms if m != 0.0)
+        """(z, L) with Delta = z * e^{L}, |z| <= 3.
+
+        Delta = trace - det - 1 is a sum of three terms m e^{s}; L is the
+        largest of their log-moduli (at least 0, from the constant term),
+        so each term m e^{s - L} has modulus <= 1.
+        """
+        t = self.trace_mantissa
+        det_s = self.det_log.real
+        with np.errstate(divide="ignore"):
+            trace_s = self.log_scale + np.log(np.abs(t))
+        lmax = np.maximum(np.maximum(trace_s, det_s), 0.0)
+        z = (t * np.exp(self.log_scale - lmax)
+             - np.exp((det_s - lmax) + 1j * self.det_log.imag)
+             - np.exp(-lmax))
         return z, lmax
 
     @property
@@ -241,43 +283,61 @@ class ReturnMapEval:
         """Plain Delta(lambda) = trace - det - 1; may overflow to inf."""
         z, lmax = self._delta_parts
         with np.errstate(over="ignore"):
-            return complex(z * np.exp(lmax))
+            return z * np.exp(lmax)
 
     @property
     def log_abs_delta(self) -> float:
+        """log |Delta|; -inf where Delta is exactly zero."""
         z, lmax = self._delta_parts
-        return lmax + math.log(abs(z)) if z != 0.0 else -math.inf
+        with np.errstate(divide="ignore"):
+            return lmax + np.log(np.abs(z))
 
     @property
     def delta_sign(self):
-        """Sign of Delta for real lambda; None for non-real lambda."""
-        if self.lam.imag != 0.0:
+        """Sign of Delta (-1, 0 or 1) for real lambda; None if lambda is
+        non-real (for an array: if any entry is)."""
+        if np.any(np.imag(self.lam) != 0.0):
             return None
         z, _ = self._delta_parts
-        return int(np.sign(z.real))
+        signs = np.sign(z.real).astype(np.int8)
+        return int(signs) if signs.ndim == 0 else signs
 
 
 def return_map(lam, params: ModelParams) -> ReturnMapEval:
     """Loop product M1 . D1 . M4 . M3 . D3 . M2 from x = -1 round the loop.
 
     D_k = diag(v_up/v_in, 1) carries the liquid flux across the injecting
-    port at the inlet of zone k; a withdrawing port's factor is I.
+    port at the inlet of zone k; a withdrawing port's factor is I.  lam is
+    a scalar or a 1-D array; the array is evaluated in one pass and the
+    fields of the result are arrays over it.  Non-finite or empty lam
+    raises ValidationError, and |lambda| so large that even the scaled form
+    overflows (beyond about 1e154) raises NonFiniteDetected.
     """
+    lams, scalar = _lambdas(lam)
     v = params.v
-    zes = [zone_eigen(lam, i, params) for i in (1, 2, 3, 4)]
-    factors = []
-    for port in (PORTS[0], *PORTS[:0:-1]):      # zones 1, 4, 3, 2
-        factors.append(_scaled_from_eigen(zes[port.zone - 1], lam, params))
-        if port.injects:
-            w_up, w_in = port.weights(v)
-            factors.append((np.diag([w_up / w_in, 1.0]).astype(complex), 0.0))
-    mantissa, scale = scaled_product(factors)
-    # det C = (v2 v4)/(v1 v3) * prod_i det M_i with det M_i = e^{2 a_i}
-    det_log = complex(math.log(v[1] * v[3] / (v[0] * v[2])))
-    for ze in zes:
-        det_log += 2.0 * ze.a
-    return ReturnMapEval(lam=complex(lam), mantissa=mantissa,
-                         log_scale=scale, det_log=det_log)
+    with np.errstate(all="ignore"):         # non-finite results refused below
+        K, s, a = _zone_factors(lams, params)
+        for port in PORTS:
+            if port.injects:                # M_k D_k: D_k scales column 0
+                w_up, w_in = port.weights(v)
+                K[port.zone - 1, :, :, 0] *= w_up / w_in
+        mantissa, scale = scaled_product(
+            [(K[port.zone - 1], s[port.zone - 1])
+             for port in (PORTS[0], *PORTS[:0:-1])])    # zones 1, 4, 3, 2
+        # det C = (v2 v4)/(v1 v3) * prod_i det M_i, det M_i = e^{2 a_i};
+        # the builtin sum adds zones 1..4 in order for any n, where
+        # a.sum(axis=0) would pair them (other rounding) when n = 1
+        det_log = math.log(v[1] * v[3] / (v[0] * v[2])) + 2.0 * sum(a)
+    if not (np.isfinite(scale).all() and np.isfinite(det_log).all()):
+        raise NonFiniteDetected(
+            f"Delta overflows its scaled form at |lambda| up to "
+            f"{np.abs(lams).max():.3g}")
+    if scalar:
+        return ReturnMapEval(lam=complex(lams[0]), mantissa=mantissa[0],
+                             log_scale=float(scale[0]),
+                             det_log=complex(det_log[0]))
+    return ReturnMapEval(lam=lams, mantissa=mantissa, log_scale=scale,
+                         det_log=det_log)
 
 
 def delta(lam, params: ModelParams) -> complex:

@@ -156,11 +156,13 @@ def cmd_spectrum(args) -> int:
     params = _load_params(args)
     out = _outdir(args)
     lo, hi = args.range
+    found = real_root_scan(params, (lo, hi), grid_n=args.grid, tol=args.tol,
+                           with_brackets=True)
     rows = []
-    for root, blo, bhi in real_root_scan(params, (lo, hi), grid_n=args.grid,
-                                         tol=args.tol, with_brackets=True):
-        residual = abs(return_map(root, params)._delta_parts[0])
-        rows.append((root, residual, blo, bhi))
+    if found:
+        z, _ = return_map([r for r, _, _ in found], params)._delta_parts
+        rows = [(root, residual, blo, bhi)
+                for (root, blo, bhi), residual in zip(found, np.abs(z))]
     _write_csv(out / "real_roots.csv",
                ["lambda", "residual", "bracket_lo", "bracket_hi"], rows)
     crows = []
@@ -182,14 +184,13 @@ def cmd_limit(args) -> int:
                [(e.k, e.lambda_plus.real, e.lambda_plus.imag,
                  e.lambda_minus.real, e.lambda_minus.imag) for e in table])
     k0 = next(e for e in table if e.k == 0)
+    checked = [lam for e in table if abs(e.k) <= min(args.grid, 20)
+               for lam in (e.lambda_plus, e.lambda_minus)]
     _write_json(out / "limit_summary.json", {
         "lambda0_plus": _pair(k0.lambda_plus),
         "lambda0_minus": _pair(k0.lambda_minus),
         "k_star": imaginary_vanishing_k(params),
-        "max_residual": max(
-            max(limit_residual(e.lambda_plus, params),
-                limit_residual(e.lambda_minus, params))
-            for e in table if abs(e.k) <= min(args.grid, 20)),
+        "max_residual": float(limit_residual(checked, params).max()),
     })
     _manifest(args, out, params, "limit", {"k_max": args.grid})
     return 0
@@ -273,18 +274,17 @@ def cmd_delta_scan(args) -> int:
         raise ValidationError(f"need at least one scan point, got {args.grid}")
     lams = np.linspace(lo, hi, args.grid) if args.grid > 1 \
         else np.array([lo])
+    ev = return_map(lams, params)
     rows = []
-    for lam in lams:
-        ev = return_map(float(lam), params)
-        sign = ev.delta_sign
-        log_abs = ev.log_abs_delta
+    for lam, sign, log_abs, trace_log, det_log in zip(
+            lams, ev.delta_sign.tolist(), ev.log_abs_delta.tolist(),
+            ev.trace_log, ev.det_log.real):
         if log_abs > 700.0:
             d = math.inf * sign
         else:
             d = sign * math.exp(log_abs)
         atan_delta = (2.0 / math.pi) * math.atan(d)
-        rows.append((lam, d, atan_delta, sign, log_abs, ev.trace_log,
-                     ev.det_log.real))
+        rows.append((lam, d, atan_delta, sign, log_abs, trace_log, det_log))
     _write_csv(out / "delta_scan.csv",
                ["lambda", "delta", "atan_delta", "sign", "log_abs_delta",
                 "trace_log", "det_log"], rows)

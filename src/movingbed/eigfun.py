@@ -103,7 +103,7 @@ class EigenSolution:
     kind: str                 # "direct" | "adjoint" | "steady"
     coeffs: np.ndarray        # 8 complex, zone-major
     normalization: str
-    residual: float           # max port-condition violation
+    residual: float           # max |M C - rhs| / max(|M| |C|), scale-free
     params: ModelParams
     nus: np.ndarray           # (4, 2)
     phis: np.ndarray          # (4, 2)
@@ -161,6 +161,13 @@ def _solve_nullspace(M: np.ndarray) -> tuple:
     return null * (abs(big) / big), "unit norm (SVD; C11 ~ 0)"
 
 
+def _residual(M: np.ndarray, coeffs: np.ndarray, rhs=0.0) -> float:
+    """Largest port-condition violation relative to the largest row of
+    |M| |C|, the size its terms cancel from; 0 for C = 0."""
+    size = float(np.max(np.abs(M) @ np.abs(coeffs)))
+    return float(np.max(np.abs(M @ coeffs - rhs))) / size if size else 0.0
+
+
 def _eigensolution(lam, params: ModelParams, sign: int) -> EigenSolution:
     nus, phis = _zone_tables(lam, params)
     M = _assemble(nus, phis, params, sign)
@@ -168,7 +175,7 @@ def _eigensolution(lam, params: ModelParams, sign: int) -> EigenSolution:
     return EigenSolution(lam=complex(lam),
                          kind="direct" if sign > 0 else "adjoint",
                          coeffs=coeffs, normalization=tag,
-                         residual=float(np.max(np.abs(M @ coeffs))),
+                         residual=_residual(M, coeffs),
                          params=params, nus=nus, phis=phis, sign=sign)
 
 
@@ -204,7 +211,7 @@ def steady_state(params: ModelParams) -> EigenSolution:
     coeffs = np.linalg.solve(M, rhs)
     return EigenSolution(lam=0.0 + 0.0j, kind="steady", coeffs=coeffs,
                          normalization=f"feed f0={params.f0}",
-                         residual=float(np.max(np.abs(M @ coeffs - rhs))),
+                         residual=_residual(M, coeffs, rhs),
                          params=params, nus=nus, phis=phis, sign=+1)
 
 

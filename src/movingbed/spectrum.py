@@ -5,7 +5,9 @@ The dominant eigenvalue is the largest real root of Delta(lambda); it lives
 in [-M0, 0) where M0 is an explicit bracket derived from the port
 velocities.  Delta is extremely steep near that root (slopes beyond 1e6),
 so roots are located by sign changes on a geometric grid accumulating at
-0- and refined by bisection on interval width, never on |Delta|.
+0- and refined by bisection on interval width, never on |Delta|.  Grids
+and bisection levels are evaluated as lambda arrays, one return_map call
+each.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import delta_sign_log, return_map
+from .charfun import return_map
 from .errors import (EigSolverFailure, LimitCaseHasNoBracket, NotLimitCase,
                      NoSignChangeFound, ValidationError)
 from .params import PORTS, ModelParams
@@ -45,46 +47,100 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
     return BracketBudget(M0=M0, Q0=Q0, v_min=v_min, v_max=v_max)
 
 
-def _sign_walk(grid, params: ModelParams, signs: dict):
+def _delta_signs(lams, params: ModelParams) -> np.ndarray:
+    """Signs of Delta at the real points lams, in one return_map call."""
+    return return_map(np.asarray(lams, dtype=float), params).delta_sign
+
+
+def _sign_cells(xs, signs) -> list:
     """Zero points (x, x, 0) and sign-change cells (a, b, sign at a) of
-    Delta along grid, in order.  Delta is evaluated lazily, once per point
-    missing from signs (known signs by abscissa), which the walk fills."""
-    def sign(x):
-        if x not in signs:
-            signs[x] = delta_sign_log(x, params)[0]
-        return signs[x]
-
-    xs = [float(x) for x in grid]
-    for a, b in zip(xs, xs[1:] + [None]):
-        if sign(a) == 0:
-            yield a, a, 0
-        elif b is not None and sign(a) * sign(b) < 0:
-            yield a, b, signs[a]
+    Delta along the grid xs with the given signs, in order."""
+    hits = signs == 0
+    hits[:-1] |= signs[:-1] * signs[1:] < 0
+    return [(float(xs[i]), float(xs[i + (signs[i] != 0)]), int(signs[i]))
+            for i in np.flatnonzero(hits)]
 
 
-def _bisect(a: float, b: float, s: int, params: ModelParams,
-            tol: float) -> float:
-    """Root in a cell of ``_sign_walk``: bisection, stopped on width."""
-    for _ in range(300):
-        if abs(b - a) < tol:
+# Bisection levels evaluated per return_map call: 2**5 - 1 = 31 midpoints.
+_TREE_DEPTH = 5
+# Bisection steps after which a cell's midpoint is returned regardless.
+_MAX_STEPS = 300
+
+
+def _midpoint_tree(a: float, b: float, tol: float, levels: int) -> dict:
+    """Node -> midpoint of the next ``levels`` bisection levels below
+    (a, b).  Node k bisects its cell into node 2k+1 (left half) and node
+    2k+2 (right half).  A cell narrower than tol, or with no double
+    between its ends, is not split, so the midpoints are exactly those
+    scalar bisection could visit."""
+    cells, mids = {0: (a, b)}, {}
+    for k in range(2 ** levels - 1):
+        if k not in cells:
+            continue
+        lo, hi = cells[k]
+        mid = 0.5 * (lo + hi)
+        if abs(hi - lo) < tol or mid in (lo, hi):
+            continue
+        mids[k] = mid
+        cells[2 * k + 1], cells[2 * k + 2] = (lo, mid), (mid, hi)
+    return mids
+
+
+def _bisect(cells: list, params: ModelParams, tols: list) -> list:
+    """Roots in cells (a, b, sign at a) of ``_sign_cells``: bisection,
+    stopped on width, each cell to its own tol.
+
+    Every return_map call evaluates the midpoint trees of all open cells
+    (the next _TREE_DEPTH levels); each cell then walks down its tree as
+    scalar bisection would, so the roots are those of scalar bisection
+    on the same signs.  A cell whose ends are adjacent doubles stops
+    there: scalar bisection would step in place until _MAX_STEPS and
+    return the same midpoint.
+    """
+    roots = [None] * len(cells)
+    # cell index -> (a, b, sign at a, bisection steps taken)
+    open_ = {i: (a, b, s, 0) for i, (a, b, s) in enumerate(cells)}
+    while open_:
+        trees = {}
+        for i, (a, b, _, steps) in list(open_.items()):
+            trees[i] = _midpoint_tree(a, b, tols[i],
+                                      min(_TREE_DEPTH, _MAX_STEPS - steps))
+            if not trees[i]:
+                # narrower than tol, at adjacent doubles, or out of steps
+                roots[i] = 0.5 * (a + b)
+                del open_[i], trees[i]
+        if not trees:
             break
-        mid = 0.5 * (a + b)
-        smid = delta_sign_log(mid, params)[0]
-        if smid == 0:
-            return mid
-        if smid == s:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+        signs = iter(_delta_signs(
+            [mid for mids in trees.values() for mid in mids.values()],
+            params))
+        for i, mids in trees.items():
+            a, b, s, steps = open_[i]
+            tree_signs = dict(zip(mids, signs))
+            k = 0
+            while k in mids:
+                steps += 1
+                if tree_signs[k] == 0:
+                    roots[i] = mids[k]
+                    del open_[i]
+                    break
+                if tree_signs[k] == s:
+                    a, k = mids[k], 2 * k + 2
+                else:
+                    b, k = mids[k], 2 * k + 1
+            else:
+                open_[i] = (a, b, s, steps)
+    return roots
 
 
 def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10) -> float:
     """Largest real root of Delta in [-M0, 0).
 
-    Walks a 200-point geometric grid from -tol toward -M0 (the root hugs 0
-    while Delta stays nearly flat over most of the bracket), densifies the
-    first sign-change cell tenfold, then bisects to |interval| < tol.
+    Takes the first sign change on a 200-point geometric grid from -tol
+    toward -M0 (the root hugs 0 while Delta stays nearly flat over most of
+    the bracket), densifies that cell tenfold and takes its first sign
+    change, then bisects to |interval| < tol.  Each of the grid, the
+    densified cell and every five bisection levels is one return_map call.
     """
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -92,23 +148,27 @@ def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10) -> float:
     if tol >= bb.M0:
         raise ValidationError(f"tol={tol} exceeds bracket width M0={bb.M0}")
     grid = -np.geomspace(tol, bb.M0, 200)
-    signs = {}
-    for a, b, s in _sign_walk(grid, params, signs):
-        if s != 0:  # densify tenfold; geomspace keeps the known ends exactly
-            a, b, s = next(_sign_walk(-np.geomspace(-a, -b, 21), params,
-                                      signs))
-        return _bisect(a, b, s, params, tol)
-    raise NoSignChangeFound(
-        f"no sign change of Delta on 200-point geometric grid in "
-        f"[{-bb.M0}, {-tol}]: its sign is {signs[grid[0]]} throughout")
+    signs = _delta_signs(grid, params)
+    cells = _sign_cells(grid, signs)
+    if not cells:
+        raise NoSignChangeFound(
+            f"no sign change of Delta on 200-point geometric grid in "
+            f"[{-bb.M0}, {-tol}]: its sign is {signs[0]} throughout")
+    a, b, s = cells[0]
+    if s != 0:  # densify tenfold; geomspace keeps the known ends exactly
+        dense = -np.geomspace(-a, -b, 21)
+        inner = _delta_signs(dense[1:-1], params)
+        a, b, s = _sign_cells(dense, np.concatenate(([s], inner, [-s])))[0]
+    return _bisect([(a, b, s)], params, [tol])[0]
 
 
 def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
                    tol: float = 1e-12, with_brackets: bool = False) -> list:
     """All sign-change-bracketed real roots of Delta on [lo, hi].
 
-    Returns floats, or (root, bracket_lo, bracket_hi) triples when
-    with_brackets is set.
+    The grid is one return_map call, and the bisections of all its cells
+    share their calls.  Returns floats, or (root, bracket_lo, bracket_hi)
+    triples when with_brackets is set.
     """
     lo, hi = range_
     if not -math.inf < lo <= hi < math.inf or grid_n < 2:
@@ -119,11 +179,12 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     if lo == hi:
         return []
     grid = np.linspace(lo, hi, grid_n)
-    found = [(_bisect(a, b, s, params, tol * max(1.0, abs(a))), a, b)
-             for a, b, s in _sign_walk(grid, params, {})]
+    cells = _sign_cells(grid, _delta_signs(grid, params))
+    roots = _bisect(cells, params, [tol * max(1.0, abs(a))
+                                    for a, _, _ in cells])
     if with_brackets:
-        return found
-    return [f[0] for f in found]
+        return [(r, a, b) for r, (a, b, _) in zip(roots, cells)]
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +279,13 @@ def imaginary_vanishing_k(params: ModelParams):
     return 2.0 * R / (math.pi * (v - 1.0)) * math.sqrt(radicand)
 
 
-def limit_residual(lam, params: ModelParams) -> float:
+def limit_residual(lam, params: ModelParams):
     """Scale-normalized |Delta(lambda)| for plugging closed-form
-    eigenvalues back into the characteristic function."""
+    eigenvalues back into the characteristic function; an array for an
+    array of lambdas."""
     _require_limit(params)
     z, _ = return_map(lam, params)._delta_parts
-    return abs(z)
+    return np.abs(z)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 Deliberately unrelated to the package's own numerics: the matrix
 exponential is Taylor-with-scaling-and-squaring (no eigenvalue branches,
-no scipy), quadrature is plain Gauss-Legendre, derivatives are central
+no scipy), Delta(lambda) is a 50-digit mpmath product of plain matrix
+exponentials (no log-scaling), the dominant-root search is a scalar
+bisection, quadrature is plain Gauss-Legendre, derivatives are central
 differences, and the limited advection step is a cell-by-cell loop.
 Agreement between these and the package is the point of the property
 tests, so nothing here may import from movingbed internals.
 """
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -28,6 +31,75 @@ def expm_taylor(A, tol=1e-22, max_terms=60):
     for _ in range(s):
         out = out @ out
     return out
+
+
+def mp_delta(lam, v, R, P, dps=50):
+    """Delta(lambda) = tr C - det C - 1 as an mpmath complex at dps digits.
+
+    C = M1 D1 M4 M3 D3 M2 round the loop from x = -1, with each zone
+    matrix M_i = expm(F_i) taken by ``mpmath.expm`` and the injecting
+    ports' flux factors D1 = diag(v4/v1, 1) (eluent) and D3 = diag(v2/v3,
+    1) (feed).  The floats lam, v, R, P enter exactly.
+    """
+    with mpmath.workdps(dps):
+        lam = mpmath.mpc(complex(lam))
+        R, P = mpmath.mpf(R), mpmath.mpf(P)
+        v1, v2, v3, v4 = (mpmath.mpf(x) for x in v)
+        M = [mpmath.expm(mpmath.matrix([[-(lam + P * P * R) / vi,
+                                         R * P / vi],
+                                        [-R * P, lam + R]]))
+             for vi in (v1, v2, v3, v4)]
+        D1 = mpmath.diag([v4 / v1, 1])
+        D3 = mpmath.diag([v2 / v3, 1])
+        C = M[0] * D1 * M[3] * M[2] * D3 * M[1]
+        return C[0, 0] + C[1, 1] - mpmath.det(C) - 1
+
+
+def bisect(sign, a, b, s, tol):
+    """Root of a real function in the cell (a, b) with sign s at a, by
+    scalar bisection stopped on width < tol (at most 300 midpoints)."""
+    for _ in range(300):
+        if abs(b - a) < tol:
+            break
+        mid = 0.5 * (a + b)
+        s_mid = sign(mid)
+        if s_mid == 0:
+            return mid
+        if s_mid == s:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def bisect_dominant(sign, M0, tol):
+    """Largest root of a real function in [-M0, 0), by scalar bisection.
+
+    sign(x) gives the sign of the function at the float x.  The walk goes
+    down a 200-point geometric grid from -tol to -M0 and stops at the first
+    point of sign 0 or the first sign change; a changing cell is split
+    into 20 geometric cells, walked the same way, and the cell found is
+    bisected.  Returns None when no cell is found.
+    """
+    def first_cell(xs):
+        xs = [float(x) for x in xs]
+        s_prev = sign(xs[0])
+        for a, b in zip(xs, xs[1:] + [None]):
+            if s_prev == 0:
+                return a, a, 0
+            if b is None:
+                return None
+            s_next = sign(b)
+            if s_prev * s_next < 0:
+                return a, b, s_prev
+            s_prev = s_next
+
+    cell = first_cell(-np.geomspace(tol, M0, 200))
+    if cell is None:
+        return None
+    if cell[2] != 0:
+        cell = first_cell(-np.geomspace(-cell[0], -cell[1], 21))
+    return bisect(sign, *cell, tol)
 
 
 _GL_X, _GL_W = leggauss(64)

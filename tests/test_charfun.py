@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from movingbed.charfun import (BRANCH_COMPLEX_PAIR, BRANCH_REAL_DISTINCT,
-                               asymptotic_envelope, branch_boundaries, delta,
+                               BRANCH_REPEATED, asymptotic_envelope,
+                               branch_boundaries, delta,
                                delta_sign_log, det_closed_form_log,
                                return_map, scaled_product, zone_eigen,
                                zone_matrix, zone_matrix_scaled)
-from movingbed.errors import ThresholdTooSmall
+from movingbed.errors import (NonFiniteDetected, ThresholdTooSmall,
+                              ValidationError)
 from oracles import expm_taylor
 
 
@@ -181,3 +183,70 @@ def test_small_b_series_region(cs):
         M = zone_matrix(lam, zone, cs)
         ref = expm_taylor(zone_generator(lam, zone, cs))
         assert np.abs(M - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# the vector return map against a 50-digit plain-product oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_lambdas(cs):
+    """Real lambdas covering every zone's three branch regimes, out to
+    |lambda| = 60, and complex lambdas out to the same size."""
+    repeated = [b for zone in range(1, 5) for b in branch_boundaries(zone, cs)]
+    complex_pair = [-0.5, -1.7, -5.0, -12.3, -20.0, -30.0]
+    real_distinct = [-60.0, -45.0, 0.5, 3.0, 10.0, 30.0, 60.0]
+    mixed = [-36.9, -0.1]
+    non_real = [complex(-4.2, 1.3), complex(-20.0, 15.0), complex(3.0, -7.0),
+                complex(-60.0, 30.0), complex(40.0, 45.0),
+                complex(-0.11, 0.5)]
+    return repeated + complex_pair + real_distinct + mixed, non_real
+
+
+def test_return_map_matches_the_mpmath_oracle(cs):
+    import mpmath
+    from oracles import mp_delta
+    real, non_real = _oracle_lambdas(cs)
+    branches = {zone_eigen(lam, zone, cs).branch
+                for lam in real for zone in range(1, 5)}
+    assert branches == {BRANCH_COMPLEX_PAIR, BRANCH_REPEATED,
+                        BRANCH_REAL_DISTINCT}
+    ev = return_map(np.array(real), cs)
+    evc = return_map(np.array(non_real), cs)
+    z, _ = evc._delta_parts
+    for lam, sign, log_abs, phase in [
+            *zip(real, ev.delta_sign, ev.log_abs_delta, [None] * len(real)),
+            *zip(non_real, [None] * len(non_real), evc.log_abs_delta,
+                 np.angle(z))]:
+        ref = mp_delta(lam, cs.v, cs.R, cs.P)
+        ref_log = float(mpmath.log(abs(ref)))
+        assert abs(log_abs - ref_log) <= 1e-12 * max(1.0, abs(ref_log)), lam
+        if sign is not None:
+            assert sign == int(mpmath.sign(ref.real)), lam
+        else:
+            assert abs(phase - float(mpmath.arg(ref))) <= 1e-12, lam
+
+
+def test_vector_return_map_is_the_scalar_one_pointwise(cs):
+    lams = np.linspace(-60.0, 60.0, 241)
+    ev = return_map(lams, cs)
+    for k in range(0, 241, 12):
+        one = return_map(float(lams[k]), cs)
+        assert one.delta_sign == ev.delta_sign[k]
+        assert one.log_abs_delta == ev.log_abs_delta[k]
+        assert one.det_log == ev.det_log[k]
+        assert np.array_equal(one.mantissa, ev.mantissa[k])
+    assert ev.mantissa.shape == (241, 2, 2)
+    assert return_map(np.array([-4.2 + 1.3j, -1.0]), cs).delta_sign is None
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, [], [-1.0, math.nan],
+                                 [[-1.0, -2.0]]])
+def test_return_map_refuses_non_finite_or_empty_lambda(cs, lam):
+    with pytest.raises(ValidationError):
+        return_map(lam, cs)
+
+
+def test_return_map_refuses_lambda_beyond_the_scaled_form(cs):
+    assert math.isfinite(return_map(-1e153, cs).log_abs_delta)
+    with pytest.raises(NonFiniteDetected):
+        return_map(np.array([-1.0, 1e155]), cs)

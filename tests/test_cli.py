@@ -287,6 +287,16 @@ def test_non_finite_or_nonpositive_input_exits_2(tmp_path, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["delta-scan", "--range=-1e300:1e300", "--grid", "3"],
+    ["spectrum", "--range=-1e300:-1e299", "--grid", "3"]], ids=" ".join)
+def test_lambda_beyond_the_scaled_form_exits_3(tmp_path, capsys, argv):
+    # Delta overflows even its scaled form past |lambda| ~ 1e154: refused,
+    # not written out as nan
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(movingbed.__file__).parents[1])
     probe = ("import sys, movingbed.cli; print(sorted(m for m in "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from movingbed import charfun
+from movingbed import spectrum
 from movingbed.charfun import return_map
 from movingbed.errors import (LimitCaseHasNoBracket, ValidationError)
 from movingbed.params import limit_params
@@ -12,6 +12,7 @@ from movingbed.spectrum import (bracket_bound, collocation_spectrum,
                                 limit_asymptote, limit_residual,
                                 limit_spectrum, real_root_scan,
                                 stable_eigenvalues)
+from oracles import bisect, bisect_dominant
 
 
 def test_bracket_bound_frozen_values(cs):
@@ -75,18 +76,62 @@ def test_real_root_scan_rejects_a_grid_below_two(cs, grid_n):
 
 
 def test_dominant_eigenvalue_stops_scanning_at_the_root(cs, monkeypatch):
-    # the grid walk stops at the first sign change and never re-evaluates
-    # a point whose sign it knows; scanning the whole grid takes 245
+    # one return_map call for the 200-point grid, one for the densified
+    # cell and one per five bisection levels; the lambda points of all
+    # calls are distinct
     calls = []
-    real = charfun.return_map
+    real = spectrum.return_map
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-    monkeypatch.setattr(charfun, "return_map", counted)
+    def counted(lam, params):
+        calls.append(np.atleast_1d(lam).tolist())
+        return real(lam, params)
+    monkeypatch.setattr(spectrum, "return_map", counted)
     dominant_eigenvalue(cs)
-    assert len(calls) <= 210
-    assert len(set(calls)) == len(calls)
+    assert 1 <= len(calls) <= 8
+    assert len(calls[0]) == 200
+    points = [x for call in calls for x in call]
+    assert len(set(points)) == len(points)
+
+
+def test_dominant_eigenvalue_matches_scalar_bisection(cs, wide_box):
+    # the midpoint trees walk the cells scalar bisection walks, so on the
+    # same signs the root is the same double
+    differ = []
+    for p in (cs, *wide_box):
+        ref = bisect_dominant(lambda x: return_map(x, p).delta_sign,
+                              bracket_bound(p).M0, 1e-10)
+        lam = dominant_eigenvalue(p)
+        if lam != ref:
+            differ.append(abs(lam - ref))
+    assert not differ, f"{len(differ)} of 31 differ, by up to {max(differ)}"
+
+
+def test_bisection_below_the_double_spacing_stops_early(cs, monkeypatch):
+    # at tol = 1e-20 the cell ends up between adjacent doubles, where
+    # scalar bisection steps in place to its 300-step cap
+    sign = lambda x: return_map(x, cs).delta_sign  # noqa: E731
+    ref = bisect_dominant(sign, bracket_bound(cs).M0, 1e-20)
+    calls = []
+    real = spectrum.return_map
+
+    def counted(lam, params):
+        calls.append(np.atleast_1d(lam).tolist())
+        return real(lam, params)
+    monkeypatch.setattr(spectrum, "return_map", counted)
+    assert dominant_eigenvalue(cs, tol=1e-20) == ref
+    assert 3 <= len(calls) <= 12
+    points = [x for call in calls for x in call]
+    assert len(set(points)) == len(points)
+
+
+def test_real_root_scan_matches_scalar_bisection(cs):
+    found = real_root_scan(cs, (-14.0, -0.01), grid_n=400, tol=1e-10,
+                           with_brackets=True)
+    assert len(found) >= 3
+    for root, a, b in found:
+        s = return_map(a, cs).delta_sign
+        assert root == bisect(lambda x: return_map(x, cs).delta_sign, a, b,
+                              s, 1e-10 * max(1.0, abs(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +165,10 @@ def test_limit_residuals(lp):
     for e in table:
         assert limit_residual(e.lambda_plus, lp) <= 1e-8
         assert limit_residual(e.lambda_minus, lp) <= 1e-8
+    # an array of eigenvalues is one evaluation with the same values
+    lams = [lam for e in table for lam in (e.lambda_plus, e.lambda_minus)]
+    assert np.array_equal(limit_residual(lams, lp),
+                          [limit_residual(lam, lp) for lam in lams])
 
 
 def test_limit_asymptote_converges(lp):
