@@ -252,7 +252,8 @@ def cmd_simulate(args) -> int:
     _write_csv(out / "snapshot_final.csv", ["zone", "cell", "x", "c", "q"],
                snap)
     summary = {"T": args.T, "Nx": args.Nx, "dt": state.dt,
-               "steps": len(rows), "final_sup_norm": rows[-1].sup_norm,
+               "steps": round(state.t / state.dt), "rows": len(rows),
+               "final_sup_norm": rows[-1].sup_norm,
                "final_energy": rows[-1].energy, "final_mass": rows[-1].mass}
     try:
         summary["decay_rate"] = simmod.decay_rate(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,7 +51,12 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """Both phases in one (8, Nx+2) array; c and q are views into it."""
+    """Both phases in one (8, Nx+2) array; c and q are views into it.
+
+    The scratch rows, constants and views the steps use live in
+    ``stepper``, made by the first step (a state that is never stepped
+    holds none) and made again when u, params, dt or dx change.
+    """
 
     u: np.ndarray                 # (8, Nx+2), rows c1..c4, q1..q4
     t: float
@@ -60,16 +64,19 @@ class SimState:
     dx: float
     c: np.ndarray = field(init=False, repr=False)    # (4, Nx+1) view
     q: np.ndarray = field(init=False, repr=False)    # (4, Nx+1) view
-    work: np.ndarray = field(init=False, repr=False)  # advection scratch
+    stepper: _Stepper | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         # the steps update u through flat views, which need one block
         self.u = np.ascontiguousarray(self.u, dtype=float)
         self.c = self.u[:4, :-1]
         self.q = self.u[4:, :-1]
-        # allocated once: fresh ~0.1 MB temporaries every step can make
-        # malloc trim the heap top and fault it back in on the next step
-        self.work = np.empty((3, self.u.size))
+
+    def __getstate__(self):
+        # copies and pickles leave the stepper behind: a copied stepper's
+        # views would be copies too, and steps would miss the new u
+        return {**self.__dict__, "stepper": None}
 
 
 @dataclass(frozen=True)
@@ -101,13 +108,6 @@ _UP = np.array([3, 0, 1, 2, 7, 4, 5, 6])
 _DOWN = np.array([1, 2, 3, 0, 5, 6, 7, 4])
 
 
-def _frozen(*arrays) -> tuple:
-    """The arrays, made read-only: the caches below share them."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 def _port_map(params: ModelParams) -> tuple:
     """(alpha, beta) of the ports at the inlets of zones 1..4.
 
@@ -123,7 +123,6 @@ def _port_map(params: ModelParams) -> tuple:
     return np.array(alpha), np.array(beta)
 
 
-@lru_cache(maxsize=32)
 def _port_tables(params: ModelParams, n: int) -> tuple:
     """(cells, faces): flat (target, source, scale, offset) tables.
 
@@ -146,9 +145,9 @@ def _port_tables(params: ModelParams, n: int) -> tuple:
     offset = np.concatenate([beta, zero, -beta[down] / alpha[down], zero])
     pick = np.r_[0:4, 12:16]
     shift = np.repeat([0, -1], 4)
-    return (_frozen(target, source, scale, offset),
-            _frozen(target[pick] + shift, source[pick] + shift, scale[pick],
-                    offset[pick]))
+    return ((target, source, scale, offset),
+            (target[pick] + shift, source[pick] + shift, scale[pick],
+             offset[pick]))
 
 
 def _apply(flat: np.ndarray, table: tuple) -> None:
@@ -156,32 +155,110 @@ def _apply(flat: np.ndarray, table: tuple) -> None:
     flat[target] = scale * flat[source] + offset
 
 
-def _sync_ghosts(u: np.ndarray, params: ModelParams) -> None:
-    """Ghost columns from the current cells through the port map."""
-    _apply(u.reshape(-1), _port_tables(params, u.shape[1])[0])
-
-
-@lru_cache(maxsize=32)
-def _advection_consts(params: ModelParams, p: float) -> tuple:
-    """Per-row (h, s) of an advection step at Courant parameter p.
-
-    With nu the row's Courant number and sigma/2 its van Leer half-slope,
-    the face value is u + h * sigma/2 (h = +(1 - nu) at the liquid's right
-    face, -(1 - nu) at the solid's left face) and s = +-nu scales face
-    value differences into the cell update.
-    """
-    nu = np.array(params.v + (1.0,) * 4) * p
-    sign = np.repeat([1.0, -1.0], 4)
-    return _frozen((sign * (1.0 - nu))[:, None], (sign * nu)[:, None])
-
-
-@lru_cache(maxsize=32)
 def _relaxation(params: ModelParams, dt: float) -> np.ndarray:
     """2x2 map of (c, q) over dt of exact interphase relaxation."""
     R, P = params.R, params.P
     e = math.exp(-R * (P * P + 1.0) * dt)
-    return _frozen(np.array([[1.0 + P * P * e, P * (1.0 - e)],
-                             [P * (1.0 - e), P * P + e]]) / (1.0 + P * P))[0]
+    return np.array([[1.0 + P * P * e, P * (1.0 - e)],
+                     [P * (1.0 - e), P * P + e]]) / (1.0 + P * P)
+
+
+class _Stepper:
+    """All that the steps of one run need, made once, on its first step.
+
+    It holds the port tables, the relaxation matrix, per-cell advection
+    constants, the scratch rows and every view the steps take of them and
+    of u, so that a step is a fixed sequence of ufunc calls into memory
+    made here.  A step allocates nothing the size of u: fresh ~0.1 MB
+    temporaries every step can make malloc trim the heap top and fault it
+    back in on the next step.  It serves one u array and one (params, dt,
+    dx); ``_stepper`` makes a new one when any of them changes.
+    """
+
+    def __init__(self, state: SimState, params: ModelParams):
+        u = state.u
+        self.u, self.params, self.dt, self.dx = u, params, state.dt, state.dx
+        self.cells, self.faces = _port_tables(params, u.shape[1])
+        self.relax = _relaxation(params, state.dt)
+        flat = u.reshape(-1)
+        size = flat.size
+        half = size // 2
+        # per-cell h and s of the advection (see _set_frac)
+        self.frac = None
+        self.h = np.empty(size)
+        self.s = np.empty(size)
+        # diff[0], slope[-1] and face[-1] complete the shifted differences
+        # below; no step writes them, so they stay 0
+        diff, slope, face = np.zeros((3, size))
+        self.flat, self.diff, self.face = flat, diff, face
+        self.flat_hi, self.flat_lo = flat[1:], flat[:-1]
+        self.flat_c, self.flat_q = flat[:half], flat[half:]
+        self.a, self.b = diff[:-1], diff[1:]
+        self.num, self.den = slope[:-1], face[:-1]
+        self.h_lo, self.s_hi = self.h[:-1], self.s[1:]
+        self.slope_c, self.slope_q = slope[:half], slope[half:]
+        self.face_hi = face[1:]
+        self.face_c, self.face_q = face[:half], face[half - 1:-1]
+        self.nonzero = np.empty(size - 1, dtype=bool)
+        self.cq = u.reshape(2, -1)
+        self.cq_out = np.empty_like(self.cq)
+
+    def _set_frac(self, frac: float) -> None:
+        """Per-cell (h, s) of an advection step over frac*dt.
+
+        With nu the row's Courant number and sigma/2 its van Leer
+        half-slope, the face value is u + h * sigma/2 (h = +(1 - nu) at the
+        liquid's right face, -(1 - nu) at the solid's left face) and
+        s = +-nu scales face value differences into the cell update.
+        """
+        nu = np.array(self.params.v + (1.0,) * 4) * (frac * self.dt / self.dx)
+        sign = np.repeat([1.0, -1.0], 4)
+        self.h.reshape(8, -1)[:] = (sign * (1.0 - nu))[:, None]
+        self.s.reshape(8, -1)[:] = (sign * nu)[:, None]
+        self.frac = frac
+
+    def advect(self, frac: float) -> None:
+        if frac != self.frac:
+            self._set_frac(frac)
+        # backward differences along the flat array; those that straddle
+        # two rows only reach ghost columns, which are refilled at the end
+        np.subtract(self.flat_hi, self.flat_lo, out=self.b)
+        # van Leer half-slope ab/(a+b) where the one-sided differences a, b
+        # agree in sign, else 0 (a zero denominator only meets a zero a*b,
+        # which the masked divide leaves as it is)
+        num, den = self.num, self.den
+        np.multiply(self.a, self.b, out=num)
+        np.maximum(num, 0.0, out=num)
+        np.add(self.a, self.b, out=den)
+        np.not_equal(den, 0.0, out=self.nonzero)
+        np.divide(num, den, out=num, where=self.nonzero)
+        # face values: liquid at each cell's right face, solid at its left
+        # face stored one column to the left, so both phases update as
+        # u[k] -= s * (face[k] - face[k-1])
+        np.multiply(self.h_lo, num, out=num)
+        np.add(self.flat_c, self.slope_c, out=self.face_c)
+        np.add(self.flat_q, self.slope_q, out=self.face_q)
+        _apply(self.face, self.faces)
+        np.subtract(self.face_hi, den, out=self.b)
+        np.multiply(self.s_hi, self.b, out=self.b)
+        np.subtract(self.flat, self.diff, out=self.flat)
+        _apply(self.flat, self.cells)
+
+    def transfer(self) -> None:
+        # matmul into u itself would allocate a hidden copy of u
+        np.matmul(self.relax, self.cq, out=self.cq_out)
+        np.copyto(self.cq, self.cq_out)
+        _apply(self.flat, self.cells)
+
+
+def _stepper(state: SimState, params: ModelParams) -> _Stepper:
+    """The state's stepper, made again if u, params, dt or dx changed."""
+    k = state.stepper
+    if (k is None or k.u is not state.u or k.dt != state.dt
+            or k.dx != state.dx
+            or (k.params is not params and k.params != params)):
+        k = state.stepper = _Stepper(state, params)
+    return k
 
 
 def cell_centers(Nx: int) -> np.ndarray:
@@ -263,7 +340,7 @@ def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState
                 f"custom samples must have shape (4, {config.Nx})")
         c[:, 1:] = c0
         q[:, 1:] = q0
-    _sync_ghosts(state.u, params)
+    _apply(state.u.reshape(-1), _port_tables(params, config.Nx + 2)[0])
     return state
 
 
@@ -278,40 +355,7 @@ def advection_step(state: SimState, params: ModelParams,
     velocities the mass integral(c + P q) changes only by rounding.
     Advances the state in place (ghosts refreshed) and returns it.
     """
-    u = state.u
-    flat = u.reshape(-1)
-    half = flat.size // 2
-    cells, faces = _port_tables(params, u.shape[1])
-    h, s = _advection_consts(params, frac * state.dt / state.dx)
-    # backward differences along the flat array; those that straddle two
-    # rows only reach ghost columns, which are refilled at the end
-    diff, slope, face = state.work
-    diff[0] = 0.0
-    np.subtract(flat[1:], flat[:-1], out=diff[1:])
-    # van Leer half-slope ab/(a+b) where the one-sided differences a, b
-    # agree in sign, else 0 (a zero denominator only meets a zero a*b)
-    slope[-1] = 0.0
-    a, b = diff[:-1], diff[1:]
-    num, den = slope[:-1], face[:-1]
-    np.multiply(a, b, out=num)
-    np.maximum(num, 0.0, out=num)
-    np.add(a, b, out=den)
-    den += den == 0.0
-    np.divide(num, den, out=num)
-    # face values: liquid at each cell's right face, solid at its left
-    # face stored one column to the left, so both phases update as
-    # u[k] -= s * (face[k] - face[k-1])
-    offs = slope.reshape(u.shape)
-    np.multiply(h, offs, out=offs)
-    face[-1] = 0.0
-    np.add(flat[:half], slope[:half], out=face[:half])
-    np.add(flat[half:], slope[half:], out=face[half - 1:-1])
-    _apply(face, faces)
-    np.subtract(face[1:], face[:-1], out=diff[1:])
-    step = diff.reshape(u.shape)
-    np.multiply(s, step, out=step)
-    flat -= diff
-    _apply(flat, cells)
+    _stepper(state, params).advect(frac)
     return state
 
 
@@ -320,9 +364,7 @@ def mass_transfer_step(state: SimState, params: ModelParams) -> SimState:
 
     Advances the state in place (ghosts refreshed) and returns it.
     """
-    cq = state.u.reshape(2, -1)
-    np.matmul(_relaxation(params, state.dt), cq, out=cq)
-    _sync_ghosts(state.u, params)
+    _stepper(state, params).transfer()
     return state
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,11 @@ def test_simulate_small(tmp_path):
     assert snap[0][:2] == ["1", "1"]
     summary = _read_json(out / "simulate_summary.json")
     assert summary["Nx"] == 32 and summary["T"] == 2.0
+    # steps counts time steps, rows counts diagnostics rows (t = 0 and
+    # every fifth step, the last step included)
+    steps = math.ceil(2.0 / summary["dt"] - 1e-12)
+    assert summary["steps"] == steps
+    assert summary["rows"] == len(rows) == 2 + (steps - 1) // 5
 
     # byte-identical rerun
     out2 = tmp_path / "run2"

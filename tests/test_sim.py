@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +159,78 @@ def test_advection_step_matches_loop_reference(cs):
             st = advection_step(st, params, frac=frac)
             assert np.allclose(st.c[:, 1:], want_c, rtol=0, atol=1e-14)
             assert np.allclose(st.q[:, 1:], want_q, rtol=0, atol=1e-14)
+
+
+def _stepped(state, params, frac):
+    """A fresh copy of the state (no stepper yet), advected and relaxed."""
+    fresh = replace(state, u=state.u.copy())
+    advection_step(fresh, params, frac=frac)
+    return mass_transfer_step(fresh, params).u
+
+
+def test_stepper_follows_params_frac_and_dt(cs):
+    # one state stepped under changing constants matches, bit for bit, a
+    # fresh copy stepped once under the constants of that step
+    rng = np.random.default_rng(17)
+    a = replace(cs, f0=0.7)
+    b = replace(cs, v1=0.95 * cs.v1, v2=0.95 * cs.v2, v3=0.95 * cs.v3,
+                v4=0.95 * cs.v4, R=1.2 * cs.R, P=1.05 * cs.P, f0=0.3)
+    same_as_a = replace(a)
+    assert same_as_a == a and same_as_a is not a
+    st = init(SimConfig(Nx=24, T=1.0), a,
+              initial=(rng.uniform(0.0, 2.0, (4, 24)),
+                       rng.uniform(0.0, 2.0, (4, 24))))
+
+    def step_matches_fresh_copy(params, frac):
+        want = _stepped(st, params, frac)
+        advection_step(st, params, frac=frac)
+        mass_transfer_step(st, params)
+        assert st.u.tobytes() == want.tobytes()
+
+    for params, frac in [(a, 1.0), (b, 1.0), (a, 1.0), (a, 0.5), (a, 1.0),
+                         (a, 0.5), (b, 0.5), (same_as_a, 1.0), (a, 1.0)]:
+        step_matches_fresh_copy(params, frac)
+    st.dt *= 0.5
+    step_matches_fresh_copy(a, 1.0)
+    # an equal parameter object keeps the stepper; a new u array does not
+    kept = st.stepper
+    advection_step(st, replace(a), frac=1.0)
+    assert st.stepper is kept
+    copy = replace(st, u=st.u.copy())
+    assert copy.stepper is None
+    advection_step(copy, a)
+    assert copy.stepper is not kept
+    # a deep copy steps its own u, not a copy of the old stepper's views
+    deep = deepcopy(st)
+    want = _stepped(st, a, 1.0)
+    advection_step(deep, a)
+    mass_transfer_step(deep, a)
+    assert deep.u.tobytes() == want.tobytes()
+
+
+def test_steps_allocate_nothing_the_size_of_u(cs):
+    # a Strang step at Nx = 1600 holds 8 * 1602 cells; the smallest
+    # temporary of that size is 12.8 kB, so a 4 KiB peak admits none
+    st = init(SimConfig(Nx=1600, T=1.0), cs, initial="eigenfunction")
+    assert st.stepper is None            # made by the first step only
+
+    def strang_step():
+        advection_step(st, cs, frac=0.5)
+        mass_transfer_step(st, cs)
+        advection_step(st, cs, frac=0.5)
+
+    for _ in range(3):
+        strang_step()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(20):
+            strang_step()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096, f"traced peak {peak} B above the start"
 
 
 # ---------------------------------------------------------------------------
