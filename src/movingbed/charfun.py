@@ -144,32 +144,74 @@ def _schat_chat(b: np.ndarray) -> tuple:
     return shat, chat
 
 
-def _zone_factors(lams: np.ndarray, params: ModelParams) -> tuple:
+def _zone_factors(lams: np.ndarray, v, R, P) -> tuple:
     """Zone matrices of zones 1..4 over a lambda array: (K, s, a) with
     M_i = e^{s_i} K_i.
 
-    K is (4, n, 2, 2) with O(1) entries; s = Re(a_i) + Re(b_i) and the
-    half-traces a = a_i are (4, n).  Call under np.errstate that ignores
-    division by zero (b = 0 takes the series).
+    v, R and P come from ``_constants``.  K is (4, n, 2, 2) with O(1)
+    entries; s = Re(a_i) + Re(b_i) and the half-traces a = a_i are (4, n).
+    Call under np.errstate that ignores division by zero (b = 0 takes the
+    series).
     """
-    v = np.array(params.v)[:, None]
-    R, P = params.R, params.P
-    _, _, a, disc = _exponents(lams, v, R, P)
+    _, _, a, b = _exponents(lams, v, R, P)
     # as in zone_eigen: an exactly zero imaginary part for real lambda
-    disc.imag[:, lams.imag == 0.0] = 0.0
-    b = np.sqrt(disc) / v
+    b.imag[:, lams.imag == 0.0] = 0.0
+    # from here on the same operations as on fresh arrays, but in place,
+    # so that a call over many lambdas holds few (4, n) arrays at once
+    np.sqrt(b, out=b)
+    b /= v                                  # b = sqrt(disc) / v
     shat, chat = _schat_chat(b)
+    s = a.real + b.real
+    del b
     if a.imag.any():
         phase = np.exp(1j * a.imag)
-        shat, chat = shat * phase, chat * phase
-    phi_shat = (lams + R - a) * shat
-    RP = R * P
+        shat *= phase
+        chat *= phase
     K = np.empty(a.shape + (2, 2), dtype=complex)
-    K[..., 0, 0] = chat - phi_shat
-    K[..., 0, 1] = (RP / v) * shat
-    K[..., 1, 0] = -RP * shat
-    K[..., 1, 1] = chat + phi_shat
-    return K, a.real + b.real, a
+    np.multiply(R * P / v, shat, out=K[..., 0, 1])
+    np.multiply(-(R * P), shat, out=K[..., 1, 0])
+    phi_shat = np.multiply(lams + R - a, shat, out=shat)
+    np.subtract(chat, phi_shat, out=K[..., 0, 0])
+    np.add(chat, phi_shat, out=K[..., 1, 1])
+    return K, s, a
+
+
+# the injecting ports, whose factor D_k = diag(w_up/w_in, 1) is not I
+_INJECTING = tuple(port for port in PORTS if port.injects)
+
+
+def _set_row(params: ModelParams) -> tuple:
+    """The constants return_map takes from one parameter set, each a plain
+    float: v1..v4, R, P, log((v2 v4)/(v1 v3)) and the ratio w_up/w_in of
+    each injecting port."""
+    v = params.v
+    return (*v, params.R, params.P, math.log(v[1] * v[3] / (v[0] * v[2])),
+            *(w_up / w_in for w_up, w_in in
+              (port.weights(v) for port in _INJECTING)))
+
+
+def _constants(params, owner, n: int) -> tuple:
+    """(v, R, P, log det ratio, port ratios) for the n lambdas of a
+    return_map call.
+
+    One parameter set gives its floats (v as a (4, 1) column); several
+    sets give arrays gathered per lambda by owner, the index of each
+    lambda's set (v is (4, n), the rest (n,), the port ratios (n, 1)).
+    Every value is its set's own float, so a lambda gets the same Delta
+    either way.
+    """
+    sets = [params] if isinstance(params, ModelParams) else list(params)
+    if len(sets) == 1:
+        row = _set_row(sets[0])
+        return np.array(row[:4])[:, None], *row[4:7], row[7:]
+    owner = np.asarray(() if owner is None else owner)
+    if (not sets or owner.shape != (n,) or owner.dtype.kind not in "iu"
+            or owner.min() < 0 or owner.max() >= len(sets)):
+        raise ValidationError(
+            f"owner must give each of the {n} lambdas the index of one of "
+            f"the {len(sets)} parameter sets")
+    table = np.array([_set_row(p) for p in sets]).T[:, owner]
+    return table[:4], table[4], table[5], table[6], table[7:, :, None]
 
 
 def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
@@ -178,8 +220,9 @@ def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
     The mantissa entries are O(1) for any lambda; s = Re(a_i) + Re(b_i).
     """
     lams, _ = _lambdas(lam)
+    v, R, P, _, _ = _constants(params, None, lams.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        K, s, _ = _zone_factors(lams, params)
+        K, s, _ = _zone_factors(lams, v, R, P)
     return K[zone - 1, 0], float(s[zone - 1, 0])
 
 
@@ -303,31 +346,32 @@ class ReturnMapEval:
         return int(signs) if signs.ndim == 0 else signs
 
 
-def return_map(lam, params: ModelParams) -> ReturnMapEval:
+def return_map(lam, params, owner=None) -> ReturnMapEval:
     """Loop product M1 . D1 . M4 . M3 . D3 . M2 from x = -1 round the loop.
 
     D_k = diag(v_up/v_in, 1) carries the liquid flux across the injecting
     port at the inlet of zone k; a withdrawing port's factor is I.  lam is
     a scalar or a 1-D array; the array is evaluated in one pass and the
-    fields of the result are arrays over it.  Non-finite or empty lam
+    fields of the result are arrays over it.  params is one ModelParams,
+    or a sequence of them with owner an integer array giving the index of
+    each lambda's set; each lambda then gets the Delta of its own set, bit
+    for bit.  Non-finite or empty lam, or an owner that does not fit,
     raises ValidationError, and |lambda| so large that even the scaled form
     overflows (beyond about 1e154) raises NonFiniteDetected.
     """
     lams, scalar = _lambdas(lam)
-    v = params.v
+    v, R, P, log_det0, ratios = _constants(params, owner, lams.size)
     with np.errstate(all="ignore"):         # non-finite results refused below
-        K, s, a = _zone_factors(lams, params)
-        for port in PORTS:
-            if port.injects:                # M_k D_k: D_k scales column 0
-                w_up, w_in = port.weights(v)
-                K[port.zone - 1, :, :, 0] *= w_up / w_in
+        K, s, a = _zone_factors(lams, v, R, P)
+        for port, ratio in zip(_INJECTING, ratios):
+            K[port.zone - 1, :, :, 0] *= ratio  # M_k D_k: D_k scales column 0
         mantissa, scale = scaled_product(
             [(K[port.zone - 1], s[port.zone - 1])
              for port in (PORTS[0], *PORTS[:0:-1])])    # zones 1, 4, 3, 2
         # det C = (v2 v4)/(v1 v3) * prod_i det M_i, det M_i = e^{2 a_i};
         # the builtin sum adds zones 1..4 in order for any n, where
         # a.sum(axis=0) would pair them (other rounding) when n = 1
-        det_log = math.log(v[1] * v[3] / (v[0] * v[2])) + 2.0 * sum(a)
+        det_log = log_det0 + 2.0 * sum(a)
     if not (np.isfinite(scale).all() and np.isfinite(det_log).all()):
         raise NonFiniteDetected(
             f"Delta overflows its scaled form at |lambda| up to "

@@ -17,7 +17,8 @@ refused as ``NearZeroPairing`` when negligible; the numerators are
 
 Finite-difference validation re-runs the full bracket-and-bisect
 eigenvalue pipeline at perturbed parameters, so it shares nothing with
-the adjoint path.
+the adjoint path; full_report solves lambda0 and all twelve perturbed
+sets in one lockstep call.
 """
 
 from __future__ import annotations
@@ -79,13 +80,23 @@ def dlambda_dP(direct: EigenSolution, adjoint: EigenSolution,
     return num / checked_pairing(direct, adjoint)
 
 
+# the parameters full_report differentiates, in the order of its fields
+_NAMES = ("v1", "v2", "v3", "v4", "R", "P")
+
+
+def _fd_pair(params: ModelParams, name: str) -> tuple:
+    """(h, [params at theta + h, params at theta - h]) for ``name``."""
+    theta = getattr(params, name)
+    h = 1e-4 * max(abs(theta), 1.0)
+    return h, [replace(params, **{name: theta + h}),
+               replace(params, **{name: theta - h})]
+
+
 def central_difference(params: ModelParams, name: str,
                        tol: float = 1e-10) -> float:
     """d lambda0 / d theta by re-bisecting the eigenvalue at theta +- h."""
-    theta = getattr(params, name)
-    h = 1e-4 * max(abs(theta), 1.0)
-    lam_p = dominant_eigenvalue(replace(params, **{name: theta + h}), tol)
-    lam_m = dominant_eigenvalue(replace(params, **{name: theta - h}), tol)
+    h, pair = _fd_pair(params, name)
+    lam_p, lam_m = dominant_eigenvalue(pair, tol)
     return (lam_p - lam_m) / (2.0 * h)
 
 
@@ -105,8 +116,18 @@ class SensitivityReport:
 
 def full_report(params: ModelParams, tol: float = 1e-10,
                 fd: bool = True) -> SensitivityReport:
-    """lambda0, eigenfunctions, six derivatives, optional FD validation."""
-    lam0 = dominant_eigenvalue(params, tol)
+    """lambda0, eigenfunctions, six derivatives, optional FD validation.
+
+    With fd, lambda0 and the twelve re-solves at theta +- h are one
+    lockstep ``dominant_eigenvalue`` call; each root is the one its set
+    gives alone, so the FD values are those of ``central_difference``.
+    """
+    if fd:
+        steps, pairs = zip(*(_fd_pair(params, name) for name in _NAMES))
+        lam0, *shifted = dominant_eigenvalue(
+            [params, *(p for pair in pairs for p in pair)], tol)
+    else:
+        lam0 = dominant_eigenvalue(params, tol)
     direct = eigenfunction(lam0, params)
     adjoint = adjoint_eigenfunction(lam0, params)
     den = checked_pairing(direct, adjoint)
@@ -118,8 +139,9 @@ def full_report(params: ModelParams, tol: float = 1e-10,
     if fd:
         analytic = list(dv) + [dR, dP]
         errs = []
-        for name, a in zip(("v1", "v2", "v3", "v4", "R", "P"), analytic):
-            f = central_difference(params, name, tol)
+        for a, h, up, down in zip(analytic, steps, shifted[::2],
+                                  shifted[1::2]):
+            f = (up - down) / (2.0 * h)
             errs.append(abs(a - f) / max(abs(a), 1e-3))
         fd_check = np.array(errs)
     return SensitivityReport(lam=complex(lam0), dv=dv, dR=dR, dP=dP,

@@ -385,17 +385,28 @@ def sup_norm(state: SimState) -> float:
                      np.abs(state.q[:, 1:]).max()))
 
 
+def _profile_norm2(eigen_profile: tuple) -> float:
+    """Squared norm of a reference profile over both components."""
+    ref_c, ref_q = eigen_profile
+    den = float(np.sum(ref_c * ref_c) + np.sum(ref_q * ref_q))
+    if den == 0.0:
+        raise ZeroProfile("reference profile is identically zero")
+    return den
+
+
 def profile_rms(state: SimState, eigen_profile: tuple) -> float:
     """Distance to the best scalar multiple of a reference profile.
 
     Minimizes ||state - s*ref|| over s and returns the minimum divided by
     ||s*ref|| (both RMS over interior cells, both components).
     """
+    return _profile_rms(state, eigen_profile, _profile_norm2(eigen_profile))
+
+
+def _profile_rms(state: SimState, eigen_profile: tuple, den: float) -> float:
+    """profile_rms with the profile's squared norm den already known."""
     ref_c, ref_q = eigen_profile
     sc, sq = state.c[:, 1:], state.q[:, 1:]
-    den = float(np.sum(ref_c * ref_c) + np.sum(ref_q * ref_q))
-    if den == 0.0:
-        raise ZeroProfile("reference profile is identically zero")
     s = float(np.sum(sc * ref_c) + np.sum(sq * ref_q)) / den
     scaled = abs(s) * math.sqrt(den)
     if scaled == 0.0:
@@ -405,10 +416,10 @@ def profile_rms(state: SimState, eigen_profile: tuple) -> float:
     return diff / scaled
 
 
-def _row(state, params, eigen_profile) -> DiagnosticsRow:
+def _row(state, params, eigen_profile, den) -> DiagnosticsRow:
     rms = None
     if eigen_profile is not None:
-        rms = profile_rms(state, eigen_profile)
+        rms = _profile_rms(state, eigen_profile, den)
     return DiagnosticsRow(t=state.t, energy=energy(state, params),
                           mass=mass(state, params),
                           sup_norm=sup_norm(state), profile_rms=rms)
@@ -430,7 +441,9 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
     elif callable(callbacks):
         callbacks = [callbacks]
     n_steps = int(math.ceil(config.T / state.dt - 1e-12))
-    rows = [_row(state, params, eigen_profile)]
+    # the profile's norm is the same on every row
+    den = None if eigen_profile is None else _profile_norm2(eigen_profile)
+    rows = [_row(state, params, eigen_profile, den)]
     for cb in callbacks:
         cb(state, rows[-1])
     for n in range(1, n_steps + 1):
@@ -447,7 +460,7 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
                     and np.all(np.isfinite(state.q))):
                 raise NonFiniteDetected(
                     f"non-finite cell value at step {n}, t={state.t:.6g}")
-            rows.append(_row(state, params, eigen_profile))
+            rows.append(_row(state, params, eigen_profile, den))
             for cb in callbacks:
                 cb(state, rows[-1])
     return state, rows

@@ -7,7 +7,8 @@ velocities.  Delta is extremely steep near that root (slopes beyond 1e6),
 so roots are located by sign changes on a geometric grid accumulating at
 0- and refined by bisection on interval width, never on |Delta|.  Grids
 and bisection levels are evaluated as lambda arrays, one return_map call
-each.
+each (or a few, for more than _MAX_POINTS points); several parameter sets
+share every call.
 """
 
 from __future__ import annotations
@@ -47,9 +48,24 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
     return BracketBudget(M0=M0, Q0=Q0, v_min=v_min, v_max=v_max)
 
 
-def _delta_signs(lams, params: ModelParams) -> np.ndarray:
-    """Signs of Delta at the real points lams, in one return_map call."""
-    return return_map(np.asarray(lams, dtype=float), params).delta_sign
+# Most lambda points per return_map call: a batch of 13 parameter sets
+# puts 2600 points on its grids, and one pass over them all would hold
+# about 1.4 MB more at its peak, for no gain in speed.
+_MAX_POINTS = 650
+
+
+def _delta_signs(lams, sets: list, owner) -> np.ndarray:
+    """Signs of Delta at the real points lams, each under the set
+    sets[owner[j]], in return_map calls of at most _MAX_POINTS points."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.size <= _MAX_POINTS:
+        return return_map(lams, sets, owner).delta_sign
+    owner = np.asarray(owner)
+    # equal calls: 2600 points make four of 650, 2000 four of 500
+    size = -(-lams.size // -(-lams.size // _MAX_POINTS))
+    return np.concatenate([
+        return_map(lams[i:i + size], sets, owner[i:i + size]).delta_sign
+        for i in range(0, lams.size, size)])
 
 
 def _sign_cells(xs, signs) -> list:
@@ -86,16 +102,17 @@ def _midpoint_tree(a: float, b: float, tol: float, levels: int) -> dict:
     return mids
 
 
-def _bisect(cells: list, params: ModelParams, tols: list) -> list:
+def _bisect(cells: list, sets: list, owner: list, tols: list) -> list:
     """Roots in cells (a, b, sign at a) of ``_sign_cells``: bisection,
-    stopped on width, each cell to its own tol.
+    stopped on width, each cell to its own tol and under its own set
+    sets[owner[i]].
 
-    Every return_map call evaluates the midpoint trees of all open cells
-    (the next _TREE_DEPTH levels); each cell then walks down its tree as
-    scalar bisection would, so the roots are those of scalar bisection
-    on the same signs.  A cell whose ends are adjacent doubles stops
-    there: scalar bisection would step in place until _MAX_STEPS and
-    return the same midpoint.
+    Every round evaluates the midpoint trees of all open cells (the next
+    _TREE_DEPTH levels) in one ``_delta_signs``; each cell then walks
+    down its tree as scalar bisection would, so the roots are those of
+    scalar bisection on the same signs.  A cell whose ends are adjacent
+    doubles stops there: scalar bisection would step in place until
+    _MAX_STEPS and return the same midpoint.
     """
     roots = [None] * len(cells)
     # cell index -> (a, b, sign at a, bisection steps taken)
@@ -113,7 +130,7 @@ def _bisect(cells: list, params: ModelParams, tols: list) -> list:
             break
         signs = iter(_delta_signs(
             [mid for mids in trees.values() for mid in mids.values()],
-            params))
+            sets, [owner[i] for i, mids in trees.items() for _ in mids]))
         for i, mids in trees.items():
             a, b, s, steps = open_[i]
             tree_signs = dict(zip(mids, signs))
@@ -133,42 +150,78 @@ def _bisect(cells: list, params: ModelParams, tols: list) -> list:
     return roots
 
 
-def dominant_eigenvalue(params: ModelParams, tol: float = 1e-10) -> float:
+# Points of the geometric grid and of the densified first cell (the
+# densified cell's ends are known, so 19 of its 21 points are evaluated).
+_GRID_N, _DENSE_N = 200, 21
+
+
+def dominant_eigenvalue(params, tol: float = 1e-10):
     """Largest real root of Delta in [-M0, 0).
 
     Takes the first sign change on a 200-point geometric grid from -tol
     toward -M0 (the root hugs 0 while Delta stays nearly flat over most of
     the bracket), densifies that cell tenfold and takes its first sign
-    change, then bisects to |interval| < tol.  Each of the grid, the
-    densified cell and every five bisection levels is one return_map call.
+    change, then bisects to |interval| < tol.
+
+    params is one ModelParams, which gives a float, or a sequence of them,
+    which gives a list of floats, each the float the set gives alone.  A
+    sequence is solved in lockstep: each stage (the grids, the densified
+    cells, every five bisection levels) is one ``_delta_signs`` over the
+    points of all sets.  Every set is checked (equal velocities, tol
+    against M0) before Delta is evaluated; errors about a sequence name
+    the index of the set at fault.
     """
+    single = isinstance(params, ModelParams)
+    sets = [params] if single else list(params)
+    if not sets:
+        raise ValidationError("no parameter sets to solve")
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
-    bb = bracket_bound(params)  # rejects the equal-velocity case
-    if tol >= bb.M0:
-        raise ValidationError(f"tol={tol} exceeds bracket width M0={bb.M0}")
-    grid = -np.geomspace(tol, bb.M0, 200)
-    signs = _delta_signs(grid, params)
-    cells = _sign_cells(grid, signs)
-    if not cells:
-        raise NoSignChangeFound(
-            f"no sign change of Delta on 200-point geometric grid in "
-            f"[{-bb.M0}, {-tol}]: its sign is {signs[0]} throughout")
-    a, b, s = cells[0]
-    if s != 0:  # densify tenfold; geomspace keeps the known ends exactly
-        dense = -np.geomspace(-a, -b, 21)
-        inner = _delta_signs(dense[1:-1], params)
-        a, b, s = _sign_cells(dense, np.concatenate(([s], inner, [-s])))[0]
-    return _bisect([(a, b, s)], params, [tol])[0]
+    # where an error names its set: nowhere for a single one
+    at = [""] if single else [f" (set {i})" for i in range(len(sets))]
+    grids = []
+    for i, p in enumerate(sets):
+        try:
+            bb = bracket_bound(p)  # rejects the equal-velocity case
+        except LimitCaseHasNoBracket as exc:
+            raise LimitCaseHasNoBracket(f"{exc}{at[i]}") from None
+        if tol >= bb.M0:
+            raise ValidationError(
+                f"tol={tol} exceeds bracket width M0={bb.M0}{at[i]}")
+        grids.append(-np.geomspace(tol, bb.M0, _GRID_N))
+    owner = list(range(len(sets)))
+    signs = _delta_signs(np.concatenate(grids), sets,
+                         np.repeat(owner, _GRID_N)).reshape(len(sets), -1)
+    cells = []
+    for i, (grid, sg) in enumerate(zip(grids, signs)):
+        found = _sign_cells(grid, sg)
+        if not found:
+            raise NoSignChangeFound(
+                f"no sign change of Delta on {_GRID_N}-point geometric grid "
+                f"in [{grid[-1]}, {grid[0]}]: its sign is {sg[0]} "
+                f"throughout{at[i]}")
+        cells.append(found[0])
+    # densify each cell tenfold; geomspace keeps the known ends exactly
+    dense = {i: -np.geomspace(-a, -b, _DENSE_N)
+             for i, (a, b, s) in enumerate(cells) if s != 0}
+    if dense:
+        inner = _delta_signs(
+            np.concatenate([d[1:-1] for d in dense.values()]), sets,
+            np.repeat(list(dense), _DENSE_N - 2)).reshape(len(dense), -1)
+        for (i, d), sg in zip(dense.items(), inner):
+            s = cells[i][2]
+            cells[i] = _sign_cells(d, np.concatenate(([s], sg, [-s])))[0]
+    roots = _bisect(cells, sets, owner, [tol] * len(sets))
+    return roots[0] if single else roots
 
 
 def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
                    tol: float = 1e-12, with_brackets: bool = False) -> list:
     """All sign-change-bracketed real roots of Delta on [lo, hi].
 
-    The grid is one return_map call, and the bisections of all its cells
-    share their calls.  Returns floats, or (root, bracket_lo, bracket_hi)
-    triples when with_brackets is set.
+    The grid is one return_map call per _MAX_POINTS points, and the
+    bisections of all its cells share their calls.  Returns floats, or
+    (root, bracket_lo, bracket_hi) triples when with_brackets is set.
     """
     lo, hi = range_
     if not -math.inf < lo <= hi < math.inf or grid_n < 2:
@@ -179,9 +232,9 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     if lo == hi:
         return []
     grid = np.linspace(lo, hi, grid_n)
-    cells = _sign_cells(grid, _delta_signs(grid, params))
-    roots = _bisect(cells, params, [tol * max(1.0, abs(a))
-                                    for a, _, _ in cells])
+    cells = _sign_cells(grid, _delta_signs(grid, [params], [0] * grid_n))
+    roots = _bisect(cells, [params], [0] * len(cells),
+                    [tol * max(1.0, abs(a)) for a, _, _ in cells])
     if with_brackets:
         return [(r, a, b) for r, (a, b, _) in zip(roots, cells)]
     return roots

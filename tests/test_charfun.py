@@ -239,6 +239,30 @@ def test_vector_return_map_is_the_scalar_one_pointwise(cs):
     assert return_map(np.array([-4.2 + 1.3j, -1.0]), cs).delta_sign is None
 
 
+def test_return_map_of_several_sets_is_each_set_alone(cs, wide_box):
+    # every lambda gets the fields its own set gives it, bit for bit
+    sets = [cs, *wide_box[:5]]
+    rng = np.random.default_rng(3)
+    lams = rng.uniform(-60.0, 60.0, 300)
+    lams = np.concatenate([lams, lams + 1j * rng.uniform(-30.0, 30.0, 300)])
+    owner = rng.integers(0, len(sets), lams.size)
+    ev = return_map(lams, sets, owner)
+    for i, p in enumerate(sets):
+        one = return_map(lams[owner == i], p)
+        assert np.array_equal(one.mantissa, ev.mantissa[owner == i])
+        assert np.array_equal(one.log_scale, ev.log_scale[owner == i])
+        assert np.array_equal(one.det_log, ev.det_log[owner == i])
+
+
+@pytest.mark.parametrize("owner", [None, [0, 1], [0, 1, 2], [0.0, 1.0, 0.0],
+                                   [0, -1, 1]])
+def test_return_map_refuses_an_owner_that_does_not_fit(cs, owner):
+    with pytest.raises(ValidationError):
+        return_map([-1.0, -0.5, -0.2], [cs, cs], owner)
+    with pytest.raises(ValidationError):
+        return_map([-1.0], [], [0])
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, [], [-1.0, math.nan],
                                  [[-1.0, -2.0]]])
 def test_return_map_refuses_non_finite_or_empty_lambda(cs, lam):

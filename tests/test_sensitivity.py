@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from movingbed.eigfun import adjoint_eigenfunction, eigenfunction
-from movingbed.errors import ZeroDenominator
+from movingbed.errors import MovingBedError, ZeroDenominator
 from movingbed.params import ModelParams, limit_params
 from movingbed.sensitivity import (SensitivityReport, central_difference,
                                    dlambda_dP, dlambda_dR, dlambda_dv,
@@ -110,6 +111,49 @@ def test_derivative_matches_oracle_fd(cs):
 
     fd = central_diff(lam_of_v2, cs.v2, 1e-5)
     assert fd == pytest.approx(_TRUE["v2"], rel=1e-4)
+
+
+def test_full_report_is_the_per_name_central_difference(cs, wide_box):
+    # the lockstep solve of lambda0 and its twelve neighbours gives what
+    # one solve per set gives: the same lam, derivatives and FD errors
+    names = ("v1", "v2", "v3", "v4", "R", "P")
+    for p in (cs, *wide_box[:5]):
+        try:
+            ref = full_report(p, fd=False)
+        except MovingBedError as exc:
+            with pytest.raises(type(exc)):
+                full_report(p, fd=True)
+            continue
+        rep = full_report(p, fd=True)
+        analytic = [*ref.dv, ref.dR, ref.dP]
+        errs = [abs(a - central_difference(p, name)) / max(abs(a), 1e-3)
+                for name, a in zip(names, analytic)]
+        assert rep.lam == ref.lam == dominant_eigenvalue(p)
+        assert rep.dv.tolist() == ref.dv.tolist()
+        assert (rep.dR, rep.dP) == (ref.dR, ref.dP)
+        assert rep.fd_check.tolist() == errs
+    # central_difference (a batch of two) is the stencil of two solves
+    for name in names:
+        theta = getattr(cs, name)
+        h = 1e-4 * max(abs(theta), 1.0)
+        up = dominant_eigenvalue(replace(cs, **{name: theta + h}))
+        down = dominant_eigenvalue(replace(cs, **{name: theta - h}))
+        assert central_difference(cs, name) == (up - down) / (2.0 * h)
+
+
+def test_full_report_allocation_stays_under_the_point_cap(cs):
+    # reads 0.56 MB with 650 points per return_map call, 1.9 MB when the
+    # 2600 grid points of the 13 sets go through one call
+    full_report(cs, fd=True)             # first-use buffers
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        full_report(cs, fd=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"traced peak {peak} B above the start"
 
 
 def test_normalization_independence(pair, cs):

@@ -329,6 +329,20 @@ def test_decay_rate_matches_eigenvalue(cs, lam0):
     assert rate == pytest.approx(lam0, rel=0.03)
 
 
+def test_run_profile_rms_is_the_per_row_formula(cs, lam0):
+    # the criterion-9 run, which computes the profile norm once per run;
+    # each row must equal profile_rms recomputing it, bit for bit
+    config = SimConfig(Nx=400, p=0.55, T=60.0, record_every=50)
+    profile = sample_eigenfunction(cs, 400, lam=lam0)
+    pairs = []
+    run(init(config, cs, initial="constant"), config, cs,
+        callbacks=lambda s, row: pairs.append(
+            (row.profile_rms, profile_rms(s, profile))),
+        eigen_profile=profile)
+    assert len(pairs) == 874
+    assert all(got == want for got, want in pairs)
+
+
 def test_profile_rms(cs):
     config = SimConfig(Nx=32, T=1.0)
     profile = sample_eigenfunction(cs, 32)

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from movingbed import spectrum
 from movingbed.charfun import return_map
-from movingbed.errors import (LimitCaseHasNoBracket, ValidationError)
-from movingbed.params import limit_params
+from movingbed.errors import (LimitCaseHasNoBracket, MovingBedError,
+                              NoSignChangeFound, ValidationError)
+from movingbed.params import ModelParams, case_study, limit_params
 from movingbed.spectrum import (bracket_bound, collocation_spectrum,
                                 dominant_eigenvalue, imaginary_vanishing_k,
                                 limit_asymptote, limit_residual,
@@ -82,9 +85,9 @@ def test_dominant_eigenvalue_stops_scanning_at_the_root(cs, monkeypatch):
     calls = []
     real = spectrum.return_map
 
-    def counted(lam, params):
+    def counted(lam, *sets):
         calls.append(np.atleast_1d(lam).tolist())
-        return real(lam, params)
+        return real(lam, *sets)
     monkeypatch.setattr(spectrum, "return_map", counted)
     dominant_eigenvalue(cs)
     assert 1 <= len(calls) <= 8
@@ -114,14 +117,94 @@ def test_bisection_below_the_double_spacing_stops_early(cs, monkeypatch):
     calls = []
     real = spectrum.return_map
 
-    def counted(lam, params):
+    def counted(lam, *sets):
         calls.append(np.atleast_1d(lam).tolist())
-        return real(lam, params)
+        return real(lam, *sets)
     monkeypatch.setattr(spectrum, "return_map", counted)
     assert dominant_eigenvalue(cs, tol=1e-20) == ref
     assert 3 <= len(calls) <= 12
     points = [x for call in calls for x in call]
     assert len(set(points)) == len(points)
+
+
+# ---------------------------------------------------------------------------
+# batches of parameter sets, solved in lockstep
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_batch_is_the_loop_bit_for_bit(cs, wide_box, tol):
+    sets = [cs, *wide_box]
+    batched = dominant_eigenvalue(sets, tol)
+    assert batched == [dominant_eigenvalue(p, tol) for p in sets]
+    assert all(type(lam) is float for lam in batched)
+
+
+def _counting(monkeypatch) -> list:
+    """Record the lambda count of every return_map call spectrum makes."""
+    sizes = []
+    real = spectrum.return_map
+
+    def counted(lam, *sets):
+        sizes.append(np.atleast_1d(lam).size)
+        return real(lam, *sets)
+    monkeypatch.setattr(spectrum, "return_map", counted)
+    return sizes
+
+
+def test_batch_calls_stay_under_the_point_cap(cs, wide_box, monkeypatch):
+    # 13 sets put 2600 points on their grids: four calls of 650
+    sizes = _counting(monkeypatch)
+    dominant_eigenvalue([cs, *wide_box[:12]])
+    assert sizes[:4] == [spectrum._MAX_POINTS] * 4
+    assert max(sizes) <= spectrum._MAX_POINTS
+    assert len(sizes) <= 4 + 1 + 7
+
+
+def test_batch_refusals_come_before_any_delta_evaluation(cs, lp,
+                                                         monkeypatch):
+    sizes = _counting(monkeypatch)
+    with pytest.raises(ValidationError):
+        dominant_eigenvalue([])
+    with pytest.raises(LimitCaseHasNoBracket, match=r"\(set 1\)$"):
+        dominant_eigenvalue([cs, lp, cs])
+    # M0 < R = 5 for the second set, while the case study's M0 is 6.69
+    with pytest.raises(ValidationError, match=r"\(set 1\)$"):
+        dominant_eigenvalue([cs, replace(cs, R=5.0)], tol=6.0)
+    assert sizes == []
+
+
+def test_batch_no_sign_change_names_the_set(cs):
+    # lambda0 = -0.1048 at R = 24 lies above the grid's end -tol = -0.108,
+    # while the case study's -0.1104 lies on its grid
+    with pytest.raises(NoSignChangeFound, match=r"\(set 1\)$"):
+        dominant_eigenvalue([cs, replace(cs, R=24.0)], tol=0.108)
+
+
+def _box_set(f) -> ModelParams:
+    """The strict set at factors f in [-1, 1]^6 of the wide box: v_i
+    +-10%, R +-25% and P +-10% around the case study."""
+    base = case_study()
+    return ModelParams(*(vi * (1.0 + 0.1 * fi) for vi, fi in zip(base.v, f)),
+                       R=base.R * (1.0 + 0.25 * f[4]),
+                       P=base.P * (1.0 + 0.1 * f[5]))
+
+
+_BOX_SETS = st.lists(st.floats(-1.0, 1.0), min_size=6,
+                     max_size=6).map(_box_set)
+
+
+@seed(20260518)
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.lists(_BOX_SETS, min_size=1, max_size=5),
+       st.sampled_from([1e-10, 1e-12]))
+def test_batch_equals_loop_over_the_wide_box(sets, tol):
+    try:
+        looped = [dominant_eigenvalue(p, tol) for p in sets]
+    except MovingBedError:
+        with pytest.raises(MovingBedError):
+            dominant_eigenvalue(sets, tol)
+        return
+    assert dominant_eigenvalue(sets, tol) == looped
 
 
 def test_real_root_scan_matches_scalar_bisection(cs):
