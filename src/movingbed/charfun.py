@@ -19,6 +19,8 @@ lose all relative accuracy whenever |det| << ||C||^2).
 
 The return map is evaluated over a 1-D array of lambda (real or complex)
 in one numpy pass; a scalar lambda is the one-point case of the same code.
+The loop product is entrywise arithmetic on the four entry arrays of the
+2x2 factors, with no matmul, so Delta does not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -241,21 +243,32 @@ def zone_matrix(lam, zone: int, params: ModelParams) -> np.ndarray:
 
 
 def scaled_product(factors) -> tuple:
-    """Multiply (matrix, log_scale) factors left to right, renormalizing.
+    """Multiply one or more (matrix, log_scale) factors left to right,
+    renormalizing.
 
     Matrices are 2x2 or stacks (n, 2, 2) with log_scales of shape (n,).
     Returns (mantissa, log_scale) with each mantissa's largest entry of
-    modulus 1.
+    modulus 1.  The running product is carried as the four entry arrays
+    p00, p01, p10, p11 (the rows of one array) and each factor is applied
+    entrywise: a stack of 2x2 products through matmul would cost one BLAS
+    call per matrix.
     """
-    prod = np.eye(2, dtype=complex)
+    p = None
     scale = 0.0
     for K, s in factors:
-        prod = prod @ K
-        m = np.abs(prod).max(axis=(-2, -1))
+        k00, k01, k10, k11 = (K[..., i, j] for i in (0, 1) for j in (0, 1))
+        if p is None:                       # I @ K is K
+            p = np.array((k00, k01, k10, k11), dtype=complex)
+        else:
+            p00, p01, p10, p11 = p
+            p = np.array((p00 * k00 + p01 * k10, p00 * k01 + p01 * k11,
+                          p10 * k00 + p11 * k10, p10 * k01 + p11 * k11))
+        m = np.abs(p).max(axis=0)
         m = np.where(m > 0.0, m, 1.0)
-        prod = prod / m[..., None, None]
+        p /= m
         scale = scale + s + np.log(m)
-    return prod, scale
+    prod = np.ascontiguousarray(np.moveaxis(p, 0, -1))
+    return prod.reshape(m.shape + (2, 2)), scale
 
 
 @dataclass(frozen=True)

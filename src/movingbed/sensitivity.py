@@ -8,7 +8,9 @@ adjoint eigenfunctions,
 with every integral a finite sum of exponentials evaluated in closed form
 by ``eigfun.zone_integral``.  The denominator is the pairing
 <u, u*> = int c c̄* + q q̄* over [-2, 2] (``eigfun.inner_product``),
-refused as ``NearZeroPairing`` when negligible; the numerators are
+refused as ``NearZeroPairing`` when negligible.  full_report computes
+it once and divides all six numerators by it; each public ``dlambda_*``
+computes its own.  The numerators are
 
     dlambda/dv_k : boundary term (-c c̄* at the zone inlet for k odd,
                    +c c̄* at the zone exit for k even) - int_{I_k} c_x c̄*
@@ -42,9 +44,8 @@ _BOUNDARY = {zone: (zone, x, sgn) for port in PORTS if port.weighted()
                                   (port.up, port.x_up, +1.0))}
 
 
-def dlambda_dv(k: int, direct: EigenSolution, adjoint: EigenSolution,
-               params: ModelParams) -> complex:
-    """Derivative of the eigenvalue with respect to the zone-k velocity."""
+def _dv_num(k: int, direct: EigenSolution, adjoint: EigenSolution) -> complex:
+    """Numerator of dlambda/dv_k."""
     zone, xb, sgn = _BOUNDARY[k]
     cd, _, rd = direct.amplitudes(zone)
     ca, _, ra = adjoint.amplitudes(zone)
@@ -52,24 +53,24 @@ def dlambda_dv(k: int, direct: EigenSolution, adjoint: EigenSolution,
     cab, _ = adjoint.zone_values(zone, xb)
     num = sgn * complex(cb[0]) * np.conj(complex(cab[0]))
     num -= zone_integral(cd * rd, ca, rd, ra, zone)
-    return num / checked_pairing(direct, adjoint)
+    return num
 
 
-def dlambda_dR(direct: EigenSolution, adjoint: EigenSolution,
-               params: ModelParams) -> complex:
-    """Derivative with respect to the mass-transfer parameter R."""
+def _dR_num(direct: EigenSolution, adjoint: EigenSolution,
+            params: ModelParams) -> complex:
+    """Numerator of dlambda/dR."""
     P = params.P
     num = 0.0 + 0.0j
     for zone in range(1, 5):
         cd, qd, rd = direct.amplitudes(zone)
         ca, qa, ra = adjoint.amplitudes(zone)
         num -= zone_integral(P * cd - qd, P * ca - qa, rd, ra, zone)
-    return num / checked_pairing(direct, adjoint)
+    return num
 
 
-def dlambda_dP(direct: EigenSolution, adjoint: EigenSolution,
-               params: ModelParams) -> complex:
-    """Derivative with respect to the partition parameter P."""
+def _dP_num(direct: EigenSolution, adjoint: EigenSolution,
+            params: ModelParams) -> complex:
+    """Numerator of dlambda/dP."""
     R, P = params.R, params.P
     num = 0.0 + 0.0j
     for zone in range(1, 5):
@@ -77,7 +78,25 @@ def dlambda_dP(direct: EigenSolution, adjoint: EigenSolution,
         ca, qa, ra = adjoint.amplitudes(zone)
         num += zone_integral(R * (-2.0 * P * cd + qd), ca, rd, ra, zone)
         num += zone_integral(R * cd, qa, rd, ra, zone)
-    return num / checked_pairing(direct, adjoint)
+    return num
+
+
+def dlambda_dv(k: int, direct: EigenSolution, adjoint: EigenSolution,
+               params: ModelParams) -> complex:
+    """Derivative of the eigenvalue with respect to the zone-k velocity."""
+    return _dv_num(k, direct, adjoint) / checked_pairing(direct, adjoint)
+
+
+def dlambda_dR(direct: EigenSolution, adjoint: EigenSolution,
+               params: ModelParams) -> complex:
+    """Derivative with respect to the mass-transfer parameter R."""
+    return _dR_num(direct, adjoint, params) / checked_pairing(direct, adjoint)
+
+
+def dlambda_dP(direct: EigenSolution, adjoint: EigenSolution,
+               params: ModelParams) -> complex:
+    """Derivative with respect to the partition parameter P."""
+    return _dP_num(direct, adjoint, params) / checked_pairing(direct, adjoint)
 
 
 # the parameters full_report differentiates, in the order of its fields
@@ -131,10 +150,9 @@ def full_report(params: ModelParams, tol: float = 1e-10,
     direct = eigenfunction(lam0, params)
     adjoint = adjoint_eigenfunction(lam0, params)
     den = checked_pairing(direct, adjoint)
-    dv = np.array([dlambda_dv(k, direct, adjoint, params)
-                   for k in (1, 2, 3, 4)])
-    dR = dlambda_dR(direct, adjoint, params)
-    dP = dlambda_dP(direct, adjoint, params)
+    dv = np.array([_dv_num(k, direct, adjoint) / den for k in (1, 2, 3, 4)])
+    dR = _dR_num(direct, adjoint, params) / den
+    dP = _dP_num(direct, adjoint, params) / den
     fd_check = None
     if fd:
         analytic = list(dv) + [dR, dP]

@@ -121,6 +121,59 @@ def test_scaled_product_matches_plain_product():
         <= 1e-12 * np.abs(plain).max()
 
 
+def _plain_rows(factors, n):
+    """The product of (n, 2, 2) factors row by row, by plain 2x2 @."""
+    rows = []
+    for i in range(n):
+        plain = np.eye(2, dtype=complex)
+        for K, s in factors:
+            plain = plain @ (K[i] * math.exp(s[i]))
+        rows.append(plain)
+    return rows
+
+
+def test_scaled_product_of_a_stack_is_the_plain_product_row_by_row():
+    rng = np.random.default_rng(11)
+    n = 12
+    zero = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    zero[[2, 7]] = 0.0             # rows whose product is zero: m = 0
+    factors = [(rng.normal(size=(n, 2, 2)), rng.uniform(-3, 3, n)),
+               (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)),
+                rng.uniform(-3, 3, n)),
+               (zero, rng.uniform(-3, 3, n)),
+               (rng.normal(size=(n, 2, 2)), rng.uniform(-3, 3, n))]
+    mantissa, log_scale = scaled_product(factors)
+    assert mantissa.shape == (n, 2, 2) and log_scale.shape == (n,)
+    assert np.isfinite(log_scale).all()
+    for i, plain in enumerate(_plain_rows(factors, n)):
+        got = mantissa[i] * math.exp(log_scale[i])
+        assert np.abs(got - plain).max() <= 1e-14 * np.abs(plain).max()
+    largest = np.abs(mantissa).max(axis=(1, 2))
+    assert (largest[[2, 7]] == 0.0).all()
+    # numpy's complex-by-real division is not correctly rounded, so the
+    # largest entry has modulus 1 to within an ulp, not exactly
+    others = np.delete(largest, [2, 7])
+    assert np.abs(others - 1.0).max() <= np.finfo(float).eps
+
+
+def test_scaled_product_of_one_matrix_is_one_row_of_the_stack():
+    rng = np.random.default_rng(12)
+    n = 8
+    factors = [(rng.normal(size=(n, 2, 2)), rng.uniform(-3, 3, n))
+               for _ in range(4)]
+    mantissa, log_scale = scaled_product(factors)
+    for i, plain in enumerate(_plain_rows(factors, n)):
+        got = mantissa[i] * math.exp(log_scale[i])
+        assert np.abs(got - plain).max() <= 1e-14 * np.abs(plain).max()
+    assert (mantissa.imag == 0.0).all()
+    assert np.abs(np.abs(mantissa).max(axis=(1, 2)) - 1.0).max() \
+        <= np.finfo(float).eps
+    # one 2x2 matrix in, one 2x2 mantissa and a scalar log_scale out
+    one, scale = scaled_product([(K[0], s[0]) for K, s in factors])
+    assert one.shape == (2, 2) and np.ndim(scale) == 0
+    assert np.array_equal(one, mantissa[0]) and scale == log_scale[0]
+
+
 def test_det_identity_factor_vs_closed_form(cs):
     rng = np.random.default_rng(5)
     for _ in range(40):

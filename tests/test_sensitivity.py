@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from movingbed import eigfun
 from movingbed.eigfun import adjoint_eigenfunction, eigenfunction
 from movingbed.errors import MovingBedError, ZeroDenominator
 from movingbed.params import ModelParams, limit_params
@@ -139,6 +140,27 @@ def test_full_report_is_the_per_name_central_difference(cs, wide_box):
         up = dominant_eigenvalue(replace(cs, **{name: theta + h}))
         down = dominant_eigenvalue(replace(cs, **{name: theta - h}))
         assert central_difference(cs, name) == (up - down) / (2.0 * h)
+
+
+def test_full_report_pairs_the_modes_once(cs, monkeypatch):
+    # one checked_pairing: <u, u*> and the two norms that gate it
+    real = eigfun.inner_product
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(eigfun, "inner_product", counted)
+    rep = full_report(cs, fd=True)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    args = (rep.direct, rep.adjoint, cs)
+    for k in (1, 2, 3, 4):
+        got, ref = rep.dv[k - 1], dlambda_dv(k, *args)
+        assert (got.real, got.imag) == (ref.real, ref.imag)
+    for got, ref in ((rep.dR, dlambda_dR(*args)), (rep.dP, dlambda_dP(*args))):
+        assert (got.real, got.imag) == (ref.real, ref.imag)
 
 
 def test_full_report_allocation_stays_under_the_point_cap(cs):
