@@ -60,38 +60,6 @@ def _pair(z) -> list:
     return [z.real, z.imag]
 
 
-def _load_params(args) -> ModelParams:
-    if args.params is not None:
-        p = load_params(args.params)
-    else:
-        p = PRESETS[args.preset]()
-    if args.f0 is not None:
-        p = replace(p, f0=args.f0)
-    return p
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _manifest(args, out: Path, params: ModelParams, command: str,
-              tolerances: dict) -> None:
-    flags = {k: v for k, v in sorted(vars(args).items())
-             if k != "func" and v is not None}
-    _write_json(out / "manifest.json", {
-        "command": command,
-        "version": __version__,
-        "params": params_to_dict(params),
-        "params_path": args.params,
-        "output_dir": str(out),
-        "deterministic": True,
-        "tolerances": tolerances,
-        "flags": flags,
-    })
-
-
 def _profile_rows(samples):
     return [(_fmt(x), _fmt(c.real), _fmt(c.imag), _fmt(q.real),
              _fmt(q.imag), side)
@@ -118,12 +86,11 @@ def _sensitivity_json(rep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its artifacts into out and returns the
+# tolerances the manifest echoes
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args) -> int:
-    params = _load_params(args)
-    out = _outdir(args)
+def cmd_analyze(args, params: ModelParams, out: Path) -> dict:
     summary: dict = {"version": __version__}
     if params.limit_case:
         lam0 = 0.0
@@ -148,13 +115,10 @@ def cmd_analyze(args) -> int:
     _write_csv(out / "adjoint_profile.csv", _PROFILE_HEADER,
                _profile_rows(evaluate(adjoint, args.grid)))
     _write_json(out / "analyze_summary.json", summary)
-    _manifest(args, out, params, "analyze", {"tol": args.tol})
-    return 0
+    return {"tol": args.tol}
 
 
-def cmd_spectrum(args) -> int:
-    params = _load_params(args)
-    out = _outdir(args)
+def cmd_spectrum(args, params: ModelParams, out: Path) -> dict:
     lo, hi = args.range
     found = real_root_scan(params, (lo, hi), grid_n=args.grid, tol=args.tol,
                            with_brackets=True)
@@ -170,14 +134,10 @@ def cmd_spectrum(args) -> int:
         for z in collocation_spectrum(params, N=N):
             crows.append((z.real, z.imag, N))
     _write_csv(out / "collocation.csv", ["re", "im", "N"], crows)
-    _manifest(args, out, params, "spectrum",
-              {"tol": args.tol, "range": [lo, hi], "grid": args.grid})
-    return 0
+    return {"tol": args.tol, "range": [lo, hi], "grid": args.grid}
 
 
-def cmd_limit(args) -> int:
-    params = _load_params(args)
-    out = _outdir(args)
+def cmd_limit(args, params: ModelParams, out: Path) -> dict:
     table = limit_spectrum(params, k_max=args.grid)
     _write_csv(out / "limit_spectrum.csv",
                ["k", "re_plus", "im_plus", "re_minus", "im_minus"],
@@ -192,23 +152,17 @@ def cmd_limit(args) -> int:
         "k_star": imaginary_vanishing_k(params),
         "max_residual": float(limit_residual(checked, params).max()),
     })
-    _manifest(args, out, params, "limit", {"k_max": args.grid})
-    return 0
+    return {"k_max": args.grid}
 
 
-def cmd_sensitivity(args) -> int:
-    params = _load_params(args)
-    out = _outdir(args)
+def cmd_sensitivity(args, params: ModelParams, out: Path) -> dict:
     rep = full_report(params, tol=args.tol)
     _write_json(out / "sensitivity.json",
                 {"lambda0": rep.lam.real, **_sensitivity_json(rep)})
-    _manifest(args, out, params, "sensitivity", {"tol": args.tol})
-    return 0
+    return {"tol": args.tol}
 
 
-def cmd_steady(args) -> int:
-    params = _load_params(args)
-    out = _outdir(args)
+def cmd_steady(args, params: ModelParams, out: Path) -> dict:
     sol = steady_state(params)
     samples = evaluate(sol, args.grid)
     _write_csv(out / "steady_profile.csv", _PROFILE_HEADER,
@@ -221,13 +175,10 @@ def cmd_steady(args) -> int:
         "q_max": float(samples.q.real.max()),
         "residual": float(sol.residual),
     })
-    _manifest(args, out, params, "steady", {})
-    return 0
+    return {}
 
 
-def cmd_simulate(args) -> int:
-    params = _load_params(args)
-    out = _outdir(args)
+def cmd_simulate(args, params: ModelParams, out: Path) -> dict:
     config = simmod.SimConfig(Nx=args.Nx, p=args.p, T=args.T,
                               record_every=args.record_every,
                               strang=args.strang)
@@ -261,15 +212,11 @@ def cmd_simulate(args) -> int:
     except InsufficientSamples:
         summary["decay_rate"] = None
     _write_json(out / "simulate_summary.json", summary)
-    _manifest(args, out, params, "simulate",
-              {"Nx": args.Nx, "p": args.p, "T": args.T,
-               "record_every": args.record_every})
-    return 0
+    return {"Nx": args.Nx, "p": args.p, "T": args.T,
+            "record_every": args.record_every}
 
 
-def cmd_delta_scan(args) -> int:
-    params = _load_params(args)
-    out = _outdir(args)
+def cmd_delta_scan(args, params: ModelParams, out: Path) -> dict:
     lo, hi = args.range
     if args.grid < 1:
         raise ValidationError(f"need at least one scan point, got {args.grid}")
@@ -289,9 +236,7 @@ def cmd_delta_scan(args) -> int:
     _write_csv(out / "delta_scan.csv",
                ["lambda", "delta", "atan_delta", "sign", "log_abs_delta",
                 "trace_log", "det_log"], rows)
-    _manifest(args, out, params, "delta-scan",
-              {"range": [lo, hi], "grid": args.grid})
-    return 0
+    return {"range": [lo, hi], "grid": args.grid}
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: tmb_out)")
     common.add_argument("--f0", type=float, default=None,
                         help="override the feed strength")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="root-finding tolerance (default: 1e-10)")
+    # only the subcommands that locate roots read a tolerance
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-10,
+                     help="root-finding tolerance (default: 1e-10)")
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, tol],
                        help="eigenvalue, eigenfunctions, sensitivities")
     p.add_argument("--grid", type=int, default=101,
                    help="profile samples per zone")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[common, tol],
                        help="real-axis root scan + collocation spectrum")
     p.add_argument("--range", type=_range_arg, default=(-30.0, 0.0),
                    help="real-axis scan interval lo:hi (default -30:0)")
@@ -347,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=80, help="max branch index k")
     p.set_defaults(func=cmd_limit)
 
-    p = sub.add_parser("sensitivity", parents=[common],
+    p = sub.add_parser("sensitivity", parents=[common, tol],
                        help="adjoint-method parameter derivatives")
     p.set_defaults(func=cmd_sensitivity)
 
@@ -385,7 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        params = (PRESETS[args.preset]() if args.params is None
+                  else load_params(args.params))
+        if args.f0 is not None:
+            params = replace(params, f0=args.f0)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        tolerances = args.func(args, params, out)
+        _write_json(out / "manifest.json", {
+            "command": args.command,
+            "version": __version__,
+            "params": params_to_dict(params),
+            "params_path": args.params,
+            "output_dir": str(out),
+            "deterministic": True,
+            "tolerances": tolerances,
+            "flags": {k: v for k, v in sorted(vars(args).items())
+                      if k != "func" and v is not None},
+        })
+        return 0
     except json.JSONDecodeError as exc:
         print(f"error: malformed parameter file: {exc}", file=sys.stderr)
         return 2

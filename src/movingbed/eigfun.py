@@ -185,7 +185,12 @@ def eigenfunction(lam, params: ModelParams) -> EigenSolution:
 
 
 def adjoint_eigenfunction(lam, params: ModelParams) -> EigenSolution:
-    """Adjoint eigenfunction at a root of Delta, normalized to C_1^1 = 1."""
+    """Adjoint eigenfunction at a root of Delta, normalized to C_1^1 = 1.
+
+    The adjoint mode that pairs with the direct mode at lambda is the one
+    at conj(lambda); for a complex lambda the adjoint at lambda itself is
+    orthogonal to it.
+    """
     return _eigensolution(lam, params, -1)
 
 
@@ -305,7 +310,12 @@ def inner_product(a: EigenSolution, b: EigenSolution) -> complex:
 
 
 def checked_pairing(direct: EigenSolution, adjoint: EigenSolution) -> complex:
-    """<u, u*>, refused when it is negligible against the two norms."""
+    """<u, u*>, refused when it is negligible against the two norms.
+
+    u is the direct mode at lambda and u* the adjoint mode at
+    conj(lambda); the adjoint at a complex lambda itself pairs to zero
+    and is refused as NearZeroPairing.
+    """
     pairing = inner_product(direct, adjoint)
     scale = (abs(inner_product(direct, direct))
              * abs(inner_product(adjoint, adjoint))) ** 0.5
@@ -345,7 +355,8 @@ def projection_coefficient(direct: EigenSolution, adjoint: EigenSolution,
     """Leading-mode coefficient of an initial profile.
 
     With the adjoint rescaled so <u0, u0*> = 1, returns M1 = <initial, u0*>;
-    the long-time solution behaves like M1 exp(lambda0 t) u0.
+    the long-time solution behaves like M1 exp(lambda0 t) u0.  For a
+    complex mode at lambda, pass the adjoint at conj(lambda).
     """
     return (_samples_inner_adjoint(initial, adjoint)
             / checked_pairing(direct, adjoint))

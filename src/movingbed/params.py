@@ -213,16 +213,41 @@ def params_to_dict(params: ModelParams) -> dict:
     return out
 
 
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{name!r} must be a number, got {value!r}") from None
+
+
 def params_from_dict(data: dict) -> ModelParams:
+    """Parameters from a dict of the form ``params_to_dict`` writes; a
+    missing or ill-typed field raises ValidationError naming it."""
+    if not isinstance(data, dict):
+        raise ValidationError(
+            f"parameters must be an object, got {type(data).__name__}")
+    for name in ("v", "R", "P"):
+        if name not in data:
+            raise ValidationError(f"missing parameter {name!r}")
     v = data["v"]
-    if len(v) != 4:
-        raise NonPositiveParameter(f"'v' must hold 4 velocities, got {len(v)}")
-    phys = None
-    if data.get("physical") is not None:
-        phys = PhysicalParams(**data["physical"])
-    return ModelParams(float(v[0]), float(v[1]), float(v[2]), float(v[3]),
-                       R=float(data["R"]), P=float(data["P"]),
-                       f0=float(data.get("f0", 0.0)), physical=phys)
+    if not isinstance(v, (list, tuple)) or len(v) != 4:
+        raise NonPositiveParameter(f"'v' must hold 4 velocities, got {v!r}")
+    phys = data.get("physical")
+    if phys is not None:
+        if not isinstance(phys, dict):
+            raise ValidationError(f"'physical' must be an object, got {phys!r}")
+        for name, value in phys.items():
+            if not isinstance(value, (int, float)):
+                raise ValidationError(
+                    f"'physical.{name}' must be a number, got {value!r}")
+        try:
+            phys = PhysicalParams(**phys)
+        except TypeError as exc:         # a missing or unknown field
+            raise ValidationError(f"'physical': {exc}") from None
+    return ModelParams(*(_number(f"v{i}", x) for i, x in enumerate(v, 1)),
+                       R=_number("R", data["R"]), P=_number("P", data["P"]),
+                       f0=_number("f0", data.get("f0", 0.0)), physical=phys)
 
 
 def load_params(path) -> ModelParams:

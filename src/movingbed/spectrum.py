@@ -57,10 +57,7 @@ _MAX_POINTS = 650
 def _delta_signs(lams, sets: list, owner) -> np.ndarray:
     """Signs of Delta at the real points lams, each under the set
     sets[owner[j]], in return_map calls of at most _MAX_POINTS points."""
-    lams = np.asarray(lams, dtype=float)
-    if lams.size <= _MAX_POINTS:
-        return return_map(lams, sets, owner).delta_sign
-    owner = np.asarray(owner)
+    lams, owner = np.asarray(lams, dtype=float), np.asarray(owner)
     # equal calls: 2600 points make four of 650, 2000 four of 500
     size = -(-lams.size // -(-lams.size // _MAX_POINTS))
     return np.concatenate([
@@ -79,18 +76,19 @@ def _sign_cells(xs, signs) -> list:
 
 # Bisection levels evaluated per return_map call: 2**5 - 1 = 31 midpoints.
 _TREE_DEPTH = 5
-# Bisection steps after which a cell's midpoint is returned regardless.
-_MAX_STEPS = 300
+# Rounds after which a cell's midpoint is returned regardless: every open
+# cell takes _TREE_DEPTH steps a round, so this caps bisection at 300 steps.
+_MAX_ROUNDS = 60
 
 
-def _midpoint_tree(a: float, b: float, tol: float, levels: int) -> dict:
-    """Node -> midpoint of the next ``levels`` bisection levels below
+def _midpoint_tree(a: float, b: float, tol: float) -> dict:
+    """Node -> midpoint of the next _TREE_DEPTH bisection levels below
     (a, b).  Node k bisects its cell into node 2k+1 (left half) and node
     2k+2 (right half).  A cell narrower than tol, or with no double
     between its ends, is not split, so the midpoints are exactly those
     scalar bisection could visit."""
     cells, mids = {0: (a, b)}, {}
-    for k in range(2 ** levels - 1):
+    for k in range(2 ** _TREE_DEPTH - 1):
         if k not in cells:
             continue
         lo, hi = cells[k]
@@ -111,19 +109,17 @@ def _bisect(cells: list, sets: list, owner: list, tols: list) -> list:
     _TREE_DEPTH levels) in one ``_delta_signs``; each cell then walks
     down its tree as scalar bisection would, so the roots are those of
     scalar bisection on the same signs.  A cell whose ends are adjacent
-    doubles stops there: scalar bisection would step in place until
-    _MAX_STEPS and return the same midpoint.
+    doubles stops there: scalar bisection would step in place to its
+    300-step cap and return the same midpoint.
     """
     roots = [None] * len(cells)
-    # cell index -> (a, b, sign at a, bisection steps taken)
-    open_ = {i: (a, b, s, 0) for i, (a, b, s) in enumerate(cells)}
-    while open_:
+    open_ = dict(enumerate(cells))      # cell index -> (a, b, sign at a)
+    for _ in range(_MAX_ROUNDS):
         trees = {}
-        for i, (a, b, _, steps) in list(open_.items()):
-            trees[i] = _midpoint_tree(a, b, tols[i],
-                                      min(_TREE_DEPTH, _MAX_STEPS - steps))
+        for i, (a, b, _) in list(open_.items()):
+            trees[i] = _midpoint_tree(a, b, tols[i])
             if not trees[i]:
-                # narrower than tol, at adjacent doubles, or out of steps
+                # narrower than tol or at adjacent doubles
                 roots[i] = 0.5 * (a + b)
                 del open_[i], trees[i]
         if not trees:
@@ -132,11 +128,10 @@ def _bisect(cells: list, sets: list, owner: list, tols: list) -> list:
             [mid for mids in trees.values() for mid in mids.values()],
             sets, [owner[i] for i, mids in trees.items() for _ in mids]))
         for i, mids in trees.items():
-            a, b, s, steps = open_[i]
+            a, b, s = open_[i]
             tree_signs = dict(zip(mids, signs))
             k = 0
             while k in mids:
-                steps += 1
                 if tree_signs[k] == 0:
                     roots[i] = mids[k]
                     del open_[i]
@@ -146,7 +141,9 @@ def _bisect(cells: list, sets: list, owner: list, tols: list) -> list:
                 else:
                     b, k = mids[k], 2 * k + 1
             else:
-                open_[i] = (a, b, s, steps)
+                open_[i] = (a, b, s)
+    for i, (a, b, _) in open_.items():      # out of rounds
+        roots[i] = 0.5 * (a + b)
     return roots
 
 

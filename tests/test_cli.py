@@ -243,6 +243,31 @@ def test_exit_code_malformed_params(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, field", [
+    ('{"v": [1.53, 1.12, 1.43, 1.02], "P": 1.03}', "'R'"),
+    ('[1.53, 1.12, 1.43, 1.02]', "object"),
+    ('{"v": 5, "R": 18.0, "P": 1.03}', "'v'"),
+    ('{"v": [1.53, 1.12, 1.43, 1.02], "R": "abc", "P": 1.03}', "'R'"),
+    ('{"v": [1.53, 1.12, 1.43, 1.02], "R": 18.0, "P": 1.03, '
+     '"physical": {"epsilon": 0.67, "H": 2.14}}', "'k'")],
+    ids=["no-R", "list", "scalar-v", "string-R", "partial-physical"])
+def test_params_file_of_the_wrong_shape_exits_2(tmp_path, capsys, body,
+                                                 field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    assert main(["steady", "--params", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["steady", "limit", "simulate",
+                                     "delta-scan"])
+def test_tol_is_an_option_only_where_it_is_read(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tol", "1e-8", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
 def test_exit_code_missing_params_file(tmp_path):
     assert main(["analyze", "--params", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 4

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from movingbed.eigfun import (EigenSolution, ProfileSamples,
-                              adjoint_eigenfunction, eigenfunction, evaluate,
-                              inner_product, projection_coefficient,
-                              steady_state)
+                              adjoint_eigenfunction, checked_pairing,
+                              eigenfunction, evaluate, inner_product,
+                              projection_coefficient, steady_state)
 from movingbed.errors import (NearZeroPairing, NotAnEigenvalue,
                               SingularSystem, ValidationError)
 from movingbed.params import ModelParams, case_study
 from movingbed.spectrum import (bracket_bound, dominant_eigenvalue,
-                                real_root_scan)
+                                limit_point, real_root_scan)
 
 # Regression values for the dominant mode of the reference case, frozen
 # from a validated run (direct solve + SVD agree, residuals < 1e-7, and
@@ -165,6 +165,21 @@ def test_projection_near_zero_pairing(cs, lam0, direct):
     other = adjoint_eigenfunction(deep, cs)
     with pytest.raises(NearZeroPairing):
         projection_coefficient(direct, other, evaluate(direct))
+
+
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
+def test_complex_mode_pairs_with_the_adjoint_at_the_conjugate(lp, k):
+    # the adjoint at conj(lambda) pairs with the direct mode at lambda; the
+    # adjoint at a complex lambda itself is orthogonal to it
+    point = limit_point(lp, k)
+    for lam in (point.lambda_plus, point.lambda_minus):
+        direct = eigenfunction(lam, lp)
+        adjoint = adjoint_eigenfunction(lam.conjugate(), lp)
+        assert 600.0 < abs(checked_pairing(direct, adjoint)) < 3000.0
+        assert projection_coefficient(direct, adjoint, evaluate(direct)) \
+            == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(NearZeroPairing):
+            checked_pairing(direct, adjoint_eigenfunction(lam, lp))
 
 
 def test_steady_state_feed_one(cs):

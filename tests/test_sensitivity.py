@@ -6,8 +6,9 @@ import pytest
 
 from movingbed import eigfun
 from movingbed.eigfun import adjoint_eigenfunction, eigenfunction
-from movingbed.errors import MovingBedError, ZeroDenominator
-from movingbed.params import ModelParams, limit_params
+from movingbed.errors import (MovingBedError, ValidationError,
+                              ZeroDenominator)
+from movingbed.params import ModelParams, case_study, limit_params
 from movingbed.sensitivity import (SensitivityReport, central_difference,
                                    dlambda_dP, dlambda_dR, dlambda_dv,
                                    exp_integral, full_report, inner_product)
@@ -92,6 +93,9 @@ def test_derivatives_regression(pair, cs):
     for name, want in _TRUE.items():
         assert got[name].real == pytest.approx(want, abs=2e-9), name
         assert abs(got[name].imag) <= 1e-9, name
+    for k in (0, 5):
+        with pytest.raises(ValidationError):
+            dlambda_dv(k, direct, adjoint, cs)
 
 
 def test_derivative_matches_runtime_fd(pair, cs):
@@ -226,6 +230,23 @@ def test_full_report_where_the_raw_rank_test_refused(cs, kw):
     # was decided on the unscaled port matrix
     rep = full_report(replace(cs, **kw), fd=True)
     assert rep.fd_check.max() <= 1e-4
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(1.275 * (1 + 3e-5), 1.275 * (1 - 3e-5), 1.275 * (1 + 3e-5),
+                1.275 * (1 - 3e-5), R=18.0, P=1.03),
+    replace(case_study(), R=5e-5),
+    replace(case_study(), P=5e-5)], ids=["near-limit", "R=5e-5", "P=5e-5"])
+def test_fd_steps_stay_inside_the_valid_sets(params):
+    # h = 1e-4 max(|theta|, 1) would step past a port neighbour or below
+    # zero here; it is cut to half the room, and the report solves
+    ref = full_report(params, fd=False)
+    rep = full_report(params, fd=True)
+    assert rep.lam == ref.lam
+    assert rep.dv.tolist() == ref.dv.tolist()
+    assert (rep.dR, rep.dP, rep.denominator) == (ref.dR, ref.dP,
+                                                 ref.denominator)
+    assert np.isfinite(rep.fd_check).all()
 
 
 def test_limit_case_closed_forms():

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ def test_bisection_below_the_double_spacing_stops_early(cs, monkeypatch):
     assert 3 <= len(calls) <= 12
     points = [x for call in calls for x in call]
     assert len(set(points)) == len(points)
+
+
+def test_bisection_stops_at_the_300_step_cap(cs, monkeypatch):
+    # a sign change at 1e-120 inside (-1, 1) and tol 1e-300: the cell stays
+    # wider than tol, so only the step cap stops it, at the midpoint of
+    # scalar bisection's 300th cell; one grid call and 60 rounds of five
+    sign = lambda x: np.sign(np.asarray(x) - 1e-120)  # noqa: E731
+    calls = []
+
+    def stub(lam, *sets):
+        calls.append(lam)
+        return SimpleNamespace(delta_sign=sign(lam))
+    monkeypatch.setattr(spectrum, "return_map", stub)
+    ref = bisect(sign, -1.0, 1.0, -1.0, 1e-300)
+    assert ref == 4.909093465297727e-91
+    assert real_root_scan(cs, (-1.0, 1.0), grid_n=2, tol=1e-300) == [ref]
+    assert len(calls) == 61
 
 
 # ---------------------------------------------------------------------------
