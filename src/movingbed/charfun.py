@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteDetected, ThresholdTooSmall, ValidationError
-from .params import PORTS, ModelParams
+from .params import PORTS, ModelParams, check_zone
 
 BRANCH_COMPLEX_PAIR = "complex-pair"
 BRANCH_REPEATED = "repeated"
@@ -79,7 +79,7 @@ def zone_eigen(lam, zone: int, params: ModelParams) -> ZoneEigen:
     for real lambda; non-real lambda with a non-degenerate discriminant is
     tagged complex-pair.
     """
-    v = params.v[zone - 1]
+    v = params.v[check_zone(zone) - 1]
     R = params.R
     lam = complex(lam)
     alpha, beta, a, disc = _exponents(lam, v, R, params.P)
@@ -107,7 +107,7 @@ def branch_boundaries(zone: int, params: ModelParams) -> tuple:
     Returns (lam1, lam2) with lam1 <= lam2 <= 0; the discriminant is
     negative (complex pair) strictly between them.
     """
-    v = params.v[zone - 1]
+    v = params.v[check_zone(zone) - 1]
     R, P = params.R, params.P
     lam1 = -R * (math.sqrt(v) + P) ** 2 / (v + 1.0)
     lam2 = -R * (math.sqrt(v) - P) ** 2 / (v + 1.0)
@@ -155,27 +155,21 @@ def _zone_factors(lams: np.ndarray, v, R, P) -> tuple:
     Call under np.errstate that ignores division by zero (b = 0 takes the
     series).
     """
-    _, _, a, b = _exponents(lams, v, R, P)
+    _, _, a, disc = _exponents(lams, v, R, P)
     # as in zone_eigen: an exactly zero imaginary part for real lambda
-    b.imag[:, lams.imag == 0.0] = 0.0
-    # from here on the same operations as on fresh arrays, but in place,
-    # so that a call over many lambdas holds few (4, n) arrays at once
-    np.sqrt(b, out=b)
-    b /= v                                  # b = sqrt(disc) / v
+    disc.imag[:, lams.imag == 0.0] = 0.0
+    b = np.sqrt(disc) / v
     shat, chat = _schat_chat(b)
-    s = a.real + b.real
-    del b
     if a.imag.any():
         phase = np.exp(1j * a.imag)
-        shat *= phase
-        chat *= phase
+        shat, chat = shat * phase, chat * phase
+    phi_shat = (lams + R - a) * shat
     K = np.empty(a.shape + (2, 2), dtype=complex)
-    np.multiply(R * P / v, shat, out=K[..., 0, 1])
-    np.multiply(-(R * P), shat, out=K[..., 1, 0])
-    phi_shat = np.multiply(lams + R - a, shat, out=shat)
-    np.subtract(chat, phi_shat, out=K[..., 0, 0])
-    np.add(chat, phi_shat, out=K[..., 1, 1])
-    return K, s, a
+    K[..., 0, 0] = chat - phi_shat
+    K[..., 0, 1] = R * P / v * shat
+    K[..., 1, 0] = -(R * P) * shat
+    K[..., 1, 1] = chat + phi_shat
+    return K, a.real + b.real, a
 
 
 # the injecting ports, whose factor D_k = diag(w_up/w_in, 1) is not I
@@ -221,6 +215,7 @@ def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
 
     The mantissa entries are O(1) for any lambda; s = Re(a_i) + Re(b_i).
     """
+    check_zone(zone)
     lams, _ = _lambdas(lam)
     v, R, P, _, _ = _constants(params, None, lams.size)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfun import zone_eigen
-from .errors import (DegenerateNullspace, NearZeroPairing, NotAnEigenvalue,
-                     SingularSystem, ValidationError)
-from .params import PORTS, ZONE_LEFT, ModelParams
+from .errors import (DegenerateNullspace, NearZeroPairing, NonFiniteDetected,
+                     NotAnEigenvalue, SingularSystem, ValidationError)
+from .params import PORTS, ZONE_LEFT, ModelParams, check_zone
 
 # Singular values of the column-scaled port matrix below RANK_RTOL * sigma_max
 # count as zero.  Over 800 mode solves in the whole box (v +-10%, R +-25%,
@@ -46,10 +46,14 @@ _MU_TAYLOR = 1e-8
 def _zone_tables(lam, params: ModelParams):
     nus = np.empty((4, 2), dtype=complex)
     phis = np.empty((4, 2), dtype=complex)
-    for i in range(4):
-        ze = zone_eigen(lam, i + 1, params)
-        nus[i] = (ze.nu1, ze.nu2)
-        phis[i] = (ze.phi1, ze.phi2)
+    try:
+        for i in range(4):
+            ze = zone_eigen(lam, i + 1, params)
+            nus[i] = (ze.nu1, ze.nu2)
+            phis[i] = (ze.phi1, ze.phi2)
+    except OverflowError:
+        raise NonFiniteDetected(
+            f"zone exponents overflow at lambda={lam}") from None
     return nus, phis
 
 
@@ -112,7 +116,7 @@ class EigenSolution:
     def zone_values(self, zone: int, x) -> tuple:
         """(c, q) of this solution on points x inside zone (1..4)."""
         x = np.asarray(x, dtype=float)
-        j = zone - 1
+        j = check_zone(zone) - 1
         ex = np.exp(self.sign * np.outer(x, self.nus[j]))
         cc = self.coeffs[2 * j:2 * j + 2]
         c = ex @ (cc * self.phis[j])
@@ -125,7 +129,7 @@ class EigenSolution:
         On the zone c = sum c_amp exp(rate x) and q likewise; the rates are
         +nu for the direct and steady solutions and -nu for the adjoint.
         """
-        j = zone - 1
+        j = check_zone(zone) - 1
         cc = self.coeffs[2 * j:2 * j + 2]
         nus = self.nus[j]
         return (cc * self.phis[j], cc * (self.params.R * self.params.P),
@@ -169,8 +173,14 @@ def _residual(M: np.ndarray, coeffs: np.ndarray, rhs=0.0) -> float:
 
 
 def _eigensolution(lam, params: ModelParams, sign: int) -> EigenSolution:
+    if not cmath.isfinite(lam):
+        raise ValidationError(f"lambda must be finite, got {lam}")
     nus, phis = _zone_tables(lam, params)
-    M = _assemble(nus, phis, params, sign)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _assemble(nus, phis, params, sign)
+    if not np.isfinite(M).all():
+        raise NonFiniteDetected(
+            f"port-condition matrix overflows at lambda={lam}")
     coeffs, tag = _solve_nullspace(M)
     return EigenSolution(lam=complex(lam),
                          kind="direct" if sign > 0 else "adjoint",
@@ -286,7 +296,7 @@ def zone_integral(amp_a, amp_b, rates_a, rates_b, zone: int) -> complex:
     b likewise; amplitudes and signed rates as ``EigenSolution.amplitudes``
     gives them, so the exponent of each pair is rate_a + conj(rate_b).
     """
-    lo = ZONE_LEFT[zone - 1]
+    lo = ZONE_LEFT[check_zone(zone) - 1]
     total = 0.0 + 0.0j
     for j in range(2):
         for l in range(2):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 from .errors import (
@@ -71,6 +72,14 @@ class PhysicalParams:
 
 # Left end of each zone; zone i occupies [ZONE_LEFT[i-1], ZONE_LEFT[i-1] + 1].
 ZONE_LEFT = (-2.0, -1.0, 0.0, 1.0)
+
+
+def check_zone(zone) -> int:
+    """zone, if it is a zone index 1..4; else ValidationError naming it
+    (indexing by zone - 1 would take zone 0 for zone 4, -1 for zone 3)."""
+    if not (isinstance(zone, numbers.Integral) and 1 <= zone <= 4):
+        raise ValidationError(f"zone must be one of 1..4, got {zone!r}")
+    return zone
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,12 @@ from .spectrum import dominant_eigenvalue
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid, step, horizon, feed, and recording cadence of one run."""
+    """Grid, step, horizon, feed, and recording cadence of one run.
+
+    Refuses, with ValidationError, Nx below 8, record_every below 1 and a
+    T that is negative or not finite; p is checked against the velocities
+    when a run starts.
+    """
 
     Nx: int = 400
     p: float | None = None        # Courant parameter; default 0.9/max(v,1)
@@ -47,6 +52,14 @@ class SimConfig:
     f0: float | None = None       # overrides params.f0 when set
     record_every: int = 50
     strang: bool = False          # symmetrized splitting (off: plain order)
+
+    def __post_init__(self):
+        if self.Nx < 8:
+            raise ValidationError(f"Nx={self.Nx} below the minimum of 8")
+        if self.record_every < 1:
+            raise ValidationError("record_every must be a positive integer")
+        if not 0.0 <= self.T < math.inf:
+            raise ValidationError(f"T={self.T} must be nonnegative and finite")
 
 
 @dataclass
@@ -263,6 +276,8 @@ def _stepper(state: SimState, params: ModelParams) -> _Stepper:
 
 def cell_centers(Nx: int) -> np.ndarray:
     """(4, Nx) array of cell-center coordinates, zone by zone."""
+    if Nx < 1:
+        raise ValidationError(f"Nx={Nx} must be at least 1")
     dx = 1.0 / Nx
     offs = (np.arange(1, Nx + 1) - 0.5) * dx
     return np.asarray(ZONE_LEFT, dtype=float)[:, None] + offs[None, :]
@@ -305,12 +320,6 @@ def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState
     f(zone, x_array) -> (c_values, q_values), or a pair of (4, Nx) arrays.
     """
     params = _effective_params(params, config)
-    if config.Nx < 8:
-        raise ValidationError(f"Nx={config.Nx} below the minimum of 8")
-    if config.record_every < 1:
-        raise ValidationError("record_every must be a positive integer")
-    if not 0.0 <= config.T < math.inf:
-        raise ValidationError(f"T={config.T} must be nonnegative and finite")
     p = _resolve_p(config, params)
     dx = 1.0 / config.Nx
     state = SimState(u=np.zeros((8, config.Nx + 2)), t=0.0, dt=p * dx, dx=dx)

@@ -54,10 +54,12 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
 _MAX_POINTS = 650
 
 
-def _delta_signs(lams, sets: list, owner) -> np.ndarray:
-    """Signs of Delta at the real points lams, each under the set
-    sets[owner[j]], in return_map calls of at most _MAX_POINTS points."""
-    lams, owner = np.asarray(lams, dtype=float), np.asarray(owner)
+def _delta_signs(rows, sets: list, owners) -> np.ndarray:
+    """Signs of Delta at the real points of rows, flat in row order: row r
+    under the set sets[owners[r]], in return_map calls of at most
+    _MAX_POINTS points."""
+    lams = np.concatenate(rows)
+    owner = np.repeat(owners, [len(row) for row in rows])
     # equal calls: 2600 points make four of 650, 2000 four of 500
     size = -(-lams.size // -(-lams.size // _MAX_POINTS))
     return np.concatenate([
@@ -124,9 +126,8 @@ def _bisect(cells: list, sets: list, owner: list, tols: list) -> list:
                 del open_[i], trees[i]
         if not trees:
             break
-        signs = iter(_delta_signs(
-            [mid for mids in trees.values() for mid in mids.values()],
-            sets, [owner[i] for i, mids in trees.items() for _ in mids]))
+        rows = [list(mids.values()) for mids in trees.values()]
+        signs = iter(_delta_signs(rows, sets, [owner[i] for i in trees]))
         for i, mids in trees.items():
             a, b, s = open_[i]
             tree_signs = dict(zip(mids, signs))
@@ -176,7 +177,7 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
         raise ValidationError(f"tol must be positive, got {tol}")
     # where an error names its set: nowhere for a single one
     at = [""] if single else [f" (set {i})" for i in range(len(sets))]
-    grids = []
+    M0 = []
     for i, p in enumerate(sets):
         try:
             bb = bracket_bound(p)  # rejects the equal-velocity case
@@ -185,10 +186,10 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
         if tol >= bb.M0:
             raise ValidationError(
                 f"tol={tol} exceeds bracket width M0={bb.M0}{at[i]}")
-        grids.append(-np.geomspace(tol, bb.M0, _GRID_N))
-    owner = list(range(len(sets)))
-    signs = _delta_signs(np.concatenate(grids), sets,
-                         np.repeat(owner, _GRID_N)).reshape(len(sets), -1)
+        M0.append(bb.M0)
+    owner = range(len(sets))
+    grids = -np.geomspace(tol, M0, _GRID_N, axis=1)
+    signs = _delta_signs(grids, sets, owner).reshape(len(sets), -1)
     cells = []
     for i, (grid, sg) in enumerate(zip(grids, signs)):
         found = _sign_cells(grid, sg)
@@ -199,15 +200,15 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
                 f"throughout{at[i]}")
         cells.append(found[0])
     # densify each cell tenfold; geomspace keeps the known ends exactly
-    dense = {i: -np.geomspace(-a, -b, _DENSE_N)
-             for i, (a, b, s) in enumerate(cells) if s != 0}
+    dense = [i for i, (_, _, s) in enumerate(cells) if s != 0]
     if dense:
-        inner = _delta_signs(
-            np.concatenate([d[1:-1] for d in dense.values()]), sets,
-            np.repeat(list(dense), _DENSE_N - 2)).reshape(len(dense), -1)
-        for (i, d), sg in zip(dense.items(), inner):
+        a, b = np.array([cells[i][:2] for i in dense]).T
+        grids = -np.geomspace(-a, -b, _DENSE_N, axis=1)
+        inner = _delta_signs(grids[:, 1:-1], sets,
+                             dense).reshape(len(dense), -1)
+        for i, grid, sg in zip(dense, grids, inner):
             s = cells[i][2]
-            cells[i] = _sign_cells(d, np.concatenate(([s], sg, [-s])))[0]
+            cells[i] = _sign_cells(grid, np.concatenate(([s], sg, [-s])))[0]
     roots = _bisect(cells, sets, owner, [tol] * len(sets))
     return roots[0] if single else roots
 
@@ -229,7 +230,7 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     if lo == hi:
         return []
     grid = np.linspace(lo, hi, grid_n)
-    cells = _sign_cells(grid, _delta_signs(grid, [params], [0] * grid_n))
+    cells = _sign_cells(grid, _delta_signs([grid], [params], [0]))
     roots = _bisect(cells, [params], [0] * len(cells),
                     [tol * max(1.0, abs(a)) for a, _, _ in cells])
     if with_brackets:

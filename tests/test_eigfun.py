@@ -1,14 +1,20 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from movingbed.charfun import (branch_boundaries, zone_eigen, zone_matrix,
+                               zone_matrix_scaled)
 from movingbed.eigfun import (EigenSolution, ProfileSamples,
                               adjoint_eigenfunction, checked_pairing,
                               eigenfunction, evaluate, inner_product,
-                              projection_coefficient, steady_state)
-from movingbed.errors import (NearZeroPairing, NotAnEigenvalue,
-                              SingularSystem, ValidationError)
+                              projection_coefficient, steady_state,
+                              zone_integral)
+from movingbed.errors import (NearZeroPairing, NonFiniteDetected,
+                              NotAnEigenvalue, SingularSystem,
+                              ValidationError)
 from movingbed.params import ModelParams, case_study
 from movingbed.spectrum import (bracket_bound, dominant_eigenvalue,
                                 limit_point, real_root_scan)
@@ -126,6 +132,37 @@ def test_adjoint_port_conditions():
 def test_not_an_eigenvalue(cs, lam0):
     with pytest.raises(NotAnEigenvalue):
         eigenfunction(lam0 + 0.1, cs)
+
+
+@pytest.mark.parametrize("solve", [eigenfunction, adjoint_eigenfunction])
+@pytest.mark.parametrize("lam, error", [
+    (math.nan, ValidationError), (math.inf, ValidationError),
+    (-math.inf, ValidationError), (complex(0.0, math.nan), ValidationError),
+    (-1e10, NonFiniteDetected), (1e300, NonFiniteDetected),
+    (-1e300, NonFiniteDetected), (1e160, NonFiniteDetected)])
+def test_mode_solves_refuse_a_lambda_they_cannot_take(cs, solve, lam, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on the way
+        with pytest.raises(error):
+            solve(lam, cs)
+
+
+@pytest.mark.parametrize("zone", [0, -1, 5])
+def test_zone_outside_1_to_4_is_refused(cs, direct, zone):
+    amps = direct.amplitudes(1)
+    calls = {
+        "zone_eigen": lambda: zone_eigen(-0.3, zone, cs),
+        "zone_matrix": lambda: zone_matrix(-0.3, zone, cs),
+        "zone_matrix_scaled": lambda: zone_matrix_scaled(-0.3, zone, cs),
+        "branch_boundaries": lambda: branch_boundaries(zone, cs),
+        "zone_values": lambda: direct.zone_values(zone, [0.5]),
+        "amplitudes": lambda: direct.amplitudes(zone),
+        "zone_integral": lambda: zone_integral(amps[0], amps[0], amps[2],
+                                               amps[2], zone),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValidationError, match=f"got {zone}"):
+            call()
 
 
 def test_evaluate_samples(direct):

@@ -168,7 +168,7 @@ def test_full_report_pairs_the_modes_once(cs, monkeypatch):
 
 
 def test_full_report_allocation_stays_under_the_point_cap(cs):
-    # reads 0.56 MB with 650 points per return_map call, 1.9 MB when the
+    # reads 0.66 MB with 650 points per return_map call, 1.9 MB when the
     # 2600 grid points of the 13 sets go through one call
     full_report(cs, fd=True)             # first-use buffers
     tracemalloc.start()

@@ -70,6 +70,21 @@ def test_init_validation(cs):
         init(SimConfig(Nx=16, T=1.0, p=0.0), cs)
 
 
+@pytest.mark.parametrize("bad", [{"record_every": 0}, {"T": math.inf},
+                                 {"T": math.nan}, {"T": -1.0}])
+def test_run_refuses_a_config_it_cannot_run(cs, bad):
+    st = init(SimConfig(Nx=16, T=1.0), cs)
+    with pytest.raises(ValidationError):
+        run(st, SimConfig(Nx=16, **bad), cs)
+
+
+def test_cell_centers_refuse_an_empty_grid(cs):
+    with pytest.raises(ValidationError):
+        cell_centers(0)
+    with pytest.raises(ValidationError):
+        sample_eigenfunction(cs, 0)
+
+
 def test_ghost_cells_feed(cs):
     st = init(SimConfig(Nx=16, T=1.0, f0=0.5), cs)
     p = replace(cs, f0=0.5)
