@@ -19,6 +19,10 @@ lose all relative accuracy whenever |det| << ||C||^2).
 
 The return map is evaluated over a 1-D array of lambda (real or complex)
 in one numpy pass; a scalar lambda is the one-point case of the same code.
+On the real axis F_i, M_i, C and Delta are real, and a call whose lambdas
+are all real runs in float64 throughout (the real form of the hyperbolic
+pair takes cosh/sinh or cos/sin by the sign of the discriminant); one
+non-real lambda makes the call complex.
 The loop product is entrywise arithmetic on the four entry arrays of the
 2x2 factors, with no matmul, so Delta does not depend on the BLAS kernel.
 """
@@ -62,14 +66,15 @@ class ZoneEigen:
 
 
 def _exponents(lam, v, R: float, P: float) -> tuple:
-    """(alpha, beta, a, disc) of a zone with velocity v at lambda.
+    """(alpha, beta, disc) of a zone with velocity v at lambda.
 
-    b = sqrt(disc)/v.  Plain arithmetic, so lam and v may be scalars or
-    numpy arrays that broadcast (lambdas by row, velocities by column).
+    a = alpha/v and b = sqrt(disc)/v.  Plain arithmetic, so lam and v may
+    be scalars or numpy arrays that broadcast (lambdas by row, velocities
+    by column).
     """
     alpha = ((v - 1.0) * lam + (v - P * P) * R) / 2.0
     beta = lam * lam + lam * R * (1.0 + P * P)
-    return alpha, beta, alpha / v, alpha * alpha + v * beta
+    return alpha, beta, alpha * alpha + v * beta
 
 
 def zone_eigen(lam, zone: int, params: ModelParams) -> ZoneEigen:
@@ -82,7 +87,8 @@ def zone_eigen(lam, zone: int, params: ModelParams) -> ZoneEigen:
     v = params.v[check_zone(zone) - 1]
     R = params.R
     lam = complex(lam)
-    alpha, beta, a, disc = _exponents(lam, v, R, params.P)
+    alpha, beta, disc = _exponents(lam, v, R, params.P)
+    a = alpha / v
     scale = max(abs(alpha) ** 2, abs(v * beta), 1.0)
     if abs(disc) <= _REPEATED_RTOL * scale:
         branch = BRANCH_REPEATED
@@ -115,61 +121,88 @@ def branch_boundaries(zone: int, params: ModelParams) -> tuple:
 
 
 def _lambdas(lam) -> tuple:
-    """(1-D complex array, was lam a scalar); refuses what Delta cannot
-    take."""
+    """(1-D array, was lam a scalar); refuses what Delta cannot take.
+
+    The array is float64 when every lambda is real (a zero imaginary part
+    counts as real), else complex.
+    """
     arr = np.asarray(lam)
     lams = np.atleast_1d(arr).astype(complex)
     if lams.ndim != 1 or lams.size == 0 or not np.isfinite(lams).all():
         raise ValidationError(
             f"lambda must be a finite scalar or a non-empty finite 1-D "
             f"array, got shape {arr.shape}")
+    if not lams.imag.any():
+        lams = lams.real.copy()
     return lams, arr.ndim == 0
 
 
-def _schat_chat(b: np.ndarray) -> tuple:
-    """Scaled hyperbolics: (sinh(b)/b * e^{-Re b}, cosh(b) * e^{-Re b}).
+def _schat_chat(disc, v) -> tuple:
+    """Scaled hyperbolics of b = sqrt(disc)/v, the principal root:
+    (sinh(b)/b * e^{-Re b}, cosh(b) * e^{-Re b}, Re b).
 
-    Both stay O(1) for any b with Re(b) >= 0.  Written via e^{i Im b} and
-    e^{-2 Re b - i Im b} so that purely real or purely imaginary b yields
-    exactly real results in floating point.  Call under np.errstate that
+    Both stay O(1) for any b with Re(b) >= 0.  A complex disc goes via
+    e^{i Im b} and e^{-2 Re b - i Im b}, so that purely real or purely
+    imaginary b yields exactly real results in floating point.  A real
+    disc gives b = r (disc >= 0) or b = i r (disc < 0) with
+    r = sqrt(|disc|)/v, and the pair is computed in float64 as
+    ((1 - e^{-2r})/(2r), (1 + e^{-2r})/2) or (sin(r)/r, cos(r)).  Each
+    x * (1.0 / y) there rounds as numpy's complex x / y does, so the two
+    forms agree up to the rounding of exp.  Call under np.errstate that
     ignores division by zero: b = 0 takes the series.
     """
-    osc = np.exp(1j * b.imag)
-    damp = np.exp(-2.0 * b.real - 1j * b.imag)
-    chat = 0.5 * (osc + damp)
-    shat = 0.5 * (osc - damp) / b
-    small = np.abs(b) < _SMALL_B
+    if np.iscomplexobj(disc):
+        b = np.sqrt(disc) / v
+        osc = np.exp(1j * b.imag)
+        damp = np.exp(-2.0 * b.real - 1j * b.imag)
+        chat = 0.5 * (osc + damp)
+        shat = 0.5 * (osc - damp) / b
+        size, re_b = np.abs(b), b.real
+    else:
+        r = np.sqrt(np.abs(disc)) * (1.0 / v)
+        oscillating = disc < 0.0
+        damp = np.exp(-2.0 * r)
+        chat = 0.5 * (1.0 + damp)
+        shat = 0.5 * (1.0 - damp)
+        np.cos(r, out=chat, where=oscillating)
+        np.sin(r, out=shat, where=oscillating)
+        shat *= 1.0 / r
+        size, re_b = r, np.where(oscillating, 0.0, r)
+    small = size < _SMALL_B
     if small.any():
-        b2 = b * b
-        shat = np.where(small, (1.0 + b2 / 6.0 + b2 * b2 / 120.0)
-                        * np.exp(-b.real), shat)
-    return shat, chat
+        # b^2 is r^2 with the sign of disc on the real axis
+        b2 = b * b if np.iscomplexobj(disc) else np.copysign(r * r, disc)
+        shat = np.where(small, (1.0 + b2 * (1.0 / 6.0)
+                                + b2 * b2 * (1.0 / 120.0))
+                        * np.exp(-re_b), shat)
+    return shat, chat, re_b
 
 
 def _zone_factors(lams: np.ndarray, v, R, P) -> tuple:
     """Zone matrices of zones 1..4 over a lambda array: (K, s, a) with
-    M_i = e^{s_i} K_i.
+    M_i = e^{s_i} K_i, all in the dtype of lams.
 
     v, R and P come from ``_constants``.  K is (4, n, 2, 2) with O(1)
     entries; s = Re(a_i) + Re(b_i) and the half-traces a = a_i are (4, n).
     Call under np.errstate that ignores division by zero (b = 0 takes the
     series).
     """
-    _, _, a, disc = _exponents(lams, v, R, P)
-    # as in zone_eigen: an exactly zero imaginary part for real lambda
-    disc.imag[:, lams.imag == 0.0] = 0.0
-    b = np.sqrt(disc) / v
-    shat, chat = _schat_chat(b)
-    if a.imag.any():
+    alpha, _, disc = _exponents(lams, v, R, P)
+    a = alpha * (1.0 / v)   # rounds as numpy's complex alpha / v does
+    if np.iscomplexobj(lams):
+        # as in zone_eigen: an exactly zero imaginary part for real lambda
+        disc.imag[:, lams.imag == 0.0] = 0.0
+    shat, chat, re_b = _schat_chat(disc, v)
+    if np.iscomplexobj(a) and a.imag.any():
         phase = np.exp(1j * a.imag)
         shat, chat = shat * phase, chat * phase
     phi_shat = (lams + R - a) * shat
-    K = np.empty(a.shape + (2, 2), dtype=complex)
+    K = np.empty(a.shape + (2, 2), dtype=lams.dtype)
     K[..., 0, 0] = chat - phi_shat
     K[..., 0, 1] = R * P / v * shat
     K[..., 1, 0] = -(R * P) * shat
     K[..., 1, 1] = chat + phi_shat
-    return K, a.real + b.real, a
+    return K, a.real + re_b, a
 
 
 # the injecting ports, whose factor D_k = diag(w_up/w_in, 1) is not I
@@ -214,6 +247,7 @@ def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
     """Zone matrix as (mantissa K, log_scale s) with M_i = e^{s} K.
 
     The mantissa entries are O(1) for any lambda; s = Re(a_i) + Re(b_i).
+    K is real for real lambda, complex otherwise.
     """
     check_zone(zone)
     lams, _ = _lambdas(lam)
@@ -231,10 +265,7 @@ def zone_matrix(lam, zone: int, params: ModelParams) -> np.ndarray:
     """
     K, s = zone_matrix_scaled(lam, zone, params)
     with np.errstate(over="ignore"):
-        M = K * np.exp(np.float64(s))
-    if complex(lam).imag == 0.0:
-        return M.real
-    return M
+        return K * np.exp(np.float64(s))
 
 
 def scaled_product(factors) -> tuple:
@@ -243,24 +274,24 @@ def scaled_product(factors) -> tuple:
 
     Matrices are 2x2 or stacks (n, 2, 2) with log_scales of shape (n,).
     Returns (mantissa, log_scale) with each mantissa's largest entry of
-    modulus 1.  The running product is carried as the four entry arrays
-    p00, p01, p10, p11 (the rows of one array) and each factor is applied
-    entrywise: a stack of 2x2 products through matmul would cost one BLAS
-    call per matrix.
+    modulus 1, in the dtype of the factors.  The running product is
+    carried as the four entry arrays p00, p01, p10, p11 (the rows of one
+    array) and each factor is applied entrywise: a stack of 2x2 products
+    through matmul would cost one BLAS call per matrix.
     """
     p = None
     scale = 0.0
     for K, s in factors:
         k00, k01, k10, k11 = (K[..., i, j] for i in (0, 1) for j in (0, 1))
         if p is None:                       # I @ K is K
-            p = np.array((k00, k01, k10, k11), dtype=complex)
+            p = np.array((k00, k01, k10, k11), dtype=np.result_type(K, 1.0))
         else:
             p00, p01, p10, p11 = p
             p = np.array((p00 * k00 + p01 * k10, p00 * k01 + p01 * k11,
                           p10 * k00 + p11 * k10, p10 * k01 + p11 * k11))
         m = np.abs(p).max(axis=0)
         m = np.where(m > 0.0, m, 1.0)
-        p /= m
+        p *= 1.0 / m                        # rounds as p / m would
         scale = scale + s + np.log(m)
     prod = np.ascontiguousarray(np.moveaxis(p, 0, -1))
     return prod.reshape(m.shape + (2, 2)), scale
@@ -271,16 +302,17 @@ class ReturnMapEval:
     """The loop return map C(lambda) in scaled form, with Delta(lambda).
 
     C = exp(log_scale) * mantissa.  det_log is the factor-accumulated
-    complex logarithm of det C (exact Liouville dets per factor).  For an
-    array of n lambdas the fields are arrays: lam, log_scale and det_log
-    of shape (n,), the mantissa (n, 2, 2); every property is then an
-    array over the same n.
+    logarithm of det C (exact Liouville dets per factor).  For an array of
+    n lambdas the fields are arrays: lam, log_scale and det_log of shape
+    (n,), the mantissa (n, 2, 2); every property is then an array over
+    the same n.  When every lambda is real, lam, mantissa, det_log and
+    Delta are real (float64); otherwise they are complex.
     """
 
-    lam: complex
+    lam: float | complex
     mantissa: np.ndarray
     log_scale: float
-    det_log: complex
+    det_log: float | complex
 
     @property
     def C(self) -> np.ndarray:
@@ -300,7 +332,7 @@ class ReturnMapEval:
 
     @property
     def det_log_numeric(self) -> complex:
-        """log det C from the multiplied-out mantissa.
+        """log det C from the multiplied-out mantissa, as a complex log.
 
         Only meaningful while |det| is not negligible against ||C||^2
         (e.g. when all zones sit on the complex-pair branch); det_log is
@@ -309,7 +341,7 @@ class ReturnMapEval:
         m = self.mantissa
         d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(d) + 2.0 * self.log_scale
+            return np.log(d.astype(complex)) + 2.0 * self.log_scale
 
     @cached_property
     def _delta_parts(self) -> tuple:
@@ -324,14 +356,16 @@ class ReturnMapEval:
         with np.errstate(divide="ignore"):
             trace_s = self.log_scale + np.log(np.abs(t))
         lmax = np.maximum(np.maximum(trace_s, det_s), 0.0)
-        z = (t * np.exp(self.log_scale - lmax)
-             - np.exp((det_s - lmax) + 1j * self.det_log.imag)
-             - np.exp(-lmax))
+        det = det_s - lmax
+        if np.iscomplexobj(self.det_log):
+            det = det + 1j * self.det_log.imag
+        z = t * np.exp(self.log_scale - lmax) - np.exp(det) - np.exp(-lmax)
         return z, lmax
 
     @property
     def delta(self) -> complex:
-        """Plain Delta(lambda) = trace - det - 1; may overflow to inf."""
+        """Plain Delta(lambda) = trace - det - 1, real for real lambda;
+        may overflow to inf."""
         z, lmax = self._delta_parts
         with np.errstate(over="ignore"):
             return z * np.exp(lmax)
@@ -347,7 +381,7 @@ class ReturnMapEval:
     def delta_sign(self):
         """Sign of Delta (-1, 0 or 1) for real lambda; None if lambda is
         non-real (for an array: if any entry is)."""
-        if np.any(np.imag(self.lam) != 0.0):
+        if np.iscomplexobj(self.lam):
             return None
         z, _ = self._delta_parts
         signs = np.sign(z.real).astype(np.int8)
@@ -360,7 +394,10 @@ def return_map(lam, params, owner=None) -> ReturnMapEval:
     D_k = diag(v_up/v_in, 1) carries the liquid flux across the injecting
     port at the inlet of zone k; a withdrawing port's factor is I.  lam is
     a scalar or a 1-D array; the array is evaluated in one pass and the
-    fields of the result are arrays over it.  params is one ModelParams,
+    fields of the result are arrays over it.  A call whose lambdas are
+    all real (checked on the values, so x + 0j counts) is evaluated in
+    float64 and its fields are real; any non-real lambda makes the whole
+    call complex.  params is one ModelParams,
     or a sequence of them with owner an integer array giving the index of
     each lambda's set; each lambda then gets the Delta of its own set, bit
     for bit.  Non-finite or empty lam, or an owner that does not fit,
@@ -385,15 +422,16 @@ def return_map(lam, params, owner=None) -> ReturnMapEval:
             f"Delta overflows its scaled form at |lambda| up to "
             f"{np.abs(lams).max():.3g}")
     if scalar:
-        return ReturnMapEval(lam=complex(lams[0]), mantissa=mantissa[0],
+        return ReturnMapEval(lam=lams[0].item(), mantissa=mantissa[0],
                              log_scale=float(scale[0]),
-                             det_log=complex(det_log[0]))
+                             det_log=det_log[0].item())
     return ReturnMapEval(lam=lams, mantissa=mantissa, log_scale=scale,
                          det_log=det_log)
 
 
 def delta(lam, params: ModelParams) -> complex:
-    """Delta(lambda) = trace C - det C - 1 (plain complex value)."""
+    """Delta(lambda) = trace C - det C - 1 (plain value, real for real
+    lambda)."""
     return return_map(lam, params).delta
 
 

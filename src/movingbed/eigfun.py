@@ -37,6 +37,12 @@ from .params import PORTS, ZONE_LEFT, ModelParams, check_zone
 # sigma_7/sigma_1 >= 1.3e-4: over three decades of margin each side.
 RANK_RTOL = 1e-8
 
+# A mode whose relative residual (``_residual``) exceeds this is refused.
+# The solves of the test suite reach 8.4e-12, those at lambda0 of 700
+# perfbench draws (sweep and wide box) 3.5e-12; a null vector of a port
+# matrix that spans more than the double range can read 1.
+RESIDUAL_BOUND = 1e-8
+
 # Exponent below this is treated as exactly zero (the "difference of the
 # nu's is zero" case); the Taylor band above it avoids cancellation.
 _MU_ZERO = 1e-12
@@ -137,9 +143,20 @@ class EigenSolution:
 
 
 def _scaled_svd(M: np.ndarray) -> tuple:
-    """(singular values, Vh, column norms) of M scaled to unit columns."""
-    scale = np.linalg.norm(M, axis=0)
-    return (*np.linalg.svd(M / scale)[1:], scale)
+    """(singular values, Vh, column norms) of M scaled to unit columns.
+
+    Each column is first multiplied by the power of two that brings its
+    largest entry into [0.5, 1): an exact step, so the norms cannot
+    overflow and the unit columns are the bits M / norm gives wherever
+    that norm is finite.  A norm beyond the double range is returned as
+    inf.
+    """
+    pow2 = np.ldexp(1.0, -np.frexp(np.abs(M).max(axis=0))[1])
+    M2 = M * pow2
+    norms = np.linalg.norm(M2, axis=0)
+    with np.errstate(over="ignore"):
+        scale = norms / pow2
+    return (*np.linalg.svd(M2 / norms)[1:], scale)
 
 
 def _solve_nullspace(M: np.ndarray) -> tuple:
@@ -167,9 +184,13 @@ def _solve_nullspace(M: np.ndarray) -> tuple:
 
 def _residual(M: np.ndarray, coeffs: np.ndarray, rhs=0.0) -> float:
     """Largest port-condition violation relative to the largest row of
-    |M| |C|, the size its terms cancel from; 0 for C = 0."""
+    |M| |C|, the size its terms cancel from; 0 for C = 0, nan where
+    either is not finite."""
     size = float(np.max(np.abs(M) @ np.abs(coeffs)))
-    return float(np.max(np.abs(M @ coeffs - rhs))) / size if size else 0.0
+    error = float(np.max(np.abs(M @ coeffs - rhs)))
+    if not (math.isfinite(size) and math.isfinite(error)):
+        return math.nan
+    return error / size if size else 0.0
 
 
 def _eigensolution(lam, params: ModelParams, sign: int) -> EigenSolution:
@@ -182,10 +203,17 @@ def _eigensolution(lam, params: ModelParams, sign: int) -> EigenSolution:
         raise NonFiniteDetected(
             f"port-condition matrix overflows at lambda={lam}")
     coeffs, tag = _solve_nullspace(M)
+    residual = _residual(M, coeffs)
+    if not (np.isfinite(coeffs).all() and math.isfinite(residual)):
+        raise NonFiniteDetected(
+            f"mode coefficients or residual not finite at lambda={lam}")
+    if residual > RESIDUAL_BOUND:
+        raise NotAnEigenvalue(
+            f"mode residual {residual:.3e} above {RESIDUAL_BOUND:.0e} at "
+            f"lambda={lam}")
     return EigenSolution(lam=complex(lam),
                          kind="direct" if sign > 0 else "adjoint",
-                         coeffs=coeffs, normalization=tag,
-                         residual=_residual(M, coeffs),
+                         coeffs=coeffs, normalization=tag, residual=residual,
                          params=params, nus=nus, phis=phis, sign=sign)
 
 

@@ -159,7 +159,9 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     Takes the first sign change on a 200-point geometric grid from -tol
     toward -M0 (the root hugs 0 while Delta stays nearly flat over most of
     the bracket), densifies that cell tenfold and takes its first sign
-    change, then bisects to |interval| < tol.
+    change, then bisects to |interval| < tol.  A grid without a sign
+    change is followed by Delta(0): a root in (-tol, 0) is bisected there,
+    and NoSignChangeFound is raised only if the sign at 0 is the same.
 
     params is one ModelParams, which gives a float, or a sequence of them,
     which gives a list of floats, each the float the set gives alone.  A
@@ -190,17 +192,25 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     owner = range(len(sets))
     grids = -np.geomspace(tol, M0, _GRID_N, axis=1)
     signs = _delta_signs(grids, sets, owner).reshape(len(sets), -1)
-    cells = []
-    for i, (grid, sg) in enumerate(zip(grids, signs)):
-        found = _sign_cells(grid, sg)
-        if not found:
-            raise NoSignChangeFound(
-                f"no sign change of Delta on {_GRID_N}-point geometric grid "
-                f"in [{grid[-1]}, {grid[0]}]: its sign is {sg[0]} "
-                f"throughout{at[i]}")
-        cells.append(found[0])
-    # densify each cell tenfold; geomspace keeps the known ends exactly
-    dense = [i for i, (_, _, s) in enumerate(cells) if s != 0]
+    cells = [(_sign_cells(grid, sg) or [None])[0]
+             for grid, sg in zip(grids, signs)]
+    # the grid cells to densify tenfold: every sign change found
+    dense = [i for i, cell in enumerate(cells) if cell and cell[2] != 0]
+    # a set whose grid keeps one sign may have its root in (-tol, 0): that
+    # cell, tol wide, goes straight to bisection if Delta(0) has the other
+    # sign
+    flat = [i for i, cell in enumerate(cells) if cell is None]
+    if flat:
+        at0 = _delta_signs([[0.0]] * len(flat), sets, flat)
+        for i, s0 in zip(flat, at0):
+            grid, s = grids[i], signs[i][0]
+            if s0 != -s:
+                raise NoSignChangeFound(
+                    f"no sign change of Delta on {_GRID_N}-point geometric "
+                    f"grid in [{grid[-1]}, {grid[0]}] or up to 0: its sign "
+                    f"is {s} throughout{at[i]}")
+            cells[i] = (float(grid[0]), 0.0, int(s))
+    # geomspace keeps the densified cells' known ends exactly
     if dense:
         a, b = np.array([cells[i][:2] for i in dense]).T
         grids = -np.geomspace(-a, -b, _DENSE_N, axis=1)

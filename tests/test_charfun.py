@@ -307,6 +307,40 @@ def test_return_map_of_several_sets_is_each_set_alone(cs, wide_box):
         assert np.array_equal(one.det_log, ev.det_log[owner == i])
 
 
+def test_real_lambdas_take_the_float_path_and_match_the_complex_one(
+        cs, wide_box):
+    # one appended non-real point makes the whole call complex; on the
+    # real points the two paths differ only by the rounding of exp
+    lams = np.concatenate([np.linspace(-300.0, 300.0, 1201),
+                           -np.geomspace(10.0, 1e-12, 200)])
+    n = lams.size
+    for p in (cs, *wide_box[:5]):
+        ev = return_map(lams, p)
+        mixed = return_map(np.append(lams, complex(-1.0, 0.5)), p)
+        assert ev.lam.dtype == ev.mantissa.dtype == np.float64
+        assert ev.det_log.dtype == ev.delta.dtype == np.float64
+        assert mixed.mantissa.dtype == mixed.det_log.dtype == complex
+        assert mixed.delta_sign is None
+        for got, ref in ((ev.log_scale, mixed.log_scale[:n]),
+                         (ev.det_log, mixed.det_log[:n].real)):
+            assert (np.abs(got - ref)
+                    <= 1e-12 * np.maximum(np.abs(ref), 1.0)).all()
+        assert (mixed.det_log[:n].imag == 0.0).all()
+        z, _ = ev._delta_parts
+        zm = mixed._delta_parts[0][:n]
+        # each of z's three terms has modulus <= 1
+        assert np.abs(z - zm).max() <= 1e-12
+        clear = np.abs(z) > 1e-12
+        assert (np.sign(z[clear]) == np.sign(zm[clear].real)).all()
+    # a zero imaginary part counts as real, for arrays and scalars
+    assert return_map(lams + 0j, cs).mantissa.dtype == np.float64
+    one = return_map(complex(-0.5, 0.0), cs)
+    assert isinstance(one.lam, float) and isinstance(one.det_log, float)
+    assert isinstance(delta(-0.5, cs), float)
+    assert zone_matrix_scaled(-0.5, 2, cs)[0].dtype == np.float64
+    assert zone_matrix_scaled(complex(-0.5, 0.1), 2, cs)[0].dtype == complex
+
+
 @pytest.mark.parametrize("owner", [None, [0, 1], [0, 1, 2], [0.0, 1.0, 0.0],
                                    [0, -1, 1]])
 def test_return_map_refuses_an_owner_that_does_not_fit(cs, owner):

@@ -5,16 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from movingbed import eigfun
 from movingbed.charfun import (branch_boundaries, zone_eigen, zone_matrix,
                                zone_matrix_scaled)
-from movingbed.eigfun import (EigenSolution, ProfileSamples,
-                              adjoint_eigenfunction, checked_pairing,
-                              eigenfunction, evaluate, inner_product,
-                              projection_coefficient, steady_state,
-                              zone_integral)
-from movingbed.errors import (NearZeroPairing, NonFiniteDetected,
-                              NotAnEigenvalue, SingularSystem,
-                              ValidationError)
+from movingbed.eigfun import (RESIDUAL_BOUND, EigenSolution,
+                              ProfileSamples, adjoint_eigenfunction,
+                              checked_pairing, eigenfunction, evaluate,
+                              inner_product, projection_coefficient,
+                              steady_state, zone_integral)
+from movingbed.errors import (MovingBedError, NearZeroPairing,
+                              NonFiniteDetected, NotAnEigenvalue,
+                              SingularSystem, ValidationError)
 from movingbed.params import ModelParams, case_study
 from movingbed.spectrum import (bracket_bound, dominant_eigenvalue,
                                 limit_point, real_root_scan)
@@ -145,6 +146,34 @@ def test_mode_solves_refuse_a_lambda_they_cannot_take(cs, solve, lam, error):
         warnings.simplefilter("error")      # no RuntimeWarning on the way
         with pytest.raises(error):
             solve(lam, cs)
+
+
+@pytest.mark.parametrize("solve", [eigenfunction, adjoint_eigenfunction])
+@pytest.mark.parametrize("lam", [200.0, 250.0, 300.0, 337.3, -200.0, -300.0,
+                                 -373.25])
+def test_mode_solves_at_large_lambda_refuse_or_give_a_small_residual(
+        cs, solve, lam):
+    # the port matrix spans more than the double range here: its column
+    # norms once overflowed into a NaN mode or a DegenerateNullspace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on the way
+        try:
+            sol = solve(lam, cs)
+        except MovingBedError:
+            return
+    assert np.isfinite(sol.coeffs).all()
+    assert sol.residual <= RESIDUAL_BOUND
+
+
+def test_a_null_vector_that_fails_the_port_conditions_is_refused(
+        cs, lam0, monkeypatch):
+    for coeffs, error in ((np.ones(8, dtype=complex), NotAnEigenvalue),
+                          (np.full(8, complex(math.nan, 0.0)),
+                           NonFiniteDetected)):
+        monkeypatch.setattr(eigfun, "_solve_nullspace",
+                            lambda M: (coeffs, "stub"))
+        with pytest.raises(error):
+            eigenfunction(lam0, cs)
 
 
 @pytest.mark.parametrize("zone", [0, -1, 5])

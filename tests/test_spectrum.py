@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from movingbed import spectrum
+from movingbed import sensitivity, spectrum
 from movingbed.charfun import return_map
 from movingbed.errors import (LimitCaseHasNoBracket, MovingBedError,
                               NoSignChangeFound, ValidationError)
@@ -191,11 +191,78 @@ def test_batch_refusals_come_before_any_delta_evaluation(cs, lp,
     assert sizes == []
 
 
-def test_batch_no_sign_change_names_the_set(cs):
-    # lambda0 = -0.1048 at R = 24 lies above the grid's end -tol = -0.108,
-    # while the case study's -0.1104 lies on its grid
+def test_batch_no_sign_change_names_the_set(cs, monkeypatch):
+    # set 1's Delta is stubbed to keep one sign on its grid and at 0,
+    # which no valid set was seen to do, while the case study's -0.1104
+    # lies on its grid
+    real = spectrum.return_map
+
+    def stub(lam, sets, owner):
+        signs = real(lam, sets, owner).delta_sign
+        return SimpleNamespace(delta_sign=np.where(owner == 1, 1, signs))
+    monkeypatch.setattr(spectrum, "return_map", stub)
     with pytest.raises(NoSignChangeFound, match=r"\(set 1\)$"):
         dominant_eigenvalue([cs, replace(cs, R=24.0)], tol=0.108)
+
+
+def test_a_root_between_minus_tol_and_0_is_bisected_there(cs, monkeypatch):
+    # lambda0 = -0.1048 at R = 24 lies above the grid's end -tol = -0.108;
+    # Delta(0) shows the sign change, and only that set pays for it
+    calls = []
+    real = spectrum.return_map
+
+    def counted(lam, *args):
+        calls.append(np.atleast_1d(lam).size)
+        return real(lam, *args)
+    monkeypatch.setattr(spectrum, "return_map", counted)
+    lam0, lam = dominant_eigenvalue([cs, replace(cs, R=24.0)], tol=0.108)
+    assert lam0 == dominant_eigenvalue(cs, tol=0.108)
+    assert -0.108 < lam < 0.0 and abs(lam + 0.10482181834723969) < 0.108
+    assert calls[:2] == [400, 1]
+
+
+def test_near_limit_root_inside_tol_matches_the_perturbation(cs):
+    # v1 = v3 = 1.275 (1 + eps), v2 = v4 = 1.275 (1 - eps): first-order
+    # perturbation of the limit's zero mode gives lambda0 = -0.61866 eps,
+    # here -6.2e-11, inside (-tol, 0)
+    eps, tol = 1e-10, 1e-10
+    up, down = 1.275 * (1.0 + eps), 1.275 * (1.0 - eps)
+    p = ModelParams(up, down, up, down, R=18.0, P=1.03)
+    lam = dominant_eigenvalue(p, tol)
+    assert -tol < lam < 0.0
+    assert abs(lam - (-0.61866 * eps)) < tol
+    assert return_map(-tol, p).delta_sign == -return_map(0.0, p).delta_sign
+    assert dominant_eigenvalue([cs, p], tol) == [dominant_eigenvalue(cs, tol),
+                                                 lam]
+
+
+# float.hex of the case-study lambda0 by tol, and of the 13 roots (lambda0,
+# then each parameter at theta + h and theta - h) of full_report's lockstep
+# solve at tol 1e-10: any change to Delta's arithmetic that moves a root
+# shows here
+_PINNED_LAMBDA0 = {1e-8: "-0x1.c41acd3dc00b4p-4",
+                   1e-10: "-0x1.c41acd63373e4p-4",
+                   1e-12: "-0x1.c41acd62a446ep-4"}
+_PINNED_FD_BATCH = [
+    "-0x1.c41acd63373e4p-4", "-0x1.c427c7d31d1d3p-4", "-0x1.c40dd16623662p-4",
+    "-0x1.c410673c899a2p-4", "-0x1.c425360f24090p-4", "-0x1.c42e1b1aeb023p-4",
+    "-0x1.c4077d0fa06d4p-4", "-0x1.c3ff85ead837ap-4", "-0x1.c4361870ca92dp-4",
+    "-0x1.c41960fcc3c11p-4", "-0x1.c41c39b797074p-4", "-0x1.c430fbd5297b2p-4",
+    "-0x1.c404a381dc0e2p-4"]
+
+
+def test_roots_are_pinned_bit_for_bit(cs, monkeypatch):
+    for tol, pinned in _PINNED_LAMBDA0.items():
+        assert dominant_eigenvalue(cs, tol).hex() == pinned
+    batches = []
+    real = sensitivity.dominant_eigenvalue
+
+    def recorded(sets, tol):
+        batches.append(real(sets, tol))
+        return batches[-1]
+    monkeypatch.setattr(sensitivity, "dominant_eigenvalue", recorded)
+    sensitivity.full_report(cs, fd=True)
+    assert [root.hex() for root in batches[0]] == _PINNED_FD_BATCH
 
 
 def _box_set(f) -> ModelParams:
