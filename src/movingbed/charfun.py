@@ -127,6 +127,8 @@ def _lambdas(lam) -> tuple:
     counts as real), else complex.
     """
     arr = np.asarray(lam)
+    if arr.dtype.kind not in "iufc":        # strings, None, objects
+        raise ValidationError(f"lambda must be numeric, got {lam!r}")
     lams = np.atleast_1d(arr).astype(complex)
     if lams.ndim != 1 or lams.size == 0 or not np.isfinite(lams).all():
         raise ValidationError(
@@ -397,11 +399,11 @@ def return_map(lam, params, owner=None) -> ReturnMapEval:
     fields of the result are arrays over it.  A call whose lambdas are
     all real (checked on the values, so x + 0j counts) is evaluated in
     float64 and its fields are real; any non-real lambda makes the whole
-    call complex.  params is one ModelParams,
-    or a sequence of them with owner an integer array giving the index of
-    each lambda's set; each lambda then gets the Delta of its own set, bit
-    for bit.  Non-finite or empty lam, or an owner that does not fit,
-    raises ValidationError, and |lambda| so large that even the scaled form
+    call complex.  params is one ModelParams, or a sequence of them with
+    owner an integer array giving the index of each lambda's set; each
+    lambda then gets the Delta of its own set, bit for bit.  Non-numeric,
+    non-finite or empty lam, or an owner that does not fit, raises
+    ValidationError, and |lambda| so large that even the scaled form
     overflows (beyond about 1e154) raises NonFiniteDetected.
     """
     lams, scalar = _lambdas(lam)

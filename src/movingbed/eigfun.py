@@ -29,7 +29,7 @@ import numpy as np
 from .charfun import zone_eigen
 from .errors import (DegenerateNullspace, NearZeroPairing, NonFiniteDetected,
                      NotAnEigenvalue, SingularSystem, ValidationError)
-from .params import PORTS, ZONE_LEFT, ModelParams, check_zone
+from .params import PORTS, ZONE_LEFT, ModelParams, check_count, check_zone
 
 # Singular values of the column-scaled port matrix below RANK_RTOL * sigma_max
 # count as zero.  Over 800 mode solves in the whole box (v +-10%, R +-25%,
@@ -194,8 +194,12 @@ def _residual(M: np.ndarray, coeffs: np.ndarray, rhs=0.0) -> float:
 
 
 def _eigensolution(lam, params: ModelParams, sign: int) -> EigenSolution:
-    if not cmath.isfinite(lam):
-        raise ValidationError(f"lambda must be finite, got {lam}")
+    try:
+        finite = cmath.isfinite(lam)
+    except TypeError:                   # None, a string, an array
+        finite = False
+    if not finite:
+        raise ValidationError(f"lambda must be a finite number, got {lam!r}")
     nus, phis = _zone_tables(lam, params)
     with np.errstate(over="ignore", invalid="ignore"):
         M = _assemble(nus, phis, params, sign)
@@ -273,8 +277,7 @@ class ProfileSamples:
 
 def evaluate(sol: EigenSolution, n_per_zone: int = 101) -> ProfileSamples:
     """Sample a solution zone by zone, endpoints included in every zone."""
-    if n_per_zone < 2:
-        raise ValidationError(f"n_per_zone must be >= 2, got {n_per_zone}")
+    check_count("n_per_zone", n_per_zone, 2)
     xs, cs, qs, sides = [], [], [], []
     for zone in range(1, 5):
         lo = ZONE_LEFT[zone - 1]

@@ -82,6 +82,18 @@ def check_zone(zone) -> int:
     return zone
 
 
+def check_count(name: str, value, minimum: int | None = None) -> int:
+    """value, if it is an integer (at least minimum, when given); else
+    ValidationError naming it (a float count would reach numpy or range as
+    a TypeError, or be taken as is)."""
+    if not (isinstance(value, numbers.Integral)
+            and (minimum is None or value >= minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(
+            f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Port:
     """The port at the inlet x of ``zone``, fed by the outlet x_up of ``up``.
@@ -199,12 +211,15 @@ def time_constant(lambda0: float, phys: PhysicalParams, L_ref: float) -> float:
 
     ``L_ref`` is explicit because the kinetic group uses the zone length
     while the time scale may use the column length; the caller chooses.
+    A rate that is not negative (nan included) and an L_ref that is not
+    positive and finite are refused.
     """
-    if lambda0 >= 0.0:
+    if not lambda0 < 0.0:
         raise NonNegativeEigenvalue(
             f"time constant requires a negative rate, got {lambda0}")
-    if L_ref <= 0.0:
-        raise NonPositiveParameter(f"L_ref must be positive, got {L_ref}")
+    if not 0.0 < L_ref < math.inf:
+        raise NonPositiveParameter(
+            f"L_ref must be positive and finite, got {L_ref}")
     return L_ref / (phys.u_s * abs(lambda0))
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .eigfun import EigenSolution, eigenfunction, steady_state
 from .errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                      ValidationError, ZeroProfile)
-from .params import PORTS, ZONE_LEFT, ModelParams
+from .params import PORTS, ZONE_LEFT, ModelParams, check_count
 from .spectrum import dominant_eigenvalue
 
 
@@ -41,9 +41,9 @@ from .spectrum import dominant_eigenvalue
 class SimConfig:
     """Grid, step, horizon, feed, and recording cadence of one run.
 
-    Refuses, with ValidationError, Nx below 8, record_every below 1 and a
-    T that is negative or not finite; p is checked against the velocities
-    when a run starts.
+    Refuses, with ValidationError, an Nx or record_every that is not an
+    integer, Nx below 8, record_every below 1 and a T that is negative or
+    not finite; p is checked against the velocities when a run starts.
     """
 
     Nx: int = 400
@@ -54,10 +54,8 @@ class SimConfig:
     strang: bool = False          # symmetrized splitting (off: plain order)
 
     def __post_init__(self):
-        if self.Nx < 8:
-            raise ValidationError(f"Nx={self.Nx} below the minimum of 8")
-        if self.record_every < 1:
-            raise ValidationError("record_every must be a positive integer")
+        check_count("Nx", self.Nx, 8)
+        check_count("record_every", self.record_every, 1)
         if not 0.0 <= self.T < math.inf:
             raise ValidationError(f"T={self.T} must be nonnegative and finite")
 
@@ -276,9 +274,7 @@ def _stepper(state: SimState, params: ModelParams) -> _Stepper:
 
 def cell_centers(Nx: int) -> np.ndarray:
     """(4, Nx) array of cell-center coordinates, zone by zone."""
-    if Nx < 1:
-        raise ValidationError(f"Nx={Nx} must be at least 1")
-    dx = 1.0 / Nx
+    dx = 1.0 / check_count("Nx", Nx, 1)
     offs = (np.arange(1, Nx + 1) - 0.5) * dx
     return np.asarray(ZONE_LEFT, dtype=float)[:, None] + offs[None, :]
 

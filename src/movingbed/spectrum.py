@@ -21,7 +21,7 @@ import numpy as np
 from .charfun import return_map
 from .errors import (EigSolverFailure, LimitCaseHasNoBracket, NotLimitCase,
                      NoSignChangeFound, ValidationError)
-from .params import PORTS, ModelParams
+from .params import PORTS, ModelParams, check_count
 
 
 @dataclass(frozen=True)
@@ -76,29 +76,28 @@ def _sign_cells(xs, signs) -> list:
             for i in np.flatnonzero(hits)]
 
 
-# Bisection levels evaluated per return_map call: 2**5 - 1 = 31 midpoints.
+# Bisection steps per round, one return_map call: up to 2**5 - 1 = 31
+# midpoints a cell.
 _TREE_DEPTH = 5
 # Rounds after which a cell's midpoint is returned regardless: every open
 # cell takes _TREE_DEPTH steps a round, so this caps bisection at 300 steps.
 _MAX_ROUNDS = 60
 
 
-def _midpoint_tree(a: float, b: float, tol: float) -> dict:
-    """Node -> midpoint of the next _TREE_DEPTH bisection levels below
-    (a, b).  Node k bisects its cell into node 2k+1 (left half) and node
-    2k+2 (right half).  A cell narrower than tol, or with no double
-    between its ends, is not split, so the midpoints are exactly those
-    scalar bisection could visit."""
-    cells, mids = {0: (a, b)}, {}
-    for k in range(2 ** _TREE_DEPTH - 1):
-        if k not in cells:
-            continue
-        lo, hi = cells[k]
-        mid = 0.5 * (lo + hi)
-        if abs(hi - lo) < tol or mid in (lo, hi):
-            continue
-        mids[k] = mid
-        cells[2 * k + 1], cells[2 * k + 2] = (lo, mid), (mid, hi)
+def _midpoints(a: float, b: float, tol: float) -> list:
+    """Every midpoint the next _TREE_DEPTH steps of scalar bisection from
+    (a, b) can visit, breadth-first.  A cell narrower than tol, or with no
+    double between its ends, is not split."""
+    cells, mids = [(a, b)], []
+    for _ in range(_TREE_DEPTH):
+        halves = []
+        for lo, hi in cells:
+            mid = 0.5 * (lo + hi)
+            if abs(hi - lo) < tol or mid in (lo, hi):
+                continue
+            mids.append(mid)
+            halves += [(lo, mid), (mid, hi)]
+        cells = halves
     return mids
 
 
@@ -107,43 +106,38 @@ def _bisect(cells: list, sets: list, owner: list, tols: list) -> list:
     stopped on width, each cell to its own tol and under its own set
     sets[owner[i]].
 
-    Every round evaluates the midpoint trees of all open cells (the next
-    _TREE_DEPTH levels) in one ``_delta_signs``; each cell then walks
-    down its tree as scalar bisection would, so the roots are those of
-    scalar bisection on the same signs.  A cell whose ends are adjacent
-    doubles stops there: scalar bisection would step in place to its
-    300-step cap and return the same midpoint.
+    Every round evaluates the ``_midpoints`` of all open cells in one
+    ``_delta_signs``; each cell then takes _TREE_DEPTH steps of scalar
+    bisection on those signs.  A midpoint with sign 0 is the root, and so
+    is one the stop rules left out: a cell narrower than tol, or one whose
+    ends are adjacent doubles, where scalar bisection would step in place
+    to its 300-step cap and return the same midpoint.
     """
     roots = [None] * len(cells)
     open_ = dict(enumerate(cells))      # cell index -> (a, b, sign at a)
     for _ in range(_MAX_ROUNDS):
-        trees = {}
-        for i, (a, b, _) in list(open_.items()):
-            trees[i] = _midpoint_tree(a, b, tols[i])
-            if not trees[i]:
-                # narrower than tol or at adjacent doubles
-                roots[i] = 0.5 * (a + b)
-                del open_[i], trees[i]
-        if not trees:
+        mids = {i: _midpoints(a, b, tols[i]) for i, (a, b, _) in open_.items()}
+        if not any(mids.values()):
             break
-        rows = [list(mids.values()) for mids in trees.values()]
-        signs = iter(_delta_signs(rows, sets, [owner[i] for i in trees]))
-        for i, mids in trees.items():
+        signs = iter(_delta_signs(list(mids.values()), sets,
+                                  [owner[i] for i in mids]))
+        for i, row in mids.items():
             a, b, s = open_[i]
-            tree_signs = dict(zip(mids, signs))
-            k = 0
-            while k in mids:
-                if tree_signs[k] == 0:
-                    roots[i] = mids[k]
+            sign_at = dict(zip(row, signs))
+            for _ in range(_TREE_DEPTH):
+                mid = 0.5 * (a + b)
+                s_mid = sign_at.get(mid, 0)
+                if s_mid == 0:
+                    roots[i] = mid
                     del open_[i]
                     break
-                if tree_signs[k] == s:
-                    a, k = mids[k], 2 * k + 2
+                if s_mid == s:
+                    a = mid
                 else:
-                    b, k = mids[k], 2 * k + 1
+                    b = mid
             else:
                 open_[i] = (a, b, s)
-    for i, (a, b, _) in open_.items():      # out of rounds
+    for i, (a, b, _) in open_.items():      # unsplit, or out of rounds
         roots[i] = 0.5 * (a + b)
     return roots
 
@@ -167,12 +161,16 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     which gives a list of floats, each the float the set gives alone.  A
     sequence is solved in lockstep: each stage (the grids, the densified
     cells, every five bisection levels) is one ``_delta_signs`` over the
-    points of all sets.  Every set is checked (equal velocities, tol
-    against M0) before Delta is evaluated; errors about a sequence name
-    the index of the set at fault.
+    points of all sets.  Every set is checked (its type, equal
+    velocities, tol against M0) before Delta is evaluated; errors about a
+    sequence, or anything else that is not one ModelParams, name the index
+    of the set at fault.
     """
     single = isinstance(params, ModelParams)
-    sets = [params] if single else list(params)
+    try:
+        sets = [params] if single else list(params)
+    except TypeError:               # not iterable: a batch of one bad set
+        sets = [params]
     if not sets:
         raise ValidationError("no parameter sets to solve")
     if not tol > 0.0:
@@ -181,6 +179,8 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     at = [""] if single else [f" (set {i})" for i in range(len(sets))]
     M0 = []
     for i, p in enumerate(sets):
+        if not isinstance(p, ModelParams):
+            raise ValidationError(f"not a ModelParams: {p!r}{at[i]}")
         try:
             bb = bracket_bound(p)  # rejects the equal-velocity case
         except LimitCaseHasNoBracket as exc:
@@ -231,10 +231,10 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     bisections of all its cells share their calls.  Returns floats, or
     (root, bracket_lo, bracket_hi) triples when with_brackets is set.
     """
+    check_count("grid_n", grid_n, 2)
     lo, hi = range_
-    if not -math.inf < lo <= hi < math.inf or grid_n < 2:
-        raise ValidationError(f"need finite lo <= hi and grid_n >= 2, "
-                              f"got [{lo}, {hi}], {grid_n}")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValidationError(f"need finite lo <= hi, got [{lo}, {hi}]")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
     if lo == hi:
@@ -287,6 +287,7 @@ def _uv_from_xy(X: float, Y: float) -> tuple:
 def limit_point(params: ModelParams, k: int) -> LimitSpectrum:
     """lambda_k^+/- for one integer index k (equal velocities)."""
     _require_limit(params)
+    check_count("k", k)
     v, R, P = params.v1, params.R, params.P
     A = R * (1.0 + P * P)
     B = math.pi * k * (v - 1.0) / 2.0
@@ -302,8 +303,7 @@ def limit_point(params: ModelParams, k: int) -> LimitSpectrum:
 def limit_spectrum(params: ModelParams, k_max: int = 80) -> list:
     """The closed-form spectrum for k = -k_max .. k_max."""
     _require_limit(params)
-    if k_max < 0:
-        raise ValidationError(f"k_max must be >= 0, got {k_max}")
+    check_count("k_max", k_max, 0)
     return [limit_point(params, k) for k in range(-k_max, k_max + 1)]
 
 
@@ -374,9 +374,7 @@ def collocation_spectrum(params: ModelParams, N: int = 30) -> np.ndarray:
     pin 8 nodes to free partners, u = S w, which leaves the standard
     problem A[free] S w = lambda w.  Returns its 8N eigenvalues, sorted.
     """
-    if N < 8:
-        raise ValidationError(f"polynomial degree N={N} too small (need >= 8)")
-    D, _ = _cheb(N)
+    D, _ = _cheb(check_count("N", N, 8))
     Dx = -2.0 * D                     # zone has unit length; x ascends with j
     m = N + 1
     v, R, P = params.v, params.R, params.P

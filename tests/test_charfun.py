@@ -351,7 +351,7 @@ def test_return_map_refuses_an_owner_that_does_not_fit(cs, owner):
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, [], [-1.0, math.nan],
-                                 [[-1.0, -2.0]]])
+                                 [[-1.0, -2.0]], "x", None])
 def test_return_map_refuses_non_finite_or_empty_lambda(cs, lam):
     with pytest.raises(ValidationError):
         return_map(lam, cs)

@@ -140,7 +140,8 @@ def test_not_an_eigenvalue(cs, lam0):
     (math.nan, ValidationError), (math.inf, ValidationError),
     (-math.inf, ValidationError), (complex(0.0, math.nan), ValidationError),
     (-1e10, NonFiniteDetected), (1e300, NonFiniteDetected),
-    (-1e300, NonFiniteDetected), (1e160, NonFiniteDetected)])
+    (-1e300, NonFiniteDetected), (1e160, NonFiniteDetected),
+    (None, ValidationError), ("x", ValidationError)])
 def test_mode_solves_refuse_a_lambda_they_cannot_take(cs, solve, lam, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no RuntimeWarning on the way

@@ -2,12 +2,16 @@ import math
 
 import pytest
 
-from movingbed.errors import (NonPositiveParameter, PortOrderingViolated,
-                              ValidationError)
+from movingbed import sim
+from movingbed.eigfun import eigenfunction, evaluate
+from movingbed.errors import (NonNegativeEigenvalue, NonPositiveParameter,
+                              PortOrderingViolated, ValidationError)
 from movingbed.params import (ModelParams, PhysicalParams, case_study,
                               from_physical, limit_params, load_params,
                               params_from_dict, params_to_dict, preset,
                               save_params, time_constant)
+from movingbed.spectrum import (collocation_spectrum, limit_point,
+                                limit_spectrum, real_root_scan)
 
 
 def test_case_study_values(cs):
@@ -80,6 +84,46 @@ def test_time_constant(cs):
     # tau = L_ref / (u_s |lambda0|) in minutes
     tau = time_constant(-0.110377, cs.physical, L_ref=30.0)
     assert tau == pytest.approx(13.5898, abs=1e-3)
+    # a nan rate or a non-finite L_ref gave nan or inf
+    for lam, L_ref, error in ((math.nan, 30.0, NonNegativeEigenvalue),
+                              (0.0, 30.0, NonNegativeEigenvalue),
+                              (-0.11, 0.0, NonPositiveParameter),
+                              (-0.11, math.nan, NonPositiveParameter),
+                              (-0.11, math.inf, NonPositiveParameter)):
+        with pytest.raises(error):
+            time_constant(lam, cs.physical, L_ref=L_ref)
+
+
+# every entry point that takes a count: (count's name, the call with it,
+# the least count it takes, or None for any integer)
+_COUNTS = {
+    "SimConfig.Nx": ("Nx", lambda n: sim.SimConfig(Nx=n), 8),
+    "SimConfig.record_every": (
+        "record_every", lambda n: sim.SimConfig(record_every=n), 1),
+    "cell_centers": ("Nx", sim.cell_centers, 1),
+    "collocation_spectrum": (
+        "N", lambda n: collocation_spectrum(case_study(), n), 8),
+    "limit_spectrum": ("k_max", lambda n: limit_spectrum(limit_params(), n),
+                       0),
+    "limit_point": ("k", lambda n: limit_point(limit_params(), n), None),
+    "real_root_scan": (
+        "grid_n", lambda n: real_root_scan(case_study(), (-1.0, -0.01), n),
+        2),
+    "evaluate": ("n_per_zone", lambda n: evaluate(
+        eigenfunction(-0.1103771231538904, case_study()), n), 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COUNTS))
+def test_counts_must_be_integers(entry):
+    # 8.5, "a" and None reached numpy or range as TypeError; record_every
+    # = 2.5 recorded every fifth step, and limit_point(k=0.5) answered
+    name, call, least = _COUNTS[entry]
+    bad = [8.5, 2.0, "a", None] + ([] if least is None else [least - 1])
+    for n in bad:
+        with pytest.raises(ValidationError, match=rf"^{name} must be"):
+            call(n)
+    call(0 if least is None else least)
 
 
 def test_presets():

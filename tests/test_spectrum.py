@@ -98,8 +98,9 @@ def test_dominant_eigenvalue_stops_scanning_at_the_root(cs, monkeypatch):
 
 
 def test_dominant_eigenvalue_matches_scalar_bisection(cs, wide_box):
-    # the midpoint trees walk the cells scalar bisection walks, so on the
-    # same signs the root is the same double
+    # each round's midpoints are those scalar bisection can visit, and the
+    # walk over them is scalar bisection, so on the same signs the root is
+    # the same double
     differ = []
     for p in (cs, *wide_box):
         ref = bisect_dominant(lambda x: return_map(x, p).delta_sign,
@@ -188,6 +189,10 @@ def test_batch_refusals_come_before_any_delta_evaluation(cs, lp,
     # M0 < R = 5 for the second set, while the case study's M0 is 6.69
     with pytest.raises(ValidationError, match=r"\(set 1\)$"):
         dominant_eigenvalue([cs, replace(cs, R=5.0)], tol=6.0)
+    # not a ModelParams: a number, a string's characters, a None
+    for params, i in ((5, 0), ("ab", 0), ([cs, None], 1)):
+        with pytest.raises(ValidationError, match=rf"\(set {i}\)$"):
+            dominant_eigenvalue(params)
     assert sizes == []
 
 
@@ -290,6 +295,52 @@ def test_batch_equals_loop_over_the_wide_box(sets, tol):
             dominant_eigenvalue(sets, tol)
         return
     assert dominant_eigenvalue(sets, tol) == looped
+
+
+def _step_sign(roots, zeros=()):
+    """Sign, over float arrays, of a function that changes sign at each of
+    roots and is 0 exactly at each of zeros."""
+    roots = np.sort(roots)
+
+    def sign(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.isin(x, zeros), 0,
+                        1 - 2 * (np.searchsorted(roots, x) % 2))
+    return sign
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 7])
+def test_the_replay_is_scalar_bisection_at_any_depth(cs, monkeypatch, depth):
+    # seeded sign functions, half their cells with a zero on a midpoint
+    # scalar bisection visits (mostly inside a round); rounds x depth >= 300,
+    # so the round cap stops no cell before scalar bisection's step cap
+    monkeypatch.setattr(spectrum, "_TREE_DEPTH", depth)
+    monkeypatch.setattr(spectrum, "_MAX_ROUNDS", -(-300 // depth))
+    stub = {}
+    monkeypatch.setattr(spectrum, "return_map", lambda lam, *args:
+                        SimpleNamespace(delta_sign=stub["sign"](lam)))
+    rng = np.random.default_rng(depth)
+    grid = np.linspace(-1.0, 1.0, 9)
+    cells = hits = 0
+    for _ in range(20):
+        roots = rng.uniform(-1.0, 1.0, rng.integers(1, 8))
+        plain, zeros = _step_sign(roots), []
+        for i in np.flatnonzero(plain(grid[:-1]) * plain(grid[1:]) < 0):
+            if rng.random() < 0.5:
+                seen = []
+                bisect(lambda x: seen.append(float(x)) or plain(x),
+                       grid[i], grid[i + 1], plain(grid[i]), 1e-12)
+                zeros.append(seen[rng.integers(len(seen))])
+        stub["sign"] = sign = _step_sign(roots, zeros)
+        for tol in (1e-12, 1e-300):
+            found = real_root_scan(cs, (-1.0, 1.0), grid_n=9, tol=tol,
+                                   with_brackets=True)
+            for root, a, b in found:
+                assert root == bisect(sign, a, b, sign(a),
+                                      tol * max(1.0, abs(a)))
+            cells += len(found)
+            hits += sum(root in zeros for root, _, _ in found)
+    assert cells >= 80 and hits >= 30
 
 
 def test_real_root_scan_matches_scalar_bisection(cs):
