@@ -221,27 +221,37 @@ def _set_row(params: ModelParams) -> tuple:
               (port.weights(v) for port in _INJECTING)))
 
 
+def _set_table(sets) -> np.ndarray:
+    """The ``_set_row`` of each parameter set in sets, one column per set:
+    what return_map takes from a sequence of sets, built once for as many
+    calls as need it."""
+    return np.array([_set_row(p) for p in sets]).T
+
+
 def _constants(params, owner, n: int) -> tuple:
     """(v, R, P, log det ratio, port ratios) for the n lambdas of a
     return_map call.
 
-    One parameter set gives its floats (v as a (4, 1) column); several
-    sets give arrays gathered per lambda by owner, the index of each
-    lambda's set (v is (4, n), the rest (n,), the port ratios (n, 1)).
-    Every value is its set's own float, so a lambda gets the same Delta
-    either way.
+    params is one ModelParams, a sequence of them, or the ``_set_table``
+    of a sequence.  One set gives its floats (v as a (4, 1) column);
+    several sets give arrays gathered per lambda by owner, the index of
+    each lambda's set (v is (4, n), the rest (n,), the port ratios
+    (n, 1)).  Every value is its set's own float, so a lambda gets the
+    same Delta either way.
     """
-    sets = [params] if isinstance(params, ModelParams) else list(params)
-    if len(sets) == 1:
-        row = _set_row(sets[0])
+    table = params if isinstance(params, np.ndarray) else _set_table(
+        [params] if isinstance(params, ModelParams) else params)
+    sets = table.shape[-1]
+    if sets == 1:
+        row = table[:, 0].tolist()
         return np.array(row[:4])[:, None], *row[4:7], row[7:]
     owner = np.asarray(() if owner is None else owner)
     if (not sets or owner.shape != (n,) or owner.dtype.kind not in "iu"
-            or owner.min() < 0 or owner.max() >= len(sets)):
+            or owner.min() < 0 or owner.max() >= sets):
         raise ValidationError(
             f"owner must give each of the {n} lambdas the index of one of "
-            f"the {len(sets)} parameter sets")
-    table = np.array([_set_row(p) for p in sets]).T[:, owner]
+            f"the {sets} parameter sets")
+    table = table[:, owner]
     return table[:4], table[4], table[5], table[6], table[7:, :, None]
 
 
@@ -401,10 +411,12 @@ def return_map(lam, params, owner=None) -> ReturnMapEval:
     float64 and its fields are real; any non-real lambda makes the whole
     call complex.  params is one ModelParams, or a sequence of them with
     owner an integer array giving the index of each lambda's set; each
-    lambda then gets the Delta of its own set, bit for bit.  Non-numeric,
-    non-finite or empty lam, or an owner that does not fit, raises
-    ValidationError, and |lambda| so large that even the scaled form
-    overflows (beyond about 1e154) raises NonFiniteDetected.
+    lambda then gets the Delta of its own set, bit for bit.  A caller
+    that makes many calls on one sequence may pass its ``_set_table``
+    instead, built once.  Non-numeric, non-finite or empty lam, or an
+    owner that does not fit, raises ValidationError, and |lambda| so
+    large that even the scaled form overflows (beyond about 1e154)
+    raises NonFiniteDetected.
     """
     lams, scalar = _lambdas(lam)
     v, R, P, log_det0, ratios = _constants(params, owner, lams.size)

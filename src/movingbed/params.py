@@ -211,15 +211,19 @@ def time_constant(lambda0: float, phys: PhysicalParams, L_ref: float) -> float:
 
     ``L_ref`` is explicit because the kinetic group uses the zone length
     while the time scale may use the column length; the caller chooses.
-    A rate that is not negative (nan included) and an L_ref that is not
-    positive and finite are refused.
+    A rate that is not a real number or is -inf, a rate that is not
+    negative (nan included) and an L_ref that is not positive and finite
+    are refused.
     """
+    if not (isinstance(lambda0, numbers.Real) and lambda0 != -math.inf):
+        raise ValidationError(
+            f"time constant requires a finite rate, got {lambda0!r}")
     if not lambda0 < 0.0:
         raise NonNegativeEigenvalue(
             f"time constant requires a negative rate, got {lambda0}")
-    if not 0.0 < L_ref < math.inf:
+    if not (isinstance(L_ref, numbers.Real) and 0.0 < L_ref < math.inf):
         raise NonPositiveParameter(
-            f"L_ref must be positive and finite, got {L_ref}")
+            f"L_ref must be positive and finite, got {L_ref!r}")
     return L_ref / (phys.u_s * abs(lambda0))
 
 

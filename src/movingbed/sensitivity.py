@@ -118,7 +118,11 @@ def _fd_pair(params: ModelParams, name: str) -> tuple:
 
 def central_difference(params: ModelParams, name: str,
                        tol: float = 1e-10) -> float:
-    """d lambda0 / d theta by re-bisecting the eigenvalue at theta +- h."""
+    """d lambda0 / d theta by re-bisecting the eigenvalue at theta +- h;
+    name is one of v1..v4, R, P."""
+    if name not in _NAMES:
+        raise ValidationError(
+            f"name must be one of {', '.join(_NAMES)}, got {name!r}")
     h, pair = _fd_pair(params, name)
     lam_p, lam_m = dominant_eigenvalue(pair, tol)
     return (lam_p - lam_m) / (2.0 * h)

@@ -8,17 +8,23 @@ so roots are located by sign changes on a geometric grid accumulating at
 0- and refined by bisection on interval width, never on |Delta|.  Grids
 and bisection levels are evaluated as lambda arrays, one return_map call
 each (or a few, for more than _MAX_POINTS points); several parameter sets
-share every call.
+share every call, with their constants built once per solve.  In such a
+batch only the first set scans its whole grid at once; each later set
+scans a window of its grid around the first set's root cell, and its
+whole grid only when the window cannot settle its cell.  The window
+suffices because the dominant eigenvalue has no real root of Delta
+between it and 0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import return_map
+from .charfun import _set_table, return_map
 from .errors import (EigSolverFailure, LimitCaseHasNoBracket, NotLimitCase,
                      NoSignChangeFound, ValidationError)
 from .params import PORTS, ModelParams, check_count
@@ -48,22 +54,23 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
     return BracketBudget(M0=M0, Q0=Q0, v_min=v_min, v_max=v_max)
 
 
-# Most lambda points per return_map call: a batch of 13 parameter sets
-# puts 2600 points on its grids, and one pass over them all would hold
-# about 1.4 MB more at its peak, for no gain in speed.
+# Most lambda points per return_map call.  The largest stage of a batch
+# is the whole grids of the later sets whose windows do not settle: 2400
+# points for 12 sets, whose temporaries peak at about 1.3 MB in one pass
+# against 0.33 MB in each of four calls of 600, for no gain in speed.
 _MAX_POINTS = 650
 
 
-def _delta_signs(rows, sets: list, owners) -> np.ndarray:
+def _delta_signs(rows, table: np.ndarray, owners) -> np.ndarray:
     """Signs of Delta at the real points of rows, flat in row order: row r
-    under the set sets[owners[r]], in return_map calls of at most
-    _MAX_POINTS points."""
+    under the set of column owners[r] of table, a ``_set_table``, in
+    return_map calls of at most _MAX_POINTS points."""
     lams = np.concatenate(rows)
     owner = np.repeat(owners, [len(row) for row in rows])
-    # equal calls: 2600 points make four of 650, 2000 four of 500
+    # equal calls: 2400 points make four of 600, 2000 four of 500
     size = -(-lams.size // -(-lams.size // _MAX_POINTS))
     return np.concatenate([
-        return_map(lams[i:i + size], sets, owner[i:i + size]).delta_sign
+        return_map(lams[i:i + size], table, owner[i:i + size]).delta_sign
         for i in range(0, lams.size, size)])
 
 
@@ -101,10 +108,10 @@ def _midpoints(a: float, b: float, tol: float) -> list:
     return mids
 
 
-def _bisect(cells: list, sets: list, owner: list, tols: list) -> list:
+def _bisect(cells: list, table: np.ndarray, owner, tols: list) -> list:
     """Roots in cells (a, b, sign at a) of ``_sign_cells``: bisection,
-    stopped on width, each cell to its own tol and under its own set
-    sets[owner[i]].
+    stopped on width, each cell to its own tol and under its own set, of
+    column owner[i] of table (as for ``_delta_signs``).
 
     Every round evaluates the ``_midpoints`` of all open cells in one
     ``_delta_signs``; each cell then takes _TREE_DEPTH steps of scalar
@@ -119,7 +126,7 @@ def _bisect(cells: list, sets: list, owner: list, tols: list) -> list:
         mids = {i: _midpoints(a, b, tols[i]) for i, (a, b, _) in open_.items()}
         if not any(mids.values()):
             break
-        signs = iter(_delta_signs(list(mids.values()), sets,
+        signs = iter(_delta_signs(list(mids.values()), table,
                                   [owner[i] for i in mids]))
         for i, row in mids.items():
             a, b, s = open_[i]
@@ -142,6 +149,34 @@ def _bisect(cells: list, sets: list, owner: list, tols: list) -> list:
     return roots
 
 
+def _grid_cells(grids, table, rows) -> list:
+    """The first sign cell on the whole grid of each set in rows; a grid
+    that keeps one sign s gives (its -tol end, 0.0, s), the cell up to 0
+    that Delta(0) must confirm."""
+    signs = _delta_signs(grids[rows], table, rows).reshape(len(rows), -1)
+    return [(_sign_cells(x, s) or [(float(x[0]), 0.0, int(s[0]))])[0]
+            for x, s in zip(grids[rows], signs)]
+
+
+def _window_cell(grid, cols, signs):
+    """The first sign cell on grid, settled from its signs at the indices
+    cols alone (0, then the window, a run of adjacent indices), or None.
+
+    It is settled when no sign is 0 and the first sign change lies
+    between adjacent indices, which holds when the window's first sign
+    is the sign at grid[0] and the window holds a sign change.
+    """
+    change = np.flatnonzero(signs[:-1] != signs[1:])
+    if not (signs.all() and change.size
+            and cols[change[0] + 1] == cols[change[0]] + 1):
+        return None
+    j = change[0]
+    return float(grid[cols[j]]), float(grid[cols[j + 1]]), int(signs[j])
+
+
+# The window of grid indices a later set of a batch scans first: k-2 ..
+# k+3 around the first set's first sign cell k.
+_WINDOW = (-2, 4)
 # Points of the geometric grid and of the densified first cell (the
 # densified cell's ends are known, so 19 of its 21 points are evaluated).
 _GRID_N, _DENSE_N = 200, 21
@@ -161,10 +196,24 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     which gives a list of floats, each the float the set gives alone.  A
     sequence is solved in lockstep: each stage (the grids, the densified
     cells, every five bisection levels) is one ``_delta_signs`` over the
-    points of all sets.  Every set is checked (its type, equal
-    velocities, tol against M0) before Delta is evaluated; errors about a
-    sequence, or anything else that is not one ModelParams, name the index
-    of the set at fault.
+    points of all sets, and each set's constants are built once.  The
+    first set scans its whole grid.  Each later set scans its own grid at
+    -tol and at the indices k-2 .. k+3 (its window) around the first
+    set's first sign cell k; when none of these signs is 0, the window's
+    first sign is the sign at -tol and the window holds a sign change,
+    the window's first sign cell is the set's cell.  Every other set (the
+    first set has no grid cell, or the window does not settle) scans its
+    whole grid in the next call.  In the batch full_report solves, lambda0
+    and its finite-difference neighbours, each neighbour's lambda0 lies
+    in the first set's grid cell or the next one, so in its window, and
+    it is the dominant eigenvalue (Krein-Rutman), so Delta has no real root
+    between it and 0: the settled cell is the cell the whole grid gives.
+    In any batch, the sign check refuses a window with one root between
+    it and -tol; only an even number of them could pass it.
+
+    Every set is checked (its type, equal velocities, tol against M0)
+    before Delta is evaluated; errors about a sequence, or anything else
+    that is not one ModelParams, name the index of the set at fault.
     """
     single = isinstance(params, ModelParams)
     try:
@@ -173,8 +222,8 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
         sets = [params]
     if not sets:
         raise ValidationError("no parameter sets to solve")
-    if not tol > 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not (isinstance(tol, numbers.Real) and tol > 0.0):
+        raise ValidationError(f"tol must be positive, got {tol!r}")
     # where an error names its set: nowhere for a single one
     at = [""] if single else [f" (set {i})" for i in range(len(sets))]
     M0 = []
@@ -189,37 +238,45 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
             raise ValidationError(
                 f"tol={tol} exceeds bracket width M0={bb.M0}{at[i]}")
         M0.append(bb.M0)
-    owner = range(len(sets))
+    table = _set_table(sets)
     grids = -np.geomspace(tol, M0, _GRID_N, axis=1)
-    signs = _delta_signs(grids, sets, owner).reshape(len(sets), -1)
-    cells = [(_sign_cells(grid, sg) or [None])[0]
-             for grid, sg in zip(grids, signs)]
-    # the grid cells to densify tenfold: every sign change found
-    dense = [i for i, cell in enumerate(cells) if cell and cell[2] != 0]
+    cells = _grid_cells(grids, table, [0]) + [None] * (len(sets) - 1)
+    a, b, _ = cells[0]
+    if len(sets) > 1 and b < 0.0:       # the first set has a grid cell
+        k = int(np.flatnonzero(grids[0] == a)[0])
+        cols = np.r_[0, max(k + _WINDOW[0], 1):min(k + _WINDOW[1], _GRID_N)]
+        signs = _delta_signs(grids[1:, cols], table, range(1, len(sets)))
+        cells[1:] = [_window_cell(grid, cols, sg) for grid, sg in
+                     zip(grids[1:], signs.reshape(len(sets) - 1, -1))]
+    rest = [i for i, cell in enumerate(cells) if cell is None]
+    if rest:
+        for i, cell in zip(rest, _grid_cells(grids, table, rest)):
+            cells[i] = cell
     # a set whose grid keeps one sign may have its root in (-tol, 0): that
     # cell, tol wide, goes straight to bisection if Delta(0) has the other
     # sign
-    flat = [i for i, cell in enumerate(cells) if cell is None]
+    flat = [i for i, (_, b, _) in enumerate(cells) if b == 0.0]
     if flat:
-        at0 = _delta_signs([[0.0]] * len(flat), sets, flat)
+        at0 = _delta_signs([[0.0]] * len(flat), table, flat)
         for i, s0 in zip(flat, at0):
-            grid, s = grids[i], signs[i][0]
+            grid, s = grids[i], cells[i][2]
             if s0 != -s:
                 raise NoSignChangeFound(
                     f"no sign change of Delta on {_GRID_N}-point geometric "
                     f"grid in [{grid[-1]}, {grid[0]}] or up to 0: its sign "
                     f"is {s} throughout{at[i]}")
-            cells[i] = (float(grid[0]), 0.0, int(s))
-    # geomspace keeps the densified cells' known ends exactly
+    # the grid cells to densify tenfold: every sign change found on a grid;
+    # geomspace keeps their known ends exactly
+    dense = [i for i, (_, b, s) in enumerate(cells) if s != 0 and b < 0.0]
     if dense:
         a, b = np.array([cells[i][:2] for i in dense]).T
         grids = -np.geomspace(-a, -b, _DENSE_N, axis=1)
-        inner = _delta_signs(grids[:, 1:-1], sets,
+        inner = _delta_signs(grids[:, 1:-1], table,
                              dense).reshape(len(dense), -1)
         for i, grid, sg in zip(dense, grids, inner):
             s = cells[i][2]
             cells[i] = _sign_cells(grid, np.concatenate(([s], sg, [-s])))[0]
-    roots = _bisect(cells, sets, owner, [tol] * len(sets))
+    roots = _bisect(cells, table, range(len(sets)), [tol] * len(sets))
     return roots[0] if single else roots
 
 
@@ -232,16 +289,23 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     (root, bracket_lo, bracket_hi) triples when with_brackets is set.
     """
     check_count("grid_n", grid_n, 2)
-    lo, hi = range_
-    if not -math.inf < lo <= hi < math.inf:
-        raise ValidationError(f"need finite lo <= hi, got [{lo}, {hi}]")
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    try:
+        lo, hi = range_
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"range_ must be a pair (lo, hi), got {range_!r}") from None
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
+            and -math.inf < lo <= hi < math.inf):
+        raise ValidationError(f"need finite lo <= hi, got [{lo!r}, {hi!r}]")
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise ValidationError(
+            f"tol must be positive and finite, got {tol!r}")
     if lo == hi:
         return []
+    table = _set_table([params])
     grid = np.linspace(lo, hi, grid_n)
-    cells = _sign_cells(grid, _delta_signs([grid], [params], [0]))
-    roots = _bisect(cells, [params], [0] * len(cells),
+    cells = _sign_cells(grid, _delta_signs([grid], table, [0]))
+    roots = _bisect(cells, table, [0] * len(cells),
                     [tol * max(1.0, abs(a)) for a, _, _ in cells])
     if with_brackets:
         return [(r, a, b) for r, (a, b, _) in zip(roots, cells)]

@@ -94,6 +94,13 @@ def test_time_constant(cs):
             time_constant(lam, cs.physical, L_ref=L_ref)
 
 
+@pytest.mark.parametrize("lam", [-math.inf, "x", None, -0.1j, [-0.1]])
+def test_time_constant_refuses_a_rate_that_is_not_finite_and_real(cs, lam):
+    # -inf gave tau = 0.0, the others a TypeError
+    with pytest.raises(ValidationError):
+        time_constant(lam, cs.physical, L_ref=30.0)
+
+
 # every entry point that takes a count: (count's name, the call with it,
 # the least count it takes, or None for any integer)
 _COUNTS = {

@@ -146,6 +146,13 @@ def test_full_report_is_the_per_name_central_difference(cs, wide_box):
         assert central_difference(cs, name) == (up - down) / (2.0 * h)
 
 
+@pytest.mark.parametrize("name", ["x", "f0", "lam", None])
+def test_central_difference_refuses_a_name_it_cannot_perturb(cs, name):
+    # "x" raised AttributeError, and "f0" ZeroDivisionError (h = 0 at f0 = 0)
+    with pytest.raises(ValidationError, match="v1, v2, v3, v4, R, P"):
+        central_difference(cs, name)
+
+
 def test_full_report_pairs_the_modes_once(cs, monkeypatch):
     # one checked_pairing: <u, u*> and the two norms that gate it
     real = eigfun.inner_product

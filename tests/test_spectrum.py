@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from movingbed import sensitivity, spectrum
+from movingbed import charfun, sensitivity, spectrum
 from movingbed.charfun import return_map
 from movingbed.errors import (LimitCaseHasNoBracket, MovingBedError,
                               NoSignChangeFound, ValidationError)
@@ -171,10 +171,11 @@ def _counting(monkeypatch) -> list:
 
 
 def test_batch_calls_stay_under_the_point_cap(cs, wide_box, monkeypatch):
-    # 13 sets put 2600 points on their grids: four calls of 650
+    # the first set's grid, a 7-point window on each of the 12 others, and
+    # the whole grids of the two whose windows do not settle
     sizes = _counting(monkeypatch)
     dominant_eigenvalue([cs, *wide_box[:12]])
-    assert sizes[:4] == [spectrum._MAX_POINTS] * 4
+    assert sizes[:3] == [200, 12 * 7, 2 * 200]
     assert max(sizes) <= spectrum._MAX_POINTS
     assert len(sizes) <= 4 + 1 + 7
 
@@ -211,8 +212,10 @@ def test_batch_no_sign_change_names_the_set(cs, monkeypatch):
 
 
 def test_a_root_between_minus_tol_and_0_is_bisected_there(cs, monkeypatch):
-    # lambda0 = -0.1048 at R = 24 lies above the grid's end -tol = -0.108;
-    # Delta(0) shows the sign change, and only that set pays for it
+    # lambda0 = -0.1048 at R = 24 lies above the grid's end -tol = -0.108,
+    # so its window round the case study's cell holds no sign change and
+    # it scans its whole grid; Delta(0) shows the sign change, and only
+    # that set pays for it
     calls = []
     real = spectrum.return_map
 
@@ -223,7 +226,78 @@ def test_a_root_between_minus_tol_and_0_is_bisected_there(cs, monkeypatch):
     lam0, lam = dominant_eigenvalue([cs, replace(cs, R=24.0)], tol=0.108)
     assert lam0 == dominant_eigenvalue(cs, tol=0.108)
     assert -0.108 < lam < 0.0 and abs(lam + 0.10482181834723969) < 0.108
-    assert calls[:2] == [400, 1]
+    assert calls[:4] == [200, 5, 200, 1]
+
+
+def test_wrong_type_tol_and_range_are_refused_before_any_delta(cs,
+                                                              monkeypatch):
+    sizes = _counting(monkeypatch)
+    for call in (lambda: dominant_eigenvalue(cs, tol="x"),
+                 lambda: sensitivity.full_report(cs, tol="x"),
+                 lambda: real_root_scan(cs, ("a", 1.0)),
+                 lambda: real_root_scan(cs, None),
+                 lambda: real_root_scan(cs, (-1.0, 0.0, 1.0)),
+                 lambda: real_root_scan(cs, (-1, 0), tol=None)):
+        with pytest.raises(ValidationError):
+            call()
+    assert sizes == []
+
+
+def _fd_batch(p) -> list:
+    """p and its twelve finite-difference neighbours, as full_report
+    solves them."""
+    return [p, *(q for name in sensitivity._NAMES
+                 for q in sensitivity._fd_pair(p, name)[1])]
+
+
+def test_full_report_scans_windows_and_builds_each_row_once(cs,
+                                                            monkeypatch):
+    # the case study's grid, a 7-point window on each of its 12 FD
+    # neighbours, the 13 densified cells and five bisection rounds; each
+    # set's constant row is built once per solve, not once per call
+    sizes = _counting(monkeypatch)
+    rows = []
+    real_row = charfun._set_row
+    monkeypatch.setattr(charfun, "_set_row",
+                        lambda p: rows.append(p) or real_row(p))
+    solves = []
+    real_solve = sensitivity.dominant_eigenvalue
+
+    def solve(sets, tol):
+        solves.append(len(rows))
+        return real_solve(sets, tol)
+    monkeypatch.setattr(sensitivity, "dominant_eigenvalue", solve)
+    sensitivity.full_report(cs, fd=True)
+    assert sizes == [200, 12 * 7, 13 * 19, 403, 403, 403, 403, 91]
+    assert solves == [0] and rows == _fd_batch(cs)
+    rows.clear()
+    dominant_eigenvalue(cs)
+    assert rows == [cs]
+
+
+@pytest.mark.parametrize("stubbed, sign, grids", [
+    ([1], 0, [200]),                    # a zero sign in one window
+    (range(1, 13), 1, [600] * 4)])      # no sign change in any window
+def test_a_window_that_does_not_settle_falls_back_to_the_whole_grid(
+        cs, monkeypatch, stubbed, sign, grids):
+    # the stub touches only the window call; the sets it unsettles scan
+    # their whole grids in the next call(s), 2400 points making four of 600
+    sizes = []
+    real = spectrum.return_map
+
+    def stub(lam, sets, owner):
+        sizes.append(lam.size)
+        signs = real(lam, sets, owner).delta_sign
+        if len(sizes) == 2:
+            signs = np.where(np.isin(owner, stubbed), sign, signs)
+        return SimpleNamespace(delta_sign=signs)
+    monkeypatch.setattr(spectrum, "return_map", stub)
+    sets = _fd_batch(cs)
+    roots = dominant_eigenvalue(sets)
+    assert sizes[:3 + len(grids)] == [200, 12 * 7, *grids, 13 * 19]
+    monkeypatch.undo()
+    assert [root.hex() for root in roots] == _PINNED_FD_BATCH
+    assert roots == [dominant_eigenvalue(p) for p in sets]
 
 
 def test_near_limit_root_inside_tol_matches_the_perturbation(cs):
@@ -290,6 +364,32 @@ _BOX_SETS = st.lists(st.floats(-1.0, 1.0), min_size=6,
 def test_batch_equals_loop_over_the_wide_box(sets, tol):
     try:
         looped = [dominant_eigenvalue(p, tol) for p in sets]
+    except MovingBedError:
+        with pytest.raises(MovingBedError):
+            dominant_eigenvalue(sets, tol)
+        return
+    assert dominant_eigenvalue(sets, tol) == looped
+
+
+def _near_limit_set(eps) -> ModelParams:
+    """The case study's R and P with v1 = v3 = 1.275 (1 + eps) and
+    v2 = v4 = 1.275 (1 - eps): lambda0 is about -0.619 eps."""
+    up, down = 1.275 * (1.0 + eps), 1.275 * (1.0 - eps)
+    return ModelParams(up, down, up, down, R=18.0, P=1.03)
+
+
+@seed(20261019)
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.one_of(_BOX_SETS, st.floats(-9.0, -3.0).map(
+           lambda e: _near_limit_set(10.0 ** e))),
+       st.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_fd_batches_equal_the_loop(p, tol):
+    # the windows of the twelve neighbours settle the cell the whole grid
+    # gives, or fall back to it: near the limit lambda0 lies inside
+    # (-tol, 0) or a few grid cells from it
+    sets = _fd_batch(p)
+    try:
+        looped = [dominant_eigenvalue(q, tol) for q in sets]
     except MovingBedError:
         with pytest.raises(MovingBedError):
             dominant_eigenvalue(sets, tol)
