@@ -15,7 +15,8 @@ lambda = 0 with the x=0 jump row carrying the feed:
 v2 c(0-) + f0 = v3 c(0+), i.e. right-hand side -f0 on that row.
 
 The pairing of two solutions (``inner_product``) is a finite sum of
-exponential integrals, evaluated in closed form.
+exponential integrals: ``zone_integrals`` evaluates all 16 amplitude and
+exponent pairs of the four zones in one closed-form ``exp_integral`` call.
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ RANK_RTOL = 1e-8
 # perfbench draws (sweep and wide box) 3.5e-12; a null vector of a port
 # matrix that spans more than the double range can read 1.
 RESIDUAL_BOUND = 1e-8
-
-# Exponent below this is treated as exactly zero (the "difference of the
-# nu's is zero" case); the Taylor band above it avoids cancellation.
-_MU_ZERO = 1e-12
-_MU_TAYLOR = 1e-8
-
 
 def _zone_tables(lam, params: ModelParams):
     nus = np.empty((4, 2), dtype=complex)
@@ -129,17 +124,13 @@ class EigenSolution:
         q = self.params.R * self.params.P * (ex @ cc)
         return c, q
 
-    def amplitudes(self, zone: int) -> tuple:
-        """(c amplitudes, q amplitudes, signed rates) of zone (1..4).
-
-        On the zone c = sum c_amp exp(rate x) and q likewise; the rates are
-        +nu for the direct and steady solutions and -nu for the adjoint.
-        """
-        j = check_zone(zone) - 1
-        cc = self.coeffs[2 * j:2 * j + 2]
-        nus = self.nus[j]
-        return (cc * self.phis[j], cc * (self.params.R * self.params.P),
-                nus if self.sign > 0 else -nus)
+    def amplitudes(self) -> tuple:
+        """(c amplitudes, q amplitudes, signed rates) as (4, 2) tables: on
+        zone i + 1, c = sum_j c_amp[i, j] exp(rate[i, j] x) and q likewise,
+        with rates +nu (direct and steady solutions) or -nu (adjoint)."""
+        cc = self.coeffs.reshape(4, 2)
+        return (cc * self.phis, cc * (self.params.R * self.params.P),
+                self.nus if self.sign > 0 else -self.nus)
 
 
 def _scaled_svd(M: np.ndarray) -> tuple:
@@ -149,9 +140,14 @@ def _scaled_svd(M: np.ndarray) -> tuple:
     largest entry into [0.5, 1): an exact step, so the norms cannot
     overflow and the unit columns are the bits M / norm gives wherever
     that norm is finite.  A norm beyond the double range is returned as
-    inf.
+    inf.  A column that underflows to all zeros is refused as
+    NonFiniteDetected.
     """
-    pow2 = np.ldexp(1.0, -np.frexp(np.abs(M).max(axis=0))[1])
+    largest = np.abs(M).max(axis=0)
+    if not largest.all():
+        raise NonFiniteDetected(
+            "a column of the port-condition matrix underflows to zero")
+    pow2 = np.ldexp(1.0, -np.frexp(largest)[1])
     M2 = M * pow2
     norms = np.linalg.norm(M2, axis=0)
     with np.errstate(over="ignore"):
@@ -293,61 +289,54 @@ def evaluate(sol: EigenSolution, n_per_zone: int = 101) -> ProfileSamples:
                           q=np.concatenate(qs), side=np.concatenate(sides))
 
 
-def _cexpm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small |z| (complex z)."""
-    x, y = z.real, z.imag
-    # e^x cos y - 1 = expm1(x) cos y + (cos y - 1); both addends stay small
-    # exactly when z does, so no subtractive cancellation anywhere
-    return complex(math.expm1(x) * math.cos(y)
-                   - 2.0 * math.sin(y / 2.0) ** 2,
-                   math.exp(x) * math.sin(y))
-
-
-def exp_integral(D, Dstar, nu, nustar, x_lo: float, x_hi: float) -> complex:
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def exp_integral(D, Dstar, nu, nustar, x_lo, x_hi):
     """int_{x_lo}^{x_hi} D conj(Dstar) exp((nu - conj(nustar)) x) dx.
 
-    Closed form with a case split on the exponent mu = nu - conj(nustar):
-    exactly linear in the interval length for |mu| <= 1e-12, first-order
-    Taylor in the band up to 1e-8, else the primitive (stable via a
-    complex expm1).
+    Elementwise over arguments that broadcast; a call on scalars returns a
+    complex.  With mu = nu - conj(nustar) and L = x_hi - x_lo this is
+    amp e^{mu x_lo} expm1(mu L) / mu, or amp L where mu is exactly zero;
+    numpy's complex expm1 keeps small |mu| free of cancellation.  An
+    overflow is left in the result as inf or nan, without a warning.
     """
+    shape = np.broadcast(D, Dstar, nu, nustar, x_lo, x_hi).shape
+    # numpy scalars round products apart from the array loops: keep arrays
+    D, Dstar, nu, nustar, x_lo, x_hi = np.atleast_1d(D, Dstar, nu, nustar,
+                                                     x_lo, x_hi)
     amp = D * np.conj(Dstar)
-    mu = complex(nu - np.conj(nustar))
+    mu = nu - np.conj(nustar)
     length = x_hi - x_lo
-    if abs(mu) <= _MU_ZERO:
-        return amp * length
-    if abs(mu) <= _MU_TAYLOR:
-        return amp * length * (1.0 + mu * (x_lo + x_hi) / 2.0)
-    return amp * cmath.exp(mu * x_lo) * _cexpm1(mu * length) / mu
+    out = np.where(mu == 0, amp * length,
+                   amp * np.exp(mu * x_lo) * np.expm1(mu * length) / mu)
+    return out.reshape(shape) if shape else complex(out[0])
 
 
-def zone_integral(amp_a, amp_b, rates_a, rates_b, zone: int) -> complex:
-    """Integral over one zone of a conj(b), a = sum amp_a exp(rates_a x).
+@np.errstate(over="ignore", invalid="ignore")
+def zone_integrals(amp_a, amp_b, rates_a, rates_b) -> np.ndarray:
+    """Integral over each zone of a conj(b), a = sum amp_a exp(rates_a x).
 
-    b likewise; amplitudes and signed rates as ``EigenSolution.amplitudes``
-    gives them, so the exponent of each pair is rate_a + conj(rate_b).
+    b likewise; (4, 2) tables of amplitudes and signed rates as
+    ``EigenSolution.amplitudes`` gives them, so the exponent of each pair
+    is rate_a + conj(rate_b).  Returns the four zone integrals.
     """
-    lo = ZONE_LEFT[check_zone(zone) - 1]
-    total = 0.0 + 0.0j
-    for j in range(2):
-        for l in range(2):
-            total += exp_integral(amp_a[j], amp_b[l], rates_a[j], -rates_b[l],
-                                  lo, lo + 1.0)
-    return complex(total)
+    lo = np.array(ZONE_LEFT)[:, None, None]
+    terms = exp_integral(amp_a[:, :, None], amp_b[:, None, :],
+                         rates_a[:, :, None], -rates_b[:, None, :],
+                         lo, lo + 1.0)
+    return terms.reshape(4, 4).sum(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inner_product(a: EigenSolution, b: EigenSolution) -> complex:
     """<a, b> = integral over [-2,2] of (c_a conj(c_b) + q_a conj(q_b)).
 
-    Closed form, zone by zone; a and b may be direct, adjoint or steady.
+    Closed form over all zones at once; a and b may be direct, adjoint or
+    steady.  A pairing beyond the double range comes out inf or nan.
     """
-    total = 0.0 + 0.0j
-    for zone in range(1, 5):
-        ca, qa, ra = a.amplitudes(zone)
-        cb, qb, rb = b.amplitudes(zone)
-        total += zone_integral(ca, cb, ra, rb, zone)
-        total += zone_integral(qa, qb, ra, rb, zone)
-    return complex(total)
+    ca, qa, ra = a.amplitudes()
+    cb, qb, rb = b.amplitudes()
+    return complex((zone_integrals(ca, cb, ra, rb)
+                    + zone_integrals(qa, qb, ra, rb)).sum())
 
 
 def checked_pairing(direct: EigenSolution, adjoint: EigenSolution) -> complex:
@@ -355,12 +344,21 @@ def checked_pairing(direct: EigenSolution, adjoint: EigenSolution) -> complex:
 
     u is the direct mode at lambda and u* the adjoint mode at
     conj(lambda); the adjoint at a complex lambda itself pairs to zero
-    and is refused as NearZeroPairing.
+    and is refused as NearZeroPairing.  A pairing or norm beyond the
+    double range is refused as NonFiniteDetected.
     """
     pairing = inner_product(direct, adjoint)
-    scale = (abs(inner_product(direct, direct))
-             * abs(inner_product(adjoint, adjoint))) ** 0.5
-    if abs(pairing) <= 1e-12 * max(scale, 1e-30):
+    with np.errstate(over="ignore"):    # |z| of a finite z may overflow
+        size, norm_u, norm_a = np.abs([pairing,
+                                       inner_product(direct, direct),
+                                       inner_product(adjoint, adjoint)])
+    # geometric mean of the norms, rooted first so that it cannot overflow
+    scale = float(np.sqrt(norm_u) * np.sqrt(norm_a))
+    if not (math.isfinite(size) and math.isfinite(scale)):
+        raise NonFiniteDetected(
+            f"pairing <u,u*> = {pairing:.3e} or its norm scale {scale:.3e} "
+            "is not finite")
+    if size <= 1e-12 * scale:
         raise NearZeroPairing(
             f"pairing <u,u*> = {pairing:.3e} negligible against norm scale "
             f"{scale:.3e}")

@@ -6,11 +6,12 @@ adjoint eigenfunctions,
     dlambda/dtheta = N_theta(u, u*) / <u, u*>,
 
 with every integral a finite sum of exponentials evaluated in closed form
-by ``eigfun.zone_integral``.  The denominator is the pairing
+by ``eigfun.zone_integrals``.  The denominator is the pairing
 <u, u*> = int c c̄* + q q̄* over [-2, 2] (``eigfun.inner_product``),
-refused as ``NearZeroPairing`` when negligible.  One pass over the
-zones gives all six numerators; full_report computes the pairing once
-and divides all six by it, each public ``dlambda_*`` computes its own.
+refused as ``NearZeroPairing`` when negligible.  Array expressions on the
+two modes' amplitude tables give all six numerators; full_report computes
+the pairing once and divides all six by it, each public ``dlambda_*``
+computes its own.
 The numerators are
 
     dlambda/dv_k : boundary term (-c c̄* at the zone inlet for k odd,
@@ -33,7 +34,7 @@ import numpy as np
 # inner_product and exp_integral are re-exported here
 from .eigfun import (EigenSolution, adjoint_eigenfunction,  # noqa: F401
                      checked_pairing, eigenfunction, exp_integral,
-                     inner_product, zone_integral)
+                     inner_product, zone_integrals)
 from .errors import ValidationError
 from .params import PORTS, ModelParams
 from .spectrum import dominant_eigenvalue
@@ -44,6 +45,7 @@ from .spectrum import dominant_eigenvalue
 _BOUNDARY = {zone: (x, sgn) for port in PORTS if port.weighted()
              for zone, x, sgn in ((port.zone, port.x, -1.0),
                                   (port.up, port.x_up, +1.0))}
+_BOUNDARY_X, _BOUNDARY_SIGN = np.array([_BOUNDARY[k] for k in range(1, 5)]).T
 
 
 # the parameters full_report differentiates, in the order of its fields
@@ -53,21 +55,20 @@ _NAMES = ("v1", "v2", "v3", "v4", "R", "P")
 def _numerators(direct: EigenSolution, adjoint: EigenSolution,
                 params: ModelParams) -> list:
     """Numerators of the six derivatives, in the order of _NAMES, from
-    one pass over the zones."""
+    the two modes' (4, 2) amplitude tables."""
     R, P = params.R, params.P
-    dv, dR, dP = [], 0.0 + 0.0j, 0.0 + 0.0j
-    for zone in range(1, 5):
-        cd, qd, rd = direct.amplitudes(zone)
-        ca, qa, ra = adjoint.amplitudes(zone)
-        xb, sgn = _BOUNDARY[zone]
-        cb, _ = direct.zone_values(zone, xb)
-        cab, _ = adjoint.zone_values(zone, xb)
-        dv.append(sgn * complex(cb[0]) * np.conj(complex(cab[0]))
-                  - zone_integral(cd * rd, ca, rd, ra, zone))
-        dR -= zone_integral(P * cd - qd, P * ca - qa, rd, ra, zone)
-        dP += zone_integral(R * (-2.0 * P * cd + qd), ca, rd, ra, zone)
-        dP += zone_integral(R * cd, qa, rd, ra, zone)
-    return [*dv, dR, dP]
+    cd, qd, rd = direct.amplitudes()
+    ca, qa, ra = adjoint.amplitudes()
+    # c of each zone at its v-weighted port
+    xb = _BOUNDARY_X[:, None]
+    cb = (cd * np.exp(rd * xb)).sum(axis=1)
+    cab = (ca * np.exp(ra * xb)).sum(axis=1)
+    dv = _BOUNDARY_SIGN * cb * np.conj(cab) - zone_integrals(cd * rd, ca,
+                                                            rd, ra)
+    dR = -zone_integrals(P * cd - qd, P * ca - qa, rd, ra).sum()
+    dP = (zone_integrals(R * (-2.0 * P * cd + qd), ca, rd, ra)
+          + zone_integrals(R * cd, qa, rd, ra)).sum()
+    return [*dv, complex(dR), complex(dP)]
 
 
 def dlambda_dv(k: int, direct: EigenSolution, adjoint: EigenSolution,

@@ -12,7 +12,8 @@ import pytest
 import movingbed
 from movingbed import cli
 from movingbed.cli import main
-from movingbed.params import case_study, params_to_dict, save_params
+from movingbed.params import (ModelParams, case_study, params_to_dict,
+                              save_params)
 
 
 def _read_json(path):
@@ -277,6 +278,24 @@ def test_exit_code_numerical(tmp_path, capsys):
     # equal velocities make the steady-state system singular
     assert main(["steady", "--preset", "limit", "--f0", "1.0",
                  "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("v, R, P", [
+    # the pairing's exponentials overflow (an OverflowError traceback, exit
+    # 1, when the pairing was summed in Python complex)
+    ((1.6987584908155915, 0.7527112722056316, 2.3852974596306686,
+      1.011185600926822), 158.49164161034025, 1.6319935293807613),
+    # a column of the port matrix underflows to zero (an invalid-divide
+    # RuntimeWarning, then LinAlgError, exit 1)
+    ((2.313292462586301, 0.8850078860208157, 2.223751800456882,
+      0.4781285149130546), 55.21472467986404, 2.853364334492751)],
+    ids=["pairing-overflow", "port-column-underflow"])
+def test_modes_beyond_the_double_range_exit_3(tmp_path, capsys, v, R, P):
+    pfile = tmp_path / "params.json"
+    save_params(ModelParams(*v, R=R, P=P), pfile)
+    assert main(["analyze", "--params", str(pfile),
+                 "--out", str(tmp_path / "run")]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

@@ -40,6 +40,7 @@ def _oracle(D, Dstar, nu, nustar, lo, hi):
 def test_exp_integral_random_exponents():
     rng = np.random.default_rng(7)
     worst = 0.0
+    draws = []
     for _ in range(200):
         D = complex(*rng.normal(size=2))
         Ds = complex(*rng.normal(size=2))
@@ -47,17 +48,24 @@ def test_exp_integral_random_exponents():
         ns = complex(*rng.normal(scale=3.0, size=2))
         lo = rng.uniform(-2.0, 1.0)
         got = exp_integral(D, Ds, nu, ns, lo, lo + 1.0)
+        assert type(got) is complex
         ref = _oracle(D, Ds, nu, ns, lo, lo + 1.0)
         scale = max(abs(ref), abs(D * np.conj(Ds)))
         worst = max(worst, abs(got - ref) / scale)
+        draws.append((D, Ds, nu, ns, lo, got))
     assert worst <= 1e-12
+    # one broadcast call over all draws gives each scalar result exactly
+    D, Ds, nu, ns, lo, scalar = map(np.array, zip(*draws))
+    batch = exp_integral(D, Ds, nu, ns, lo, lo + 1.0)
+    assert batch.shape == (200,)
+    assert batch.tobytes() == scalar.tobytes()
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-13, -1e-13 + 1e-14j,
                                 1e-9, 1e-9 + 1e-9j, -3e-9])
 def test_exp_integral_small_exponent_branches(mu):
-    # mu below the series thresholds: compare against the quadrature of the
-    # nearly-constant integrand
+    # mu zero or tiny, where exp(mu L) - 1 would cancel: compare against the
+    # quadrature of the nearly-constant integrand
     D, Ds = 1.3 - 0.4j, 0.7 + 0.2j
     got = exp_integral(D, Ds, mu, 0.0, -1.0, 0.0)
     ref = _oracle(D, Ds, mu, 0.0, -1.0, 0.0)
@@ -172,6 +180,17 @@ def test_full_report_pairs_the_modes_once(cs, monkeypatch):
         assert (got.real, got.imag) == (ref.real, ref.imag)
     for got, ref in ((rep.dR, dlambda_dR(*args)), (rep.dP, dlambda_dP(*args))):
         assert (got.real, got.imag) == (ref.real, ref.imag)
+
+
+def test_full_report_where_the_mode_norms_underflow():
+    # pairing -2.38e-85 against a norm scale of 2.38e-85 (cosine ~1):
+    # refused as NearZeroPairing while the scale had a floor of 1e-30
+    params = ModelParams(2.582298732665643, 1.1937829747576176,
+                         2.278910046169394, 1.6467805334028607,
+                         R=25.975886447434224, P=3.229132306041342)
+    rep = full_report(params, fd=True)
+    assert abs(rep.denominator) < 1e-80
+    assert max(rep.fd_check) <= 1e-4
 
 
 def test_full_report_allocation_stays_under_the_point_cap(cs):
