@@ -14,9 +14,11 @@ The steady state with feed strength f0 solves the same system at
 lambda = 0 with the x=0 jump row carrying the feed:
 v2 c(0-) + f0 = v3 c(0+), i.e. right-hand side -f0 on that row.
 
-The pairing of two solutions (``inner_product``) is a finite sum of
-exponential integrals: ``zone_integrals`` evaluates all 16 amplitude and
-exponent pairs of the four zones in one closed-form ``exp_integral`` call.
+Sampling and pairing read a solution only through its (4, 2) amplitude
+and rate tables (``EigenSolution.amplitudes``): every point value is one
+``zone_values`` call over an array of zones, and the pairing
+(``inner_product``) sums all 16 amplitude and exponent pairs of the four
+zones in one closed-form ``exp_integral`` call (``zone_integrals``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 from .charfun import zone_eigen
 from .errors import (DegenerateNullspace, NearZeroPairing, NonFiniteDetected,
                      NotAnEigenvalue, SingularSystem, ValidationError)
-from .params import PORTS, ZONE_LEFT, ModelParams, check_count, check_zone
+from .params import (PORTS, ZONE_LEFT, ZONES, ModelParams, check_count,
+                     check_zone)
 
 # Singular values of the column-scaled port matrix below RANK_RTOL * sigma_max
 # count as zero.  Over 800 mode solves in the whole box (v +-10%, R +-25%,
@@ -114,15 +117,18 @@ class EigenSolution:
     phis: np.ndarray          # (4, 2)
     sign: int                 # +1 for exp(+nu x) basis, -1 adjoint
 
-    def zone_values(self, zone: int, x) -> tuple:
-        """(c, q) of this solution on points x inside zone (1..4)."""
-        x = np.asarray(x, dtype=float)
-        j = check_zone(zone) - 1
-        ex = np.exp(self.sign * np.outer(x, self.nus[j]))
-        cc = self.coeffs[2 * j:2 * j + 2]
-        c = ex @ (cc * self.phis[j])
-        q = self.params.R * self.params.P * (ex @ cc)
-        return c, q
+    def zone_values(self, zone, x) -> tuple:
+        """(c, q) at points x of zone (1..4, or an integer array of zones
+        that broadcasts with x), at least 1-d: the sum of the zone's two
+        terms c_amp e^{rate x} of ``amplitudes``, and q likewise."""
+        i = check_zone(zone) - 1
+        # numpy scalars round products apart from the array loops: keep arrays
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        c_amp, q_amp, rates = self.amplitudes()
+        # two terms written out: a sum over the size-2 axis is slower
+        e1, e2 = np.exp(rates[i, 0] * x), np.exp(rates[i, 1] * x)
+        return (c_amp[i, 0] * e1 + c_amp[i, 1] * e2,
+                q_amp[i, 0] * e1 + q_amp[i, 1] * e2)
 
     def amplitudes(self) -> tuple:
         """(c amplitudes, q amplitudes, signed rates) as (4, 2) tables: on
@@ -167,7 +173,15 @@ def _solve_nullspace(M: np.ndarray) -> tuple:
         raise DegenerateNullspace(
             f"nullspace dimension >= 2 (sigma_7 = {sv[6]:.3e}, "
             f"sigma_max = {sv[0]:.3e}); refusing to pick a vector")
-    null = Vh[-1].conj() / scale
+    with np.errstate(over="ignore"):
+        null = Vh[-1].conj() / scale
+    if not np.isfinite(null).all():
+        raise NonFiniteDetected("null vector beyond the double range")
+    # an exact power of two brings the largest real or imaginary part into
+    # [0.5, 1), so the norm cannot overflow; scaling the parts, not the
+    # complex numbers, keeps the sign of a zero part
+    parts = null.view(float)
+    np.ldexp(parts, -np.frexp(np.abs(parts).max())[1], out=parts)
     null /= np.linalg.norm(null)
     if abs(null[0]) > 1e-12:
         coeffs = null / null[0]
@@ -273,20 +287,13 @@ class ProfileSamples:
 
 def evaluate(sol: EigenSolution, n_per_zone: int = 101) -> ProfileSamples:
     """Sample a solution zone by zone, endpoints included in every zone."""
-    check_count("n_per_zone", n_per_zone, 2)
-    xs, cs, qs, sides = [], [], [], []
-    for zone in range(1, 5):
-        lo = ZONE_LEFT[zone - 1]
-        x = np.linspace(lo, lo + 1.0, n_per_zone)
-        c, q = sol.zone_values(zone, x)
-        side = np.full(x.shape, ".", dtype="<U1")
-        side[0], side[-1] = "R", "L"
-        xs.append(x)
-        cs.append(c)
-        qs.append(q)
-        sides.append(side)
-    return ProfileSamples(x=np.concatenate(xs), c=np.concatenate(cs),
-                          q=np.concatenate(qs), side=np.concatenate(sides))
+    x = np.add.outer(ZONE_LEFT, np.linspace(
+        0.0, 1.0, check_count("n_per_zone", n_per_zone, 2)))
+    c, q = sol.zone_values(ZONES, x)
+    side = np.full(x.shape, ".", dtype="<U1")
+    side[:, 0], side[:, -1] = "R", "L"
+    return ProfileSamples(x=x.ravel(), c=c.ravel(), q=q.ravel(),
+                          side=side.ravel())
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -373,18 +380,10 @@ def _samples_inner_adjoint(initial: ProfileSamples,
     one-sided samples integrate correctly.
     """
     x = initial.x
-    zone = np.minimum(np.searchsorted(np.array([-1.0, 0.0, 1.0]), x,
-                                      side="right") + 1, 4)
-    # left-limit samples sitting at the computed zone's own left endpoint
-    # belong to the zone below
-    lefts = np.array(ZONE_LEFT)[zone - 1]
-    zone = np.where((initial.side == "L") & (lefts == x) & (zone > 1),
-                    zone - 1, zone)
-    ca = np.empty_like(x, dtype=complex)
-    qa = np.empty_like(x, dtype=complex)
-    for z in range(1, 5):
-        m = zone == z
-        ca[m], qa[m] = adjoint.zone_values(z, x[m])
+    zone = np.searchsorted(ZONE_LEFT, x, side="right")
+    # a left-limit sample at a port belongs to the zone below
+    zone -= (initial.side == "L") & np.isin(x, ZONE_LEFT[1:])
+    ca, qa = adjoint.zone_values(zone, x)
     return complex(np.trapezoid(initial.c * np.conj(ca)
                                 + initial.q * np.conj(qa), x))
 

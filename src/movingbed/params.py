@@ -24,6 +24,8 @@ import math
 import numbers
 from dataclasses import dataclass, asdict
 
+import numpy as np
+
 from .errors import (
     NonNegativeEigenvalue,
     NonPositiveParameter,
@@ -72,14 +74,17 @@ class PhysicalParams:
 
 # Left end of each zone; zone i occupies [ZONE_LEFT[i-1], ZONE_LEFT[i-1] + 1].
 ZONE_LEFT = (-2.0, -1.0, 0.0, 1.0)
+ZONES = np.arange(1, 5)[:, None]     # zone indices, for (4, n) point grids
 
 
-def check_zone(zone) -> int:
-    """zone, if it is a zone index 1..4; else ValidationError naming it
-    (indexing by zone - 1 would take zone 0 for zone 4, -1 for zone 3)."""
-    if not (isinstance(zone, numbers.Integral) and 1 <= zone <= 4):
+def check_zone(zone) -> np.ndarray:
+    """zone as an array, if it is a zone index 1..4 or an integer array of
+    them; else ValidationError naming it (indexing by zone - 1 would take
+    zone 0 for zone 4, -1 for zone 3)."""
+    z = np.asarray(zone)
+    if not (z.dtype.kind in "iu" and ((1 <= z) & (z <= 4)).all()):
         raise ValidationError(f"zone must be one of 1..4, got {zone!r}")
-    return zone
+    return z
 
 
 def check_count(name: str, value, minimum: int | None = None) -> int:

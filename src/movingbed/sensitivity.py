@@ -36,7 +36,7 @@ from .eigfun import (EigenSolution, adjoint_eigenfunction,  # noqa: F401
                      checked_pairing, eigenfunction, exp_integral,
                      inner_product, zone_integrals)
 from .errors import ValidationError
-from .params import PORTS, ModelParams
+from .params import PORTS, ZONES, ModelParams
 from .spectrum import dominant_eigenvalue
 
 
@@ -60,9 +60,8 @@ def _numerators(direct: EigenSolution, adjoint: EigenSolution,
     cd, qd, rd = direct.amplitudes()
     ca, qa, ra = adjoint.amplitudes()
     # c of each zone at its v-weighted port
-    xb = _BOUNDARY_X[:, None]
-    cb = (cd * np.exp(rd * xb)).sum(axis=1)
-    cab = (ca * np.exp(ra * xb)).sum(axis=1)
+    cb = direct.zone_values(ZONES[:, 0], _BOUNDARY_X)[0]
+    cab = adjoint.zone_values(ZONES[:, 0], _BOUNDARY_X)[0]
     dv = _BOUNDARY_SIGN * cb * np.conj(cab) - zone_integrals(cd * rd, ca,
                                                             rd, ra)
     dR = -zone_integrals(P * cd - qd, P * ca - qa, rd, ra).sum()

@@ -33,7 +33,7 @@ import numpy as np
 from .eigfun import EigenSolution, eigenfunction, steady_state
 from .errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                      ValidationError, ZeroProfile)
-from .params import PORTS, ZONE_LEFT, ModelParams, check_count
+from .params import PORTS, ZONE_LEFT, ZONES, ModelParams, check_count
 from .spectrum import dominant_eigenvalue
 
 
@@ -281,12 +281,8 @@ def cell_centers(Nx: int) -> np.ndarray:
 
 def _sample(sol: EigenSolution, Nx: int) -> tuple:
     """Real parts of a solution's (c, q) at the cell centers, (4, Nx) each."""
-    xs = cell_centers(Nx)
-    c, q = np.empty((2, 4, Nx))
-    for zone in range(1, 5):
-        cz, qz = sol.zone_values(zone, xs[zone - 1])
-        c[zone - 1], q[zone - 1] = cz.real, qz.real
-    return c, q
+    c, q = sol.zone_values(ZONES, cell_centers(Nx))
+    return c.real, q.real
 
 
 def sample_eigenfunction(params: ModelParams, Nx: int,

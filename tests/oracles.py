@@ -4,7 +4,8 @@ Deliberately unrelated to the package's own numerics: the matrix
 exponential is Taylor-with-scaling-and-squaring (no eigenvalue branches,
 no scipy), Delta(lambda) is a 50-digit mpmath product of plain matrix
 exponentials (no log-scaling), the dominant-root search is a scalar
-bisection, quadrature is plain Gauss-Legendre, derivatives are central
+bisection, quadrature is plain Gauss-Legendre, a mode is sampled zone by
+zone from the formula on its coefficients, derivatives are central
 differences, and the limited advection step is a cell-by-cell loop.
 Agreement between these and the package is the point of the property
 tests, so nothing here may import from movingbed internals.
@@ -110,6 +111,26 @@ def gl64(f, lo, hi):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return half * np.sum(_GL_W * f(mid + half * _GL_X))
+
+
+def mode_values(sol, zone, x):
+    """(c, q) of an eigfun solution on zone (1..4) at points x, from the
+    formula of the eigfun module docstring on the solution's fields:
+
+        c(x) = sum_j C^j phi^j exp(sign nu^j x),
+        q(x) = R P sum_j C^j exp(sign nu^j x),
+
+    with C = coeffs[2 (zone - 1):2 zone], one zone per call.
+    """
+    x = np.asarray(x, dtype=float)
+    c = np.zeros(x.shape, dtype=complex)
+    q = np.zeros(x.shape, dtype=complex)
+    for j in range(2):
+        C = sol.coeffs[2 * (zone - 1) + j]
+        e = np.exp(sol.sign * sol.nus[zone - 1, j] * x)
+        c += C * sol.phis[zone - 1, j] * e
+        q += C * e
+    return c, sol.params.R * sol.params.P * q
 
 
 def central_diff(f, x, h):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,8 @@ from movingbed.errors import (MovingBedError, NearZeroPairing,
 from movingbed.params import ModelParams, case_study
 from movingbed.spectrum import (bracket_bound, dominant_eigenvalue,
                                 limit_point, real_root_scan)
+
+from oracles import mode_values
 
 # Regression values for the dominant mode of the reference case, frozen
 # from a validated run (direct solve + SVD agree, residuals < 1e-7, and
@@ -177,6 +180,15 @@ def test_a_null_vector_that_fails_the_port_conditions_is_refused(
             eigenfunction(lam0, cs)
 
 
+def test_null_vector_beyond_the_double_range_is_refused(monkeypatch):
+    # column norms so tiny that the null vector scaled back by them
+    # overflows
+    monkeypatch.setattr(eigfun, "_scaled_svd", lambda M: (
+        np.r_[np.ones(7), 0.0], np.eye(8), np.full(8, 1e-310)))
+    with pytest.raises(NonFiniteDetected):
+        eigfun._solve_nullspace(np.zeros((8, 8)))
+
+
 @pytest.mark.parametrize("zone", [0, -1, 5])
 def test_zone_outside_1_to_4_is_refused(cs, direct, zone):
     calls = {
@@ -189,6 +201,27 @@ def test_zone_outside_1_to_4_is_refused(cs, direct, zone):
     for name, call in calls.items():
         with pytest.raises(ValidationError, match=f"got {zone}"):
             call()
+    # zone_values also takes an integer array of zones
+    for bad in ([1, zone], [1.0]):
+        with pytest.raises(ValidationError, match=re.escape(f"got {bad}")):
+            direct.zone_values(bad, [0.5])
+
+
+def test_zone_values_match_the_docstring_formula(cs, lam0, lp):
+    # one call on a (4, n) zone array against the oracle's per-zone sums,
+    # which read coeffs, phis and nus, not the amplitude tables
+    x = np.add.outer((-2.0, -1.0, 0.0, 1.0), np.linspace(0.0, 1.0, 17))
+    zones = np.repeat(np.arange(1, 5)[:, None], x.shape[1], axis=1)
+    complex_lam = limit_point(lp, 1).lambda_plus
+    assert complex_lam.imag != 0.0
+    for sol in (eigenfunction(lam0, cs), adjoint_eigenfunction(lam0, cs),
+                steady_state(replace(cs, f0=1.0)),
+                eigenfunction(complex_lam, lp)):
+        c, q = sol.zone_values(zones, x)
+        ref = np.array([mode_values(sol, zone, x[zone - 1])
+                        for zone in range(1, 5)])
+        for got, want in ((c, ref[:, 0]), (q, ref[:, 1])):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_evaluate_samples(direct):
@@ -219,6 +252,20 @@ def test_projection_of_mode_onto_itself(direct, adjoint):
     samples = evaluate(direct, n_per_zone=101)
     M1 = projection_coefficient(direct, adjoint, samples)
     assert M1 == pytest.approx(1.0, abs=1e-3)
+
+
+def test_sampled_pairing_takes_port_samples_from_their_own_zone(direct,
+                                                                adjoint):
+    # a left-limit sample at a port takes the adjoint of the zone below,
+    # a right-limit one that of the zone above, as the oracle does here
+    samples = evaluate(direct, n_per_zone=11)
+    x = samples.x.reshape(4, 11)
+    ca, qa = np.concatenate([mode_values(adjoint, zone, x[zone - 1])
+                             for zone in range(1, 5)], axis=1)
+    want = np.trapezoid(samples.c * np.conj(ca) + samples.q * np.conj(qa),
+                        samples.x)
+    got = eigfun._samples_inner_adjoint(samples, adjoint)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_projection_near_zero_pairing(cs, lam0, direct):
@@ -328,3 +375,7 @@ def test_limit_zero_modes_are_positive(lp):
         assert sol.normalization == "unit norm (SVD; C11 ~ 0)"
         c, q = sol.zone_values(1, np.linspace(-2.0, -1.0, 5))
         assert np.all(c.real > 0) and np.all(q.real > 0)
+        # scaling the null vector into range keeps the sign of its zero
+        # parts, which the artifacts print
+        zeros = sol.coeffs.view(float)[sol.coeffs.view(float) == 0.0]
+        assert zeros.size and not np.signbit(zeros).any()

@@ -14,7 +14,7 @@ from movingbed.sensitivity import (SensitivityReport, central_difference,
                                    exp_integral, full_report, inner_product)
 from movingbed.spectrum import dominant_eigenvalue, real_root_scan
 
-from oracles import central_diff, gl64
+from oracles import central_diff, gl64, mode_values
 
 # Frozen from a validated run: every value agrees with independent central
 # differences of the re-bisected eigenvalue to ~1e-5 relative.
@@ -193,6 +193,41 @@ def test_full_report_where_the_mode_norms_underflow():
     assert max(rep.fd_check) <= 1e-4
 
 
+def _broad_domain(n):
+    """n sets of the broad domain (numpy seed 9): four velocities from
+    U[0.3, 3] sorted into port order, v2 and v4 the two smallest; R and P
+    log-uniform in [0.1, 200] and [0.1, 6.3]."""
+    rng = np.random.default_rng(9)
+    for _ in range(n):
+        s = np.sort(rng.uniform(0.3, 3.0, 4))
+        R, P = np.exp(rng.uniform(np.log([0.1, 0.1]), np.log([200.0, 6.3])))
+        yield ModelParams(s[2], s[0], s[3], s[1], R=R, P=P)
+
+
+@pytest.mark.parametrize("v, R, P", [
+    ((1.9720012327369831, 1.0369712527813448, 2.3043936899222848,
+      1.0706143392759524), 159.1877903164032, 2.2092174365326684),
+    ((2.009303049743967, 0.5819220833810372, 2.3979845087177787,
+      0.8404788299634318), 53.9788281239729, 2.634574549060539)])
+def test_full_report_where_the_null_vector_norm_overflowed(v, R, P):
+    # broad-domain draws 174 and 187: the null vector divided by tiny
+    # column norms overflowed np.linalg.norm with a RuntimeWarning
+    with pytest.raises(MovingBedError):
+        full_report(ModelParams(*v, R=R, P=P))
+
+
+def test_broad_domain_returns_finite_fields_or_refuses():
+    # RuntimeWarnings are errors in this suite, so a warning fails here
+    for params in _broad_domain(200):
+        try:
+            rep = full_report(params)
+        except MovingBedError:
+            continue
+        for field in (rep.lam, rep.dv, rep.dR, rep.dP, rep.denominator,
+                      rep.fd_check):
+            assert np.isfinite(field).all(), params
+
+
 def test_full_report_allocation_stays_under_the_point_cap(cs):
     # reads 0.66 MB with 650 points per return_map call, 1.9 MB when the
     # 2600 grid points of the 13 sets go through one call
@@ -291,11 +326,13 @@ def test_limit_case_closed_forms():
 # ---------------------------------------------------------------------------
 
 def _gl_pairing(a, b, integrand):
-    """Sum over the zones of gl64 of integrand(c_a, q_a, c_b, q_b)."""
+    """Sum over the zones of gl64 of integrand(c_a, q_a, c_b, q_b), the
+    modes sampled by the oracle, apart from their amplitude tables."""
     total = 0.0 + 0.0j
     for zone, lo in zip(range(1, 5), (-2.0, -1.0, 0.0, 1.0)):
         def f(x, zone=zone):
-            return integrand(*a.zone_values(zone, x), *b.zone_values(zone, x))
+            return integrand(*mode_values(a, zone, x),
+                             *mode_values(b, zone, x))
         total += gl64(f, lo, lo + 1.0)
     return total
 
