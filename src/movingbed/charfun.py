@@ -327,12 +327,6 @@ class ReturnMapEval:
     det_log: float | complex
 
     @property
-    def C(self) -> np.ndarray:
-        """Plain C(lambda); may overflow to inf for large scales."""
-        with np.errstate(over="ignore"):
-            return self.mantissa * np.exp(self.log_scale)[..., None, None]
-
-    @property
     def trace_mantissa(self) -> complex:
         return self.mantissa[..., 0, 0] + self.mantissa[..., 1, 1]
 

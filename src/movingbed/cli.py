@@ -27,8 +27,8 @@ from .charfun import return_map
 from .eigfun import (adjoint_eigenfunction, eigenfunction, evaluate,
                      steady_state)
 from .errors import (InsufficientSamples, NumericalError, ValidationError)
-from .params import (PRESETS, ModelParams, load_params, params_to_dict,
-                     time_constant)
+from .params import (PRESETS, ModelParams, check_count, load_params,
+                     params_to_dict, time_constant)
 from .sensitivity import full_report
 # dominant_eigenvalue is not called here; perfbench's tracer rebinds it
 from .spectrum import (collocation_spectrum, dominant_eigenvalue,  # noqa: F401
@@ -218,10 +218,7 @@ def cmd_simulate(args, params: ModelParams, out: Path) -> dict:
 
 def cmd_delta_scan(args, params: ModelParams, out: Path) -> dict:
     lo, hi = args.range
-    if args.grid < 1:
-        raise ValidationError(f"need at least one scan point, got {args.grid}")
-    lams = np.linspace(lo, hi, args.grid) if args.grid > 1 \
-        else np.array([lo])
+    lams = np.linspace(lo, hi, check_count("grid", args.grid, 1))
     ev = return_map(lams, params)
     rows = []
     for lam, sign, log_abs, trace_log, det_log in zip(

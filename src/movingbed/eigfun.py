@@ -12,7 +12,10 @@ eigenvalues; coefficients are normalized by C_1^1 = 1.
 
 The steady state with feed strength f0 solves the same system at
 lambda = 0 with the x=0 jump row carrying the feed:
-v2 c(0-) + f0 = v3 c(0+), i.e. right-hand side -f0 on that row.
+v2 c(0-) + f0 = v3 c(0+), i.e. right-hand side -f0 on that row.  One
+solve (``_solve``) serves all three kinds: it assembles the matrix,
+takes the null vector or the feed solution, and applies the same
+finiteness and residual checks.
 
 Sampling and pairing read a solution only through its (4, 2) amplitude
 and rate tables (``EigenSolution.amplitudes``): every point value is one
@@ -203,7 +206,10 @@ def _residual(M: np.ndarray, coeffs: np.ndarray, rhs=0.0) -> float:
     return error / size if size else 0.0
 
 
-def _eigensolution(lam, params: ModelParams, sign: int) -> EigenSolution:
+def _solve(lam, params: ModelParams, sign: int, f0=None) -> EigenSolution:
+    """The port-condition solution at lambda: the null vector, or with f0
+    the solution whose feed row carries -f0; refused unless it is finite
+    with a residual within RESIDUAL_BOUND."""
     try:
         finite = cmath.isfinite(lam)
     except TypeError:                   # None, a string, an array
@@ -216,24 +222,36 @@ def _eigensolution(lam, params: ModelParams, sign: int) -> EigenSolution:
     if not np.isfinite(M).all():
         raise NonFiniteDetected(
             f"port-condition matrix overflows at lambda={lam}")
-    coeffs, tag = _solve_nullspace(M)
-    residual = _residual(M, coeffs)
+    if f0 is None:
+        kind, rhs = "direct" if sign > 0 else "adjoint", 0.0
+        coeffs, tag = _solve_nullspace(M)
+    else:
+        kind, tag = "steady", f"feed f0={f0}"
+        sv = _scaled_svd(M)[0]
+        # not RANK_RTOL: lambda = 0 is exact here, a mode's is a bisected root
+        if sv[-1] <= 1e-12 * sv[0]:
+            raise SingularSystem(
+                f"steady-state system singular (sigma_min/sigma_max = "
+                f"{sv[-1] / sv[0]:.3e}); 0 appears to be an eigenvalue")
+        rhs = np.zeros(8, dtype=complex)
+        rhs[_FEED_ROW] = -f0
+        coeffs = np.linalg.solve(M, rhs)
+    residual = _residual(M, coeffs, rhs)
     if not (np.isfinite(coeffs).all() and math.isfinite(residual)):
         raise NonFiniteDetected(
-            f"mode coefficients or residual not finite at lambda={lam}")
+            f"{kind} coefficients or residual not finite at lambda={lam}")
     if residual > RESIDUAL_BOUND:
-        raise NotAnEigenvalue(
-            f"mode residual {residual:.3e} above {RESIDUAL_BOUND:.0e} at "
+        raise (NotAnEigenvalue if f0 is None else SingularSystem)(
+            f"{kind} residual {residual:.3e} above {RESIDUAL_BOUND:.0e} at "
             f"lambda={lam}")
-    return EigenSolution(lam=complex(lam),
-                         kind="direct" if sign > 0 else "adjoint",
-                         coeffs=coeffs, normalization=tag, residual=residual,
+    return EigenSolution(lam=complex(lam), kind=kind, coeffs=coeffs,
+                         normalization=tag, residual=residual,
                          params=params, nus=nus, phis=phis, sign=sign)
 
 
 def eigenfunction(lam, params: ModelParams) -> EigenSolution:
     """Direct eigenfunction at a root of Delta, normalized to C_1^1 = 1."""
-    return _eigensolution(lam, params, +1)
+    return _solve(lam, params, +1)
 
 
 def adjoint_eigenfunction(lam, params: ModelParams) -> EigenSolution:
@@ -243,7 +261,7 @@ def adjoint_eigenfunction(lam, params: ModelParams) -> EigenSolution:
     at conj(lambda); for a complex lambda the adjoint at lambda itself is
     orthogonal to it.
     """
-    return _eigensolution(lam, params, -1)
+    return _solve(lam, params, -1)
 
 
 def steady_state(params: ModelParams) -> EigenSolution:
@@ -256,20 +274,7 @@ def steady_state(params: ModelParams) -> EigenSolution:
     if params.limit_case:
         raise SingularSystem(
             "equal velocities: 0 is an eigenvalue, no unique steady state")
-    nus, phis = _zone_tables(0.0, params)
-    M = _assemble(nus, phis, params, +1)
-    sv = _scaled_svd(M)[0]
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise SingularSystem(
-            f"steady-state system singular (sigma_min/sigma_max = "
-            f"{sv[-1] / sv[0]:.3e}); 0 appears to be an eigenvalue")
-    rhs = np.zeros(8, dtype=complex)
-    rhs[_FEED_ROW] = -params.f0
-    coeffs = np.linalg.solve(M, rhs)
-    return EigenSolution(lam=0.0 + 0.0j, kind="steady", coeffs=coeffs,
-                         normalization=f"feed f0={params.f0}",
-                         residual=_residual(M, coeffs, rhs),
-                         params=params, nus=nus, phis=phis, sign=+1)
+    return _solve(0.0, params, +1, params.f0)
 
 
 @dataclass(frozen=True)

@@ -281,20 +281,35 @@ def test_exit_code_numerical(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("v, R, P", [
+@pytest.mark.parametrize("command, v, R, P", [
     # the pairing's exponentials overflow (an OverflowError traceback, exit
     # 1, when the pairing was summed in Python complex)
-    ((1.6987584908155915, 0.7527112722056316, 2.3852974596306686,
-      1.011185600926822), 158.49164161034025, 1.6319935293807613),
+    (["analyze"], (1.6987584908155915, 0.7527112722056316,
+                   2.3852974596306686, 1.011185600926822),
+     158.49164161034025, 1.6319935293807613),
     # a column of the port matrix underflows to zero (an invalid-divide
     # RuntimeWarning, then LinAlgError, exit 1)
-    ((2.313292462586301, 0.8850078860208157, 2.223751800456882,
-      0.4781285149130546), 55.21472467986404, 2.853364334492751)],
-    ids=["pairing-overflow", "port-column-underflow"])
-def test_modes_beyond_the_double_range_exit_3(tmp_path, capsys, v, R, P):
+    (["analyze"], (2.313292462586301, 0.8850078860208157,
+                   2.223751800456882, 0.4781285149130546),
+     55.21472467986404, 2.853364334492751),
+    # broad-domain draws 3 and 160: the steady port matrix overflows (exit
+    # 3 after overflow RuntimeWarnings, and a LinAlgError traceback, exit
+    # 1, while the steady solve kept its own pipeline)
+    (["steady", "--f0", "1.0"], (2.3000209037645214, 1.0553174933203748,
+                                 2.412995471385955, 1.1077888976352661),
+     182.20564731111122, 5.950850134118066),
+    (["steady", "--f0", "1.0"], (2.5068567247234346, 1.0272290093337324,
+                                 2.836300762894435, 2.0127449043000922),
+     47.82064573270875, 5.6368239893021865)],
+    ids=["pairing-overflow", "port-column-underflow", "steady-draw-3",
+         "steady-draw-160"])
+def test_modes_beyond_the_double_range_exit_3(tmp_path, capsys, command, v,
+                                              R, P):
+    # an untyped exception or a RuntimeWarning (an error in this suite)
+    # would escape main here, as a traceback does from the command line
     pfile = tmp_path / "params.json"
     save_params(ModelParams(*v, R=R, P=P), pfile)
-    assert main(["analyze", "--params", str(pfile),
+    assert main([*command, "--params", str(pfile),
                  "--out", str(tmp_path / "run")]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -327,7 +342,8 @@ def test_exit_code_validation(tmp_path):
     ["simulate", "--T", "nan"],
     ["simulate", "--T", "inf"],
     ["spectrum", "--tol", "-1"],
-    ["spectrum", "--tol", "nan"]], ids=" ".join)
+    ["spectrum", "--tol", "nan"],
+    ["delta-scan", "--grid", "0"]], ids=" ".join)
 def test_non_finite_or_nonpositive_input_exits_2(tmp_path, argv):
     # a bad --range is refused by the argument parser, which exits
     try:

@@ -180,6 +180,17 @@ def test_a_null_vector_that_fails_the_port_conditions_is_refused(
             eigenfunction(lam0, cs)
 
 
+def test_a_steady_solution_that_fails_the_port_conditions_is_refused(
+        cs, monkeypatch):
+    # the steady solve goes through the same checks as the mode solves
+    for coeffs, error in ((np.ones(8, dtype=complex), SingularSystem),
+                          (np.full(8, complex(math.nan, 0.0)),
+                           NonFiniteDetected)):
+        monkeypatch.setattr(np.linalg, "solve", lambda M, rhs: coeffs)
+        with pytest.raises(error):
+            steady_state(replace(cs, f0=1.0))
+
+
 def test_null_vector_beyond_the_double_range_is_refused(monkeypatch):
     # column norms so tiny that the null vector scaled back by them
     # overflows
@@ -319,6 +330,20 @@ def test_steady_state_limit_case_singular(lp):
     from dataclasses import replace
     with pytest.raises(SingularSystem):
         steady_state(replace(lp, f0=1.0))
+
+
+@pytest.mark.parametrize("v, R, P", [
+    ((2.3000209037645214, 1.0553174933203748, 2.412995471385955,
+      1.1077888976352661), 182.20564731111122, 5.950850134118066),
+    ((2.5068567247234346, 1.0272290093337324, 2.836300762894435,
+      2.0127449043000922), 47.82064573270875, 5.6368239893021865)],
+    ids=["draw-3", "draw-160"])
+def test_steady_state_where_the_port_matrix_overflows(v, R, P):
+    # broad-domain draws 3 and 160 (numpy seed 9): an overflow
+    # RuntimeWarning, then a refusal that named an underflow or an
+    # untyped LinAlgError, while the steady solve kept its own pipeline
+    with pytest.raises(NonFiniteDetected, match="matrix overflows"):
+        steady_state(ModelParams(*v, R=R, P=P, f0=1.0))
 
 
 def test_limit_zero_mode_is_constant(lp):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from movingbed import eigfun
-from movingbed.eigfun import adjoint_eigenfunction, eigenfunction
+from movingbed.eigfun import (adjoint_eigenfunction, eigenfunction, evaluate,
+                              steady_state)
 from movingbed.errors import (MovingBedError, ValidationError,
                               ZeroDenominator)
 from movingbed.params import ModelParams, case_study, limit_params
@@ -217,8 +218,15 @@ def test_full_report_where_the_null_vector_norm_overflowed(v, R, P):
 
 
 def test_broad_domain_returns_finite_fields_or_refuses():
-    # RuntimeWarnings are errors in this suite, so a warning fails here
+    # RuntimeWarnings are errors in this suite, so a warning fails here;
+    # the steady state is solved whether or not the report returns
     for params in _broad_domain(200):
+        try:
+            steady = evaluate(steady_state(replace(params, f0=1.0)))
+        except MovingBedError:
+            pass
+        else:
+            assert np.isfinite([steady.c, steady.q]).all(), params
         try:
             rep = full_report(params)
         except MovingBedError:
@@ -229,7 +237,7 @@ def test_broad_domain_returns_finite_fields_or_refuses():
 
 
 def test_full_report_allocation_stays_under_the_point_cap(cs):
-    # reads 0.66 MB with 650 points per return_map call, 1.9 MB when the
+    # reads 0.26 MB with 650 points per return_map call, 1.9 MB when the
     # 2600 grid points of the 13 sets go through one call
     full_report(cs, fd=True)             # first-use buffers
     tracemalloc.start()
