@@ -6,14 +6,17 @@ in [-M0, 0) where M0 is an explicit bracket derived from the port
 velocities.  Delta is extremely steep near that root (slopes beyond 1e6),
 so roots are located by sign changes on a geometric grid accumulating at
 0- and refined by bisection on interval width, never on |Delta|.  Grids
-and bisection levels are evaluated as lambda arrays, one return_map call
-each (or a few, for more than _MAX_POINTS points); several parameter sets
-share every call, with their constants built once per solve.  In such a
-batch only the first set scans its whole grid at once; each later set
-scans a window of its grid around the first set's root cell, and its
-whole grid only when the window cannot settle its cell.  The window
-suffices because the dominant eigenvalue has no real root of Delta
-between it and 0.
+are evaluated as lambda arrays, one return_map call each (or a few, for
+more than _MAX_POINTS points), and so is each round of bisection: the
+whole path bisection takes if a guess at the root is right, interpolated
+from Delta's values, is evaluated at once and bisection replayed on its
+signs, so the guess sets the number of calls and never the root.
+Several parameter sets share every call, with their constants built
+once per solve.  In such a batch only the first set scans its whole
+grid at once; each later set scans a window of its grid around the
+first set's root cell, and its whole grid only when the window cannot
+settle its cell.  The window suffices because the dominant eigenvalue
+has no real root of Delta between it and 0.
 """
 
 from __future__ import annotations
@@ -57,121 +60,179 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
 # Most lambda points per return_map call.  The largest stage of a batch
 # is the whole grids of the later sets whose windows do not settle: 2400
 # points for 12 sets, whose temporaries peak at about 1.3 MB in one pass
-# against 0.33 MB in each of four calls of 600, for no gain in speed.
+# against 0.33 MB in each of four calls of 600, for no gain in speed.  A
+# round of bisection paths is one call: a path is about 23 points at
+# tol 1e-10, so the 13 sets of full_report take 299, and 603 at tol
+# 1e-20, where the paths end at adjacent doubles.
 _MAX_POINTS = 650
 
 
-def _delta_signs(rows, table: np.ndarray, owners) -> np.ndarray:
-    """Signs of Delta at the real points of rows, flat in row order: row r
-    under the set of column owners[r] of table, a ``_set_table``, in
-    return_map calls of at most _MAX_POINTS points."""
+def _delta_values(rows, table: np.ndarray, owners) -> np.ndarray:
+    """Delta at the real points of rows, flat in row order: row r under
+    the set of column owners[r] of table, a ``_set_table``, in return_map
+    calls of at most _MAX_POINTS points.  Its sign is return_map's
+    delta_sign: Delta = z e^L with L >= 0, so it does not underflow, and
+    an overflow is an infinity of z's sign (0 where z is 0)."""
     lams = np.concatenate(rows)
     owner = np.repeat(owners, [len(row) for row in rows])
     # equal calls: 2400 points make four of 600, 2000 four of 500
     size = -(-lams.size // -(-lams.size // _MAX_POINTS))
-    return np.concatenate([
-        return_map(lams[i:i + size], table, owner[i:i + size]).delta_sign
-        for i in range(0, lams.size, size)])
+    with np.errstate(invalid="ignore"):     # 0 * inf: Delta is 0 there
+        values = np.concatenate([
+            return_map(lams[i:i + size], table, owner[i:i + size]).delta
+            for i in range(0, lams.size, size)])
+    values[np.isnan(values)] = 0.0
+    return values
 
 
-def _sign_cells(xs, signs) -> list:
-    """Zero points (x, x, 0) and sign-change cells (a, b, sign at a) of
-    Delta along the grid xs with the given signs, in order."""
+def _hits(values) -> np.ndarray:
+    """Where, along the last axis of values, Delta is 0 or changes sign
+    before the next point."""
+    signs = np.sign(values)
     hits = signs == 0
-    hits[:-1] |= signs[:-1] * signs[1:] < 0
-    return [(float(xs[i]), float(xs[i + (signs[i] != 0)]), int(signs[i]))
-            for i in np.flatnonzero(hits)]
+    hits[..., :-1] |= signs[..., :-1] * signs[..., 1:] < 0
+    return hits
 
 
-# Bisection steps per round, one return_map call: up to 2**5 - 1 = 31
-# midpoints a cell.
-_TREE_DEPTH = 5
-# Rounds after which a cell's midpoint is returned regardless: every open
-# cell takes _TREE_DEPTH steps a round, so this caps bisection at 300 steps.
-_MAX_ROUNDS = 60
+def _cell(xs, values, i) -> tuple:
+    """The cell at hit i of the grid xs with the given Delta values: the
+    zero point (x, x, 0, 0) or the sign change (a, b, Delta at a, Delta
+    at b)."""
+    j = i + (values[i] != 0)
+    return float(xs[i]), float(xs[j]), float(values[i]), float(values[j])
 
 
-def _midpoints(a: float, b: float, tol: float) -> list:
-    """Every midpoint the next _TREE_DEPTH steps of scalar bisection from
-    (a, b) can visit, breadth-first.  A cell narrower than tol, or with no
-    double between its ends, is not split."""
-    cells, mids = [(a, b)], []
-    for _ in range(_TREE_DEPTH):
-        halves = []
-        for lo, hi in cells:
-            mid = 0.5 * (lo + hi)
-            if abs(hi - lo) < tol or mid in (lo, hi):
-                continue
-            mids.append(mid)
-            halves += [(lo, mid), (mid, hi)]
-        cells = halves
+def _sign_cells(xs, values) -> list:
+    """The cells of Delta along the grid xs with the given values, in
+    order."""
+    return [_cell(xs, values, i) for i in np.flatnonzero(_hits(values))]
+
+
+def _inverse_cubic(xs, values, first) -> np.ndarray:
+    """Per row of the grids xs with Delta values, the x where the cubic
+    x(Delta) through the four points around the cell (first, first + 1)
+    has Delta = 0: a root guess, not finite where two values coincide."""
+    k = np.clip(first - 1, 0, xs.shape[1] - 4)[:, None] + np.arange(4)
+    x, f = np.take_along_axis(xs, k, 1), np.take_along_axis(values, k, 1)
+    with np.errstate(all="ignore"):
+        # Lagrange weights at 0: the product over m != n of f_m / (f_m - f_n)
+        w = f[:, None, :] / (f[:, None, :] - f[:, :, None])
+        w[:, range(4), range(4)] = 1.0
+        return (w.prod(axis=2) * x).sum(axis=1)
+
+
+def _path(a: float, b: float, guess: float, tol: float, steps: int) -> list:
+    """The midpoints scalar bisection visits from the cell (a, b), after
+    ``steps`` of its at most 300 steps, if Delta changes sign at guess.
+
+    It stops where the cell is narrower than tol, or where its ends are
+    adjacent doubles: there bisection would step in place to its cap and
+    return the same midpoint.
+    """
+    mids = []
+    rising = a < b
+    while steps + len(mids) < 300 and abs(b - a) >= tol:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break
+        mids.append(mid)
+        if (mid <= guess) == rising:
+            a = mid
+        else:
+            b = mid
     return mids
 
 
-def _bisect(cells: list, table: np.ndarray, owner, tols: list) -> list:
-    """Roots in cells (a, b, sign at a) of ``_sign_cells``: bisection,
-    stopped on width, each cell to its own tol and under its own set, of
-    column owner[i] of table (as for ``_delta_signs``).
+def _bisect(cells: list, table: np.ndarray, owner, tols: list,
+            guesses=None) -> list:
+    """Roots in cells (a, b, Delta at a, Delta at b) of ``_sign_cells``:
+    bisection, stopped on width, each cell to its own tol and under its
+    own set, of column owner[i] of table (as for ``_delta_values``).
 
-    Every round evaluates the ``_midpoints`` of all open cells in one
-    ``_delta_signs``; each cell then takes _TREE_DEPTH steps of scalar
-    bisection on those signs.  A midpoint with sign 0 is the root, and so
-    is one the stop rules left out: a cell narrower than tol, or one whose
-    ends are adjacent doubles, where scalar bisection would step in place
-    to its 300-step cap and return the same midpoint.
+    Every round evaluates the ``_path`` of each open cell from a guess at
+    its root in one ``_delta_values``: guesses[i] in the first round,
+    where given, later regula falsi on the cell's ends, and the midpoint
+    where the guess is not strictly inside the cell.  Each cell then
+    takes the steps of scalar bisection on the signs of those values
+    until it reaches a midpoint that was not evaluated, where the guess
+    was on the wrong side of a midpoint; it stays open with the ends it
+    reached.  So a guess sets only the number of rounds, and each root is
+    the double scalar bisection gives: a midpoint with Delta 0, or the
+    midpoint of a cell whose path is empty (narrower than tol, with
+    adjacent ends, or after 300 steps).
     """
     roots = [None] * len(cells)
-    open_ = dict(enumerate(cells))      # cell index -> (a, b, sign at a)
-    for _ in range(_MAX_ROUNDS):
-        mids = {i: _midpoints(a, b, tols[i]) for i, (a, b, _) in open_.items()}
-        if not any(mids.values()):
-            break
-        signs = iter(_delta_signs(list(mids.values()), table,
-                                  [owner[i] for i in mids]))
-        for i, row in mids.items():
-            a, b, s = open_[i]
-            sign_at = dict(zip(row, signs))
-            for _ in range(_TREE_DEPTH):
-                mid = 0.5 * (a + b)
-                s_mid = sign_at.get(mid, 0)
-                if s_mid == 0:
-                    roots[i] = mid
-                    del open_[i]
-                    break
-                if s_mid == s:
-                    a = mid
-                else:
-                    b = mid
+    # cell index -> (a, b, Delta at a, Delta at b, guess, steps taken)
+    open_ = {i: (*cell, None if guesses is None else guesses[i], 0)
+             for i, cell in enumerate(cells)}
+    while open_:
+        paths = {}
+        for i, (a, b, fa, fb, guess, steps) in list(open_.items()):
+            mids = []
+            if abs(b - a) >= tols[i]:
+                if guess is None:
+                    guess = a + (b - a) * fa / (fa - fb)    # regula falsi
+                if not min(a, b) < guess < max(a, b):   # nan, inf or an end
+                    guess = 0.5 * (a + b)
+                mids = _path(a, b, guess, tols[i], steps)
+            if mids:
+                paths[i] = mids
             else:
-                open_[i] = (a, b, s)
-    for i, (a, b, _) in open_.items():      # unsplit, or out of rounds
-        roots[i] = 0.5 * (a + b)
+                roots[i] = 0.5 * (a + b)
+                del open_[i]
+        if not paths:
+            break
+        values = _delta_values(list(paths.values()), table,
+                               [owner[i] for i in paths]).tolist()
+        at = 0
+        for i, mids in paths.items():
+            a, b, fa, fb, _, steps = open_[i]
+            for mid, f in zip(mids, values[at:at + len(mids)]):
+                if mid != 0.5 * (a + b):    # the path went the other way
+                    break
+                if f == 0:
+                    roots[i] = mid
+                    break
+                steps += 1
+                if (f > 0) == (fa > 0):
+                    a, fa = mid, f
+                else:
+                    b, fb = mid, f
+            at += len(mids)
+            if roots[i] is None:
+                open_[i] = (a, b, fa, fb, None, steps)
+            else:
+                del open_[i]
     return roots
 
 
 def _grid_cells(grids, table, rows) -> list:
-    """The first sign cell on the whole grid of each set in rows; a grid
-    that keeps one sign s gives (its -tol end, 0.0, s), the cell up to 0
-    that Delta(0) must confirm."""
-    signs = _delta_signs(grids[rows], table, rows).reshape(len(rows), -1)
-    return [(_sign_cells(x, s) or [(float(x[0]), 0.0, int(s[0]))])[0]
-            for x, s in zip(grids[rows], signs)]
+    """The first cell on the whole grid of each set in rows; a grid that
+    keeps one sign gives (its -tol end, 0.0, Delta there, nan), the cell
+    up to 0 that Delta(0) must confirm."""
+    values = _delta_values(grids[rows], table, rows).reshape(len(rows), -1)
+    return [(_sign_cells(x, f)
+             or [(float(x[0]), 0.0, float(f[0]), math.nan)])[0]
+            for x, f in zip(grids[rows], values)]
 
 
-def _window_cell(grid, cols, signs):
-    """The first sign cell on grid, settled from its signs at the indices
-    cols alone (0, then the window, a run of adjacent indices), or None.
+def _window_cell(grid, cols, values):
+    """The first cell on grid, settled from its Delta values at the
+    indices cols alone (0, then the window, a run of adjacent indices),
+    or None.
 
-    It is settled when no sign is 0 and the first sign change lies
+    It is settled when no value is 0 and the first sign change lies
     between adjacent indices, which holds when the window's first sign
     is the sign at grid[0] and the window holds a sign change.
     """
+    signs = np.sign(values)
     change = np.flatnonzero(signs[:-1] != signs[1:])
     if not (signs.all() and change.size
             and cols[change[0] + 1] == cols[change[0]] + 1):
         return None
     j = change[0]
-    return float(grid[cols[j]]), float(grid[cols[j + 1]]), int(signs[j])
+    return (float(grid[cols[j]]), float(grid[cols[j + 1]]),
+            float(values[j]), float(values[j + 1]))
 
 
 # The window of grid indices a later set of a batch scans first: k-2 ..
@@ -188,15 +249,16 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     Takes the first sign change on a 200-point geometric grid from -tol
     toward -M0 (the root hugs 0 while Delta stays nearly flat over most of
     the bracket), densifies that cell tenfold and takes its first sign
-    change, then bisects to |interval| < tol.  A grid without a sign
+    change, then bisects to |interval| < tol, guided by the cubic through
+    the four densified points around that change.  A grid without a sign
     change is followed by Delta(0): a root in (-tol, 0) is bisected there,
     and NoSignChangeFound is raised only if the sign at 0 is the same.
 
     params is one ModelParams, which gives a float, or a sequence of them,
     which gives a list of floats, each the float the set gives alone.  A
     sequence is solved in lockstep: each stage (the grids, the densified
-    cells, every five bisection levels) is one ``_delta_signs`` over the
-    points of all sets, and each set's constants are built once.  The
+    cells, each round of bisection paths) is one ``_delta_values`` over
+    the points of all sets, and each set's constants are built once.  The
     first set scans its whole grid.  Each later set scans its own grid at
     -tol and at the indices k-2 .. k+3 (its window) around the first
     set's first sign cell k; when none of these signs is 0, the window's
@@ -241,13 +303,13 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     table = _set_table(sets)
     grids = -np.geomspace(tol, M0, _GRID_N, axis=1)
     cells = _grid_cells(grids, table, [0]) + [None] * (len(sets) - 1)
-    a, b, _ = cells[0]
+    a, b = cells[0][:2]
     if len(sets) > 1 and b < 0.0:       # the first set has a grid cell
         k = int(np.flatnonzero(grids[0] == a)[0])
         cols = np.r_[0, max(k + _WINDOW[0], 1):min(k + _WINDOW[1], _GRID_N)]
-        signs = _delta_signs(grids[1:, cols], table, range(1, len(sets)))
-        cells[1:] = [_window_cell(grid, cols, sg) for grid, sg in
-                     zip(grids[1:], signs.reshape(len(sets) - 1, -1))]
+        values = _delta_values(grids[1:, cols], table, range(1, len(sets)))
+        cells[1:] = [_window_cell(grid, cols, f) for grid, f in
+                     zip(grids[1:], values.reshape(len(sets) - 1, -1))]
     rest = [i for i, cell in enumerate(cells) if cell is None]
     if rest:
         for i, cell in zip(rest, _grid_cells(grids, table, rest)):
@@ -255,28 +317,34 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     # a set whose grid keeps one sign may have its root in (-tol, 0): that
     # cell, tol wide, goes straight to bisection if Delta(0) has the other
     # sign
-    flat = [i for i, (_, b, _) in enumerate(cells) if b == 0.0]
+    flat = [i for i, cell in enumerate(cells) if cell[1] == 0.0]
     if flat:
-        at0 = _delta_signs([[0.0]] * len(flat), table, flat)
-        for i, s0 in zip(flat, at0):
-            grid, s = grids[i], cells[i][2]
-            if s0 != -s:
+        at0 = _delta_values([[0.0]] * len(flat), table, flat)
+        for i, f0 in zip(flat, at0.tolist()):
+            grid, (a, _, fa, _) = grids[i], cells[i]
+            s = 1 if fa > 0 else -1
+            if s * f0 >= 0:
                 raise NoSignChangeFound(
                     f"no sign change of Delta on {_GRID_N}-point geometric "
                     f"grid in [{grid[-1]}, {grid[0]}] or up to 0: its sign "
                     f"is {s} throughout{at[i]}")
+            cells[i] = (a, 0.0, fa, f0)
     # the grid cells to densify tenfold: every sign change found on a grid;
     # geomspace keeps their known ends exactly
-    dense = [i for i, (_, b, s) in enumerate(cells) if s != 0 and b < 0.0]
+    guesses = [None] * len(sets)
+    dense = [i for i, (_, b, fa, _) in enumerate(cells)
+             if fa != 0.0 and b < 0.0]
     if dense:
-        a, b = np.array([cells[i][:2] for i in dense]).T
+        a, b, fa, fb = np.array([cells[i] for i in dense]).T
         grids = -np.geomspace(-a, -b, _DENSE_N, axis=1)
-        inner = _delta_signs(grids[:, 1:-1], table,
-                             dense).reshape(len(dense), -1)
-        for i, grid, sg in zip(dense, grids, inner):
-            s = cells[i][2]
-            cells[i] = _sign_cells(grid, np.concatenate(([s], sg, [-s])))[0]
-    roots = _bisect(cells, table, range(len(sets)), [tol] * len(sets))
+        inner = _delta_values(grids[:, 1:-1], table, dense)
+        values = np.column_stack((fa, inner.reshape(len(dense), -1), fb))
+        first = _hits(values).argmax(axis=1)
+        for i, grid, f, j, guess in zip(dense, grids, values, first,
+                                        _inverse_cubic(grids, values, first)):
+            cells[i], guesses[i] = _cell(grid, f, j), float(guess)
+    roots = _bisect(cells, table, range(len(sets)), [tol] * len(sets),
+                    guesses)
     return roots[0] if single else roots
 
 
@@ -285,7 +353,8 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     """All sign-change-bracketed real roots of Delta on [lo, hi].
 
     The grid is one return_map call per _MAX_POINTS points, and the
-    bisections of all its cells share their calls.  Returns floats, or
+    bisections of all its cells share their calls, each cell's path
+    guided by regula falsi on its ends.  Returns floats, or
     (root, bracket_lo, bracket_hi) triples when with_brackets is set.
     """
     check_count("grid_n", grid_n, 2)
@@ -304,11 +373,11 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
         return []
     table = _set_table([params])
     grid = np.linspace(lo, hi, grid_n)
-    cells = _sign_cells(grid, _delta_signs([grid], table, [0]))
+    cells = _sign_cells(grid, _delta_values([grid], table, [0]))
     roots = _bisect(cells, table, [0] * len(cells),
-                    [tol * max(1.0, abs(a)) for a, _, _ in cells])
+                    [tol * max(1.0, abs(cell[0])) for cell in cells])
     if with_brackets:
-        return [(r, a, b) for r, (a, b, _) in zip(roots, cells)]
+        return [(r, a, b) for r, (a, b, _, _) in zip(roots, cells)]
     return roots
 
 

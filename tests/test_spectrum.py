@@ -81,8 +81,8 @@ def test_real_root_scan_rejects_a_grid_below_two(cs, grid_n):
 
 def test_dominant_eigenvalue_stops_scanning_at_the_root(cs, monkeypatch):
     # one return_map call for the 200-point grid, one for the densified
-    # cell and one per five bisection levels; the lambda points of all
-    # calls are distinct
+    # cell and one per round of bisection paths, two for the case study;
+    # the lambda points of all calls are distinct
     calls = []
     real = spectrum.return_map
 
@@ -91,16 +91,16 @@ def test_dominant_eigenvalue_stops_scanning_at_the_root(cs, monkeypatch):
         return real(lam, *sets)
     monkeypatch.setattr(spectrum, "return_map", counted)
     dominant_eigenvalue(cs)
-    assert 1 <= len(calls) <= 8
+    assert len(calls) <= 4
     assert len(calls[0]) == 200
     points = [x for call in calls for x in call]
     assert len(set(points)) == len(points)
 
 
 def test_dominant_eigenvalue_matches_scalar_bisection(cs, wide_box):
-    # each round's midpoints are those scalar bisection can visit, and the
-    # walk over them is scalar bisection, so on the same signs the root is
-    # the same double
+    # each round's midpoints are those scalar bisection visits if the
+    # guess is right, and the walk over them is scalar bisection, so on
+    # the same signs the root is the same double
     differ = []
     for p in (cs, *wide_box):
         ref = bisect_dominant(lambda x: return_map(x, p).delta_sign,
@@ -132,18 +132,20 @@ def test_bisection_below_the_double_spacing_stops_early(cs, monkeypatch):
 def test_bisection_stops_at_the_300_step_cap(cs, monkeypatch):
     # a sign change at 1e-120 inside (-1, 1) and tol 1e-300: the cell stays
     # wider than tol, so only the step cap stops it, at the midpoint of
-    # scalar bisection's 300th cell; one grid call and 60 rounds of five
+    # scalar bisection's 300th cell; one grid call and one round, whose
+    # regula falsi guess 0 on the ends' values -1 and 1 predicts all 300
+    # steps
     sign = lambda x: np.sign(np.asarray(x) - 1e-120)  # noqa: E731
     calls = []
 
     def stub(lam, *sets):
         calls.append(lam)
-        return SimpleNamespace(delta_sign=sign(lam))
+        return SimpleNamespace(delta=sign(lam))
     monkeypatch.setattr(spectrum, "return_map", stub)
     ref = bisect(sign, -1.0, 1.0, -1.0, 1e-300)
     assert ref == 4.909093465297727e-91
     assert real_root_scan(cs, (-1.0, 1.0), grid_n=2, tol=1e-300) == [ref]
-    assert len(calls) == 61
+    assert [len(lam) for lam in calls] == [2, 300]
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +206,8 @@ def test_batch_no_sign_change_names_the_set(cs, monkeypatch):
     real = spectrum.return_map
 
     def stub(lam, sets, owner):
-        signs = real(lam, sets, owner).delta_sign
-        return SimpleNamespace(delta_sign=np.where(owner == 1, 1, signs))
+        values = real(lam, sets, owner).delta
+        return SimpleNamespace(delta=np.where(owner == 1, 1.0, values))
     monkeypatch.setattr(spectrum, "return_map", stub)
     with pytest.raises(NoSignChangeFound, match=r"\(set 1\)$"):
         dominant_eigenvalue([cs, replace(cs, R=24.0)], tol=0.108)
@@ -253,8 +255,9 @@ def _fd_batch(p) -> list:
 def test_full_report_scans_windows_and_builds_each_row_once(cs,
                                                             monkeypatch):
     # the case study's grid, a 7-point window on each of its 12 FD
-    # neighbours, the 13 densified cells and five bisection rounds; each
-    # set's constant row is built once per solve, not once per call
+    # neighbours, the 13 densified cells and two rounds of bisection
+    # paths; each set's constant row is built once per solve, not once
+    # per call
     sizes = _counting(monkeypatch)
     rows = []
     real_row = charfun._set_row
@@ -268,18 +271,18 @@ def test_full_report_scans_windows_and_builds_each_row_once(cs,
         return real_solve(sets, tol)
     monkeypatch.setattr(sensitivity, "dominant_eigenvalue", solve)
     sensitivity.full_report(cs, fd=True)
-    assert sizes == [200, 12 * 7, 13 * 19, 403, 403, 403, 403, 91]
+    assert sizes == [200, 12 * 7, 13 * 19, 299, 83]
     assert solves == [0] and rows == _fd_batch(cs)
     rows.clear()
     dominant_eigenvalue(cs)
     assert rows == [cs]
 
 
-@pytest.mark.parametrize("stubbed, sign, grids", [
-    ([1], 0, [200]),                    # a zero sign in one window
+@pytest.mark.parametrize("stubbed, value, grids", [
+    ([1], 0, [200]),                    # a zero Delta in one window
     (range(1, 13), 1, [600] * 4)])      # no sign change in any window
 def test_a_window_that_does_not_settle_falls_back_to_the_whole_grid(
-        cs, monkeypatch, stubbed, sign, grids):
+        cs, monkeypatch, stubbed, value, grids):
     # the stub touches only the window call; the sets it unsettles scan
     # their whole grids in the next call(s), 2400 points making four of 600
     sizes = []
@@ -287,10 +290,10 @@ def test_a_window_that_does_not_settle_falls_back_to_the_whole_grid(
 
     def stub(lam, sets, owner):
         sizes.append(lam.size)
-        signs = real(lam, sets, owner).delta_sign
+        values = real(lam, sets, owner).delta
         if len(sizes) == 2:
-            signs = np.where(np.isin(owner, stubbed), sign, signs)
-        return SimpleNamespace(delta_sign=signs)
+            values = np.where(np.isin(owner, stubbed), float(value), values)
+        return SimpleNamespace(delta=values)
     monkeypatch.setattr(spectrum, "return_map", stub)
     sets = _fd_batch(cs)
     roots = dominant_eigenvalue(sets)
@@ -397,49 +400,107 @@ def test_fd_batches_equal_the_loop(p, tol):
     assert dominant_eigenvalue(sets, tol) == looped
 
 
-def _step_sign(roots, zeros=()):
-    """Sign, over float arrays, of a function that changes sign at each of
-    roots and is 0 exactly at each of zeros."""
+# ROADMAP item 1's sets A and B, each with two real roots of Delta in one
+# cell of its grid, and near-limit sets whose lambda0 lies in or next to
+# (-tol, 0): where a root guess is most likely to be wrong
+_MISLEADING_SETS = {
+    "A": ModelParams(1.4002052812516288, 1.1121021658796262,
+                     1.5631947713267016, 1.0089966607307115,
+                     R=133.56070842750597, P=1.03),
+    "B": ModelParams(1.8075995603886044, 0.9905953198623944,
+                     1.656872759690302, 0.9825388222433148,
+                     R=23.496307876930583, P=1.1302767114728265),
+    **{f"eps-1e-{k}": _near_limit_set(10.0 ** -k) for k in range(3, 10)}}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("name", _MISLEADING_SETS)
+def test_hard_guesses_keep_the_scalar_bisection_root(name, tol):
+    # equality with the oracle's search, which walks the same grid; it
+    # does not show that the root is the dominant one (ROADMAP item 1)
+    p = _MISLEADING_SETS[name]
+    ref = bisect_dominant(lambda x: return_map(x, p).delta_sign,
+                          bracket_bound(p).M0, tol)
+    assert dominant_eigenvalue(p, tol) == ref
+
+
+def test_root_guesses_keep_the_delta_calls_down(wide_box, monkeypatch):
+    # a lambda0 solve is its grid, its densified cell and mostly two
+    # rounds of bisection paths, and full_report's lockstep solve adds
+    # the windows of its twelve FD neighbours; a worse guess means more
+    # rounds
+    sizes = _counting(monkeypatch)
+    one, fd = [], []
+    for p in wide_box:
+        sizes.clear()
+        dominant_eigenvalue(p)
+        one.append(len(sizes))
+        sizes.clear()
+        sensitivity.full_report(p, fd=True)
+        fd.append(len(sizes))
+    assert np.mean(one) <= 4.5 and np.mean(fd) <= 5.5
+
+
+def _step_values(roots, zeros, power):
+    """A function over float arrays that changes sign at each of roots, is
+    0 exactly at each of zeros, and elsewhere has the modulus d ** power,
+    d the distance to the nearest root: regula falsi on its values guesses
+    the cell's midpoint (power 0), nearly the root (1) or far off (3)."""
     roots = np.sort(roots)
 
-    def sign(x):
+    def values(x):
         x = np.asarray(x, dtype=float)
-        return np.where(np.isin(x, zeros), 0,
-                        1 - 2 * (np.searchsorted(roots, x) % 2))
-    return sign
+        d = np.abs(x[..., None] - roots).min(axis=-1)
+        step = 1 - 2 * (np.searchsorted(roots, x) % 2)
+        return np.where(np.isin(x, zeros), 0.0, step * d ** power)
+    return values
 
 
-@pytest.mark.parametrize("depth", [1, 2, 5, 7])
-def test_the_replay_is_scalar_bisection_at_any_depth(cs, monkeypatch, depth):
-    # seeded sign functions, half their cells with a zero on a midpoint
-    # scalar bisection visits (mostly inside a round); rounds x depth >= 300,
-    # so the round cap stops no cell before scalar bisection's step cap
-    monkeypatch.setattr(spectrum, "_TREE_DEPTH", depth)
-    monkeypatch.setattr(spectrum, "_MAX_ROUNDS", -(-300 // depth))
+@pytest.mark.parametrize("seed", [1, 2, 5, 7])
+def test_the_replay_is_scalar_bisection_for_any_guess(monkeypatch, seed):
+    # seeded functions, half their cells with a zero on a midpoint scalar
+    # bisection visits, on rising and falling grids; each cell's first
+    # guess is drawn from: none (regula falsi), its ends, outside it, its
+    # root, nan and +-inf, a point inside, or none with an infinite end
+    # value (regula falsi gives nan); later rounds guess by regula falsi
     stub = {}
     monkeypatch.setattr(spectrum, "return_map", lambda lam, *args:
-                        SimpleNamespace(delta_sign=stub["sign"](lam)))
-    rng = np.random.default_rng(depth)
-    grid = np.linspace(-1.0, 1.0, 9)
+                        SimpleNamespace(delta=stub["values"](lam)))
+    rng = np.random.default_rng(seed)
     cells = hits = 0
     for _ in range(20):
         roots = rng.uniform(-1.0, 1.0, rng.integers(1, 8))
-        plain, zeros = _step_sign(roots), []
-        for i in np.flatnonzero(plain(grid[:-1]) * plain(grid[1:]) < 0):
+        grid = np.linspace(-1.0, 1.0, 9)[::rng.choice([1, -1])]
+        power = rng.choice([0, 1, 3])
+        plain = _step_values(roots, (), power)
+        ends = plain(grid)
+        found, zeros = [], []
+        for i in np.flatnonzero(ends[:-1] * ends[1:] < 0):
+            a, b = float(grid[i]), float(grid[i + 1])
+            root = float(roots[(roots - a) * (roots - b) < 0][0])
             if rng.random() < 0.5:
                 seen = []
-                bisect(lambda x: seen.append(float(x)) or plain(x),
-                       grid[i], grid[i + 1], plain(grid[i]), 1e-12)
-                zeros.append(seen[rng.integers(len(seen))])
-        stub["sign"] = sign = _step_sign(roots, zeros)
+                bisect(lambda x: seen.append(float(x)) or np.sign(plain(x)),
+                       a, b, np.sign(ends[i]), 1e-12)
+                root = seen[rng.integers(len(seen))]
+                zeros.append(root)
+            fa, fb = float(ends[i]), float(ends[i + 1])
+            guess = [None, a, b, 2 * a - b, b + 3 * (b - a), root, math.nan,
+                     math.inf, -math.inf, a + (b - a) * rng.random(),
+                     None][rng.integers(11)]
+            if guess is None and rng.random() < 0.5:
+                fa = math.copysign(math.inf, fa)
+            found.append(((a, b, fa, fb), guess))
+        stub["values"] = values = _step_values(roots, zeros, power)
+        sign = lambda x: np.sign(values(x))  # noqa: E731
         for tol in (1e-12, 1e-300):
-            found = real_root_scan(cs, (-1.0, 1.0), grid_n=9, tol=tol,
-                                   with_brackets=True)
-            for root, a, b in found:
-                assert root == bisect(sign, a, b, sign(a),
-                                      tol * max(1.0, abs(a)))
+            got = spectrum._bisect([cell for cell, _ in found], None,
+                                   [0] * len(found), [tol] * len(found),
+                                   [guess for _, guess in found])
+            for root, ((a, b, _, _), _) in zip(got, found):
+                assert root == bisect(sign, a, b, sign(a), tol)
             cells += len(found)
-            hits += sum(root in zeros for root, _, _ in found)
+            hits += sum(root in zeros for root in got)
     assert cells >= 80 and hits >= 30
 
 
