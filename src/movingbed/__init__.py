@@ -25,10 +25,9 @@ from .spectrum import (bracket_bound, collocation_spectrum,  # noqa: F401
                        limit_asymptote, limit_spectrum, real_root_scan,
                        stable_eigenvalues)
 from .eigfun import (adjoint_eigenfunction, eigenfunction,  # noqa: F401
-                     evaluate, inner_product, projection_coefficient,
-                     steady_state)
-from .sensitivity import (dlambda_dP, dlambda_dR, dlambda_dv,  # noqa: F401
-                          exp_integral, full_report)
+                     evaluate, exp_integral, inner_product,
+                     projection_coefficient, steady_state)
+from .sensitivity import full_report, sensitivities  # noqa: F401
 from .sim import (SimConfig, SimState, advection_step, decay_rate,  # noqa: F401
                   energy, init, mass, mass_transfer_step, profile_rms,
                   run, sample_eigenfunction, sup_norm)

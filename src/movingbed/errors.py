@@ -3,7 +3,9 @@
 Two top-level families so the CLI can map failures to exit codes:
 ``ValidationError`` for bad inputs (exit 2), ``NumericalError`` for
 solver/numerics failures (exit 3).  I/O problems use the builtin
-``OSError`` family (exit 4).
+``OSError`` family (exit 4).  Each failure has one class under one name:
+a negligible pairing <u, u*> is ``NearZeroPairing`` wherever it is met,
+the mode pairing and the sensitivities alike.
 """
 
 
@@ -77,9 +79,6 @@ class SingularSystem(NumericalError):
 
 class NearZeroPairing(NumericalError):
     pass
-
-
-ZeroDenominator = NearZeroPairing    # the sensitivity-side name
 
 
 class NonFiniteDetected(NumericalError):

@@ -9,10 +9,8 @@ with every integral a finite sum of exponentials evaluated in closed form
 by ``eigfun.zone_integrals``.  The denominator is the pairing
 <u, u*> = int c c̄* + q q̄* over [-2, 2] (``eigfun.inner_product``),
 refused as ``NearZeroPairing`` when negligible.  Array expressions on the
-two modes' amplitude tables give all six numerators; full_report computes
-the pairing once and divides all six by it, each public ``dlambda_*``
-computes its own.
-The numerators are
+two modes' amplitude tables give all six numerators; ``sensitivities``
+computes the pairing once and divides all six by it.  The numerators are
 
     dlambda/dv_k : boundary term (-c c̄* at the zone inlet for k odd,
                    +c c̄* at the zone exit for k even) - int_{I_k} c_x c̄*
@@ -31,10 +29,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# inner_product and exp_integral are re-exported here
+# inner_product is bound here, unused, because the benchmark's tracer
+# test (perfbench/tests/test_perfbench.py::
+# test_wrappers_cover_every_binding_and_come_off) reads it by name
 from .eigfun import (EigenSolution, adjoint_eigenfunction,  # noqa: F401
-                     checked_pairing, eigenfunction, exp_integral,
-                     inner_product, zone_integrals)
+                     checked_pairing, eigenfunction, inner_product,
+                     zone_integrals)
 from .errors import ValidationError
 from .params import PORTS, ZONES, ModelParams
 from .spectrum import dominant_eigenvalue
@@ -70,31 +70,31 @@ def _numerators(direct: EigenSolution, adjoint: EigenSolution,
     return [*dv, complex(dR), complex(dP)]
 
 
-def dlambda_dv(k: int, direct: EigenSolution, adjoint: EigenSolution,
-               params: ModelParams) -> complex:
-    """Derivative of the eigenvalue with respect to the zone-k velocity;
-    direct is the mode at lambda, adjoint the adjoint mode at conj(lambda).
-    """
-    if k not in (1, 2, 3, 4):
-        raise ValidationError(f"velocity index k must be 1..4, got {k}")
-    return (_numerators(direct, adjoint, params)[k - 1]
-            / checked_pairing(direct, adjoint))
+@dataclass(frozen=True)
+class SensitivityReport:
+    """All six derivatives of an eigenvalue, with diagnostics; fd_check is
+    set by ``full_report`` with fd."""
+
+    lam: complex
+    dv: np.ndarray            # 4 complex
+    dR: complex
+    dP: complex
+    denominator: complex
+    direct: EigenSolution
+    adjoint: EigenSolution
+    fd_check: np.ndarray | None = None   # 6 relative errors vs FD
 
 
-def dlambda_dR(direct: EigenSolution, adjoint: EigenSolution,
-               params: ModelParams) -> complex:
-    """Derivative with respect to the mass-transfer parameter R; the
-    adjoint mode is taken at conj(lambda)."""
-    return (_numerators(direct, adjoint, params)[4]
-            / checked_pairing(direct, adjoint))
-
-
-def dlambda_dP(direct: EigenSolution, adjoint: EigenSolution,
-               params: ModelParams) -> complex:
-    """Derivative with respect to the partition parameter P; the adjoint
-    mode is taken at conj(lambda)."""
-    return (_numerators(direct, adjoint, params)[5]
-            / checked_pairing(direct, adjoint))
+def sensitivities(direct: EigenSolution, adjoint: EigenSolution,
+                  params: ModelParams) -> SensitivityReport:
+    """The six derivatives of the eigenvalue of direct, the mode at
+    lambda; adjoint is the adjoint mode at conj(lambda).  One checked
+    pairing divides all six numerators; fd_check is None."""
+    den = checked_pairing(direct, adjoint)
+    analytic = [num / den for num in _numerators(direct, adjoint, params)]
+    return SensitivityReport(lam=direct.lam, dv=np.array(analytic[:4]),
+                             dR=analytic[4], dP=analytic[5],
+                             denominator=den, direct=direct, adjoint=adjoint)
 
 
 def _fd_pair(params: ModelParams, name: str) -> tuple:
@@ -128,20 +128,6 @@ def central_difference(params: ModelParams, name: str,
     return (lam_p - lam_m) / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    """All six derivatives of the dominant eigenvalue, with diagnostics."""
-
-    lam: complex
-    dv: np.ndarray            # 4 complex
-    dR: complex
-    dP: complex
-    denominator: complex
-    direct: EigenSolution
-    adjoint: EigenSolution
-    fd_check: np.ndarray | None = None   # 6 relative errors vs FD
-
-
 def full_report(params: ModelParams, tol: float = 1e-10,
                 fd: bool = True) -> SensitivityReport:
     """lambda0, eigenfunctions, six derivatives, optional FD validation.
@@ -153,17 +139,12 @@ def full_report(params: ModelParams, tol: float = 1e-10,
     fd_sets = [_fd_pair(params, name) for name in _NAMES] if fd else []
     lam0, *shifted = dominant_eigenvalue(
         [params, *(p for _, pair in fd_sets for p in pair)], tol)
-    direct = eigenfunction(lam0, params)
-    adjoint = adjoint_eigenfunction(lam0, params)
-    den = checked_pairing(direct, adjoint)
-    analytic = [num / den for num in _numerators(direct, adjoint, params)]
-    fd_check = None
-    if fd:
-        fd_check = np.array([
-            abs(a - (up - down) / (2.0 * h)) / max(abs(a), 1e-3)
-            for a, (h, _), up, down in zip(analytic, fd_sets, shifted[::2],
-                                           shifted[1::2])])
-    return SensitivityReport(lam=complex(lam0), dv=np.array(analytic[:4]),
-                             dR=analytic[4], dP=analytic[5],
-                             denominator=den, direct=direct, adjoint=adjoint,
-                             fd_check=fd_check)
+    rep = sensitivities(eigenfunction(lam0, params),
+                        adjoint_eigenfunction(lam0, params), params)
+    if not fd:
+        return rep
+    analytic = [*rep.dv, rep.dR, rep.dP]
+    return replace(rep, fd_check=np.array([
+        abs(a - (up - down) / (2.0 * h)) / max(abs(a), 1e-3)
+        for a, (h, _), up, down in zip(analytic, fd_sets, shifted[::2],
+                                       shifted[1::2])]))

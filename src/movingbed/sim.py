@@ -26,6 +26,7 @@ ghost and j = 1..Nx the cells.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,25 +40,27 @@ from .spectrum import dominant_eigenvalue
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid, step, horizon, feed, and recording cadence of one run.
+    """Grid, step, horizon and recording cadence of one run; the feed is
+    the params' f0.
 
     Refuses, with ValidationError, an Nx or record_every that is not an
-    integer, Nx below 8, record_every below 1 and a T that is negative or
-    not finite; p is checked against the velocities when a run starts.
+    integer, Nx below 8, record_every below 1 and a T that is not a
+    number, negative or not finite; p is checked against the velocities
+    when a run starts (BadCFL).
     """
 
     Nx: int = 400
     p: float | None = None        # Courant parameter; default 0.9/max(v,1)
     T: float = 60.0
-    f0: float | None = None       # overrides params.f0 when set
     record_every: int = 50
     strang: bool = False          # symmetrized splitting (off: plain order)
 
     def __post_init__(self):
         check_count("Nx", self.Nx, 8)
         check_count("record_every", self.record_every, 1)
-        if not 0.0 <= self.T < math.inf:
-            raise ValidationError(f"T={self.T} must be nonnegative and finite")
+        if not (isinstance(self.T, numbers.Real) and 0.0 <= self.T < math.inf):
+            raise ValidationError(
+                f"T={self.T!r} must be a nonnegative finite number")
 
 
 @dataclass
@@ -99,17 +102,11 @@ class DiagnosticsRow:
     profile_rms: float | None = None
 
 
-def _effective_params(params: ModelParams, config: SimConfig) -> ModelParams:
-    if config.f0 is not None and config.f0 != params.f0:
-        return replace(params, f0=config.f0)
-    return params
-
-
 def _resolve_p(config: SimConfig, params: ModelParams) -> float:
     cap = 1.0 / max(max(params.v), 1.0)
     p = 0.9 * cap if config.p is None else config.p
-    if not 0.0 < p < cap:
-        raise BadCFL(f"Courant parameter p={p} outside (0, {cap:.6g})")
+    if not (isinstance(p, numbers.Real) and 0.0 < p < cap):
+        raise BadCFL(f"Courant parameter p={p!r} outside (0, {cap:.6g})")
     return p
 
 
@@ -307,38 +304,33 @@ def sample_steady_state(params: ModelParams, Nx: int) -> tuple:
 def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState:
     """Fresh state with cells sampled from the initial condition.
 
-    ``initial`` may be a preset name ("constant" for (1, P), "zero",
-    "eigenfunction" for the dominant mode), a callable
-    f(zone, x_array) -> (c_values, q_values), or a pair of (4, Nx) arrays.
+    ``initial`` is a preset name ("constant" for (1, P), "zero",
+    "eigenfunction" for the dominant mode) or a pair (c, q) of (4, Nx)
+    arrays of numbers; data given by a function are its values at
+    ``cell_centers(Nx)``.  Anything else is refused with ValidationError.
     """
-    params = _effective_params(params, config)
     p = _resolve_p(config, params)
     dx = 1.0 / config.Nx
     state = SimState(u=np.zeros((8, config.Nx + 2)), t=0.0, dt=p * dx, dx=dx)
     c, q = state.c, state.q
-    if callable(initial):
-        xs = cell_centers(config.Nx)
-        for zone in range(1, 5):
-            cz, qz = initial(zone, xs[zone - 1])
-            c[zone - 1, 1:] = cz
-            q[zone - 1, 1:] = qz
-    elif isinstance(initial, str):
+    if isinstance(initial, str):
         if initial == "constant":
             c[:, 1:] = 1.0
             q[:, 1:] = params.P
         elif initial == "eigenfunction":
             c[:, 1:], q[:, 1:] = sample_eigenfunction(params, config.Nx)
-        elif initial == "zero":
-            pass
-        else:
+        elif initial != "zero":
             raise ValidationError(f"unknown initial preset {initial!r}")
     else:
-        c0, q0 = initial
-        c0 = np.asarray(c0, dtype=float)
-        q0 = np.asarray(q0, dtype=float)
-        if c0.shape != (4, config.Nx) or q0.shape != (4, config.Nx):
+        shape = (4, config.Nx)
+        try:
+            c0, q0 = (np.asarray(a, dtype=float) for a in initial)
+        except (TypeError, ValueError):     # not a pair, or not numbers
+            c0 = q0 = None
+        if c0 is None or c0.shape != shape or q0.shape != shape:
             raise ValidationError(
-                f"custom samples must have shape (4, {config.Nx})")
+                f"initial must be a preset name or a pair of {shape} "
+                "arrays of numbers")
         c[:, 1:] = c0
         q[:, 1:] = q0
     _apply(state.u.reshape(-1), _port_tables(params, config.Nx + 2)[0])
@@ -435,7 +427,6 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
     are invoked as cb(state, row) at every recorded step with that live
     state, so a callback copies what it keeps.
     """
-    params = _effective_params(params, config)
     state = replace(state, u=state.u.copy())
     if callbacks is None:
         callbacks = []

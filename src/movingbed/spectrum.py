@@ -221,18 +221,15 @@ def _window_cell(grid, cols, values):
     indices cols alone (0, then the window, a run of adjacent indices),
     or None.
 
-    It is settled when no value is 0 and the first sign change lies
-    between adjacent indices, which holds when the window's first sign
-    is the sign at grid[0] and the window holds a sign change.
+    It is settled when no value is 0 and the first hit lies between
+    adjacent indices, which holds when the window's first sign is the
+    sign at grid[0] and the window holds a sign change.
     """
-    signs = np.sign(values)
-    change = np.flatnonzero(signs[:-1] != signs[1:])
-    if not (signs.all() and change.size
-            and cols[change[0] + 1] == cols[change[0]] + 1):
+    hits = _hits(values)
+    i = hits.argmax()
+    if not (values.all() and hits[i] and cols[i + 1] == cols[i] + 1):
         return None
-    j = change[0]
-    return (float(grid[cols[j]]), float(grid[cols[j + 1]]),
-            float(values[j]), float(values[j + 1]))
+    return _cell(grid[cols], values, i)
 
 
 # The window of grid indices a later set of a batch scans first: k-2 ..

@@ -267,8 +267,8 @@ def test_criterion_11_steady_state(cs):
     assert samples.c.real.min() >= -1e-12
     assert samples.q.real.min() >= -1e-12
 
-    config = sim.SimConfig(Nx=400, T=60.0, record_every=200, f0=1.0)
-    state = sim.init(config, cs, initial="zero")
+    config = sim.SimConfig(Nx=400, T=60.0, record_every=200)
+    state = sim.init(config, fed, initial="zero")
     state, _ = sim.run(state, config, fed)
     ref_c, ref_q = sim.sample_steady_state(fed, 400)
     scale = max(np.abs(ref_c).max(), np.abs(ref_q).max())

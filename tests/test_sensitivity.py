@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from movingbed import eigfun
+from movingbed.charfun import return_map
 from movingbed.eigfun import (adjoint_eigenfunction, eigenfunction, evaluate,
-                              steady_state)
-from movingbed.errors import (MovingBedError, ValidationError,
-                              ZeroDenominator)
+                              exp_integral, inner_product, steady_state)
+from movingbed.errors import (MovingBedError, NearZeroPairing,
+                              ValidationError)
 from movingbed.params import ModelParams, case_study, limit_params
 from movingbed.sensitivity import (SensitivityReport, central_difference,
-                                   dlambda_dP, dlambda_dR, dlambda_dv,
-                                   exp_integral, full_report, inner_product)
+                                   full_report, sensitivities)
 from movingbed.spectrum import dominant_eigenvalue, real_root_scan
 
 from oracles import central_diff, gl64, mode_values
@@ -89,28 +89,22 @@ def pair(cs, lam0):
     return eigenfunction(lam0, cs), adjoint_eigenfunction(lam0, cs)
 
 
+def _derivatives(rep):
+    """The six derivatives of a report, keyed as in _TRUE."""
+    return dict(zip(("v1", "v2", "v3", "v4", "R", "P"),
+                    (*rep.dv, rep.dR, rep.dP)))
+
+
 def test_derivatives_regression(pair, cs):
-    direct, adjoint = pair
-    got = {
-        "v1": dlambda_dv(1, direct, adjoint, cs),
-        "v2": dlambda_dv(2, direct, adjoint, cs),
-        "v3": dlambda_dv(3, direct, adjoint, cs),
-        "v4": dlambda_dv(4, direct, adjoint, cs),
-        "R": dlambda_dR(direct, adjoint, cs),
-        "P": dlambda_dP(direct, adjoint, cs),
-    }
+    got = _derivatives(sensitivities(*pair, cs))
     for name, want in _TRUE.items():
         assert got[name].real == pytest.approx(want, abs=2e-9), name
         assert abs(got[name].imag) <= 1e-9, name
-    for k in (0, 5):
-        with pytest.raises(ValidationError):
-            dlambda_dv(k, direct, adjoint, cs)
 
 
 def test_derivative_matches_runtime_fd(pair, cs):
     # slow path only for one parameter; full_report covers the rest
-    direct, adjoint = pair
-    analytic = dlambda_dv(2, direct, adjoint, cs).real
+    analytic = sensitivities(*pair, cs).dv[1].real
     fd = central_difference(cs, "v2", tol=1e-11)
     assert analytic == pytest.approx(fd, rel=1e-4)
 
@@ -175,12 +169,12 @@ def test_full_report_pairs_the_modes_once(cs, monkeypatch):
     rep = full_report(cs, fd=True)
     assert len(calls) == 3
     monkeypatch.undo()
-    args = (rep.direct, rep.adjoint, cs)
-    for k in (1, 2, 3, 4):
-        got, ref = rep.dv[k - 1], dlambda_dv(k, *args)
-        assert (got.real, got.imag) == (ref.real, ref.imag)
-    for got, ref in ((rep.dR, dlambda_dR(*args)), (rep.dP, dlambda_dP(*args))):
-        assert (got.real, got.imag) == (ref.real, ref.imag)
+    ref = sensitivities(rep.direct, rep.adjoint, cs)
+    assert ref.fd_check is None
+    assert rep.dv.tobytes() == ref.dv.tobytes()
+    for got, want in ((rep.dR, ref.dR), (rep.dP, ref.dP),
+                      (rep.denominator, ref.denominator), (rep.lam, ref.lam)):
+        assert (got.real, got.imag) == (want.real, want.imag)
 
 
 def test_full_report_where_the_mode_norms_underflow():
@@ -257,10 +251,10 @@ def test_normalization_independence(pair, cs):
     direct, adjoint = pair
     d2 = _rescaled(direct, 3.0 - 1.0j)
     a2 = _rescaled(adjoint, -0.25j)
-    base = dlambda_dP(direct, adjoint, cs)
-    assert dlambda_dP(d2, a2, cs) == pytest.approx(base, rel=1e-12)
-    assert dlambda_dv(1, d2, a2, cs) == pytest.approx(
-        dlambda_dv(1, direct, adjoint, cs), rel=1e-12)
+    base = sensitivities(direct, adjoint, cs)
+    scaled = sensitivities(d2, a2, cs)
+    assert scaled.dP == pytest.approx(base.dP, rel=1e-12)
+    assert scaled.dv[0] == pytest.approx(base.dv[0], rel=1e-12)
 
 
 def _rescaled(sol, factor):
@@ -273,8 +267,8 @@ def test_zero_denominator_between_modes(cs, lam0):
     direct = eigenfunction(lam0, cs)
     other = adjoint_eigenfunction(deep, cs)
     assert abs(inner_product(direct, other)) < 1e-8
-    with pytest.raises(ZeroDenominator):
-        dlambda_dR(direct, other, cs)
+    with pytest.raises(NearZeroPairing):
+        sensitivities(direct, other, cs)
 
 
 def test_full_report(cs):
@@ -322,11 +316,39 @@ def test_limit_case_closed_forms():
     lp = limit_params()
     direct = eigenfunction(0.0, lp)
     adjoint = adjoint_eigenfunction(0.0, lp)
-    dv1 = dlambda_dv(1, direct, adjoint, lp)
-    assert dv1.real == pytest.approx(-1.0 / (4.0 * (1.0 + lp.P ** 2)),
-                                     rel=1e-10)
-    assert abs(dlambda_dR(direct, adjoint, lp)) <= 1e-12
-    assert abs(dlambda_dP(direct, adjoint, lp)) <= 1e-12
+    rep = sensitivities(direct, adjoint, lp)
+    assert rep.dv[0].real == pytest.approx(-1.0 / (4.0 * (1.0 + lp.P ** 2)),
+                                           rel=1e-10)
+    assert abs(rep.dR) <= 1e-12
+    assert abs(rep.dP) <= 1e-12
+
+
+def _secant(z, params, steps=40):
+    """The root of Delta near z by secant steps on return_map's delta."""
+    z0, z1 = z, z * (1.0 + 1e-7)
+    f0, f1 = return_map(z0, params).delta, return_map(z1, params).delta
+    for _ in range(steps):
+        if f1 == f0 or abs(z1 - z0) <= 1e-15 * abs(z1):
+            break
+        z0, z1, f0 = z1, z1 - f1 * (z1 - z0) / (f1 - f0), f1
+        f1 = return_map(z1, params).delta
+    return complex(z1)
+
+
+def test_sensitivities_at_a_complex_eigenvalue(cs):
+    # lambda1, the case study's second eigenvalue, is complex; its adjoint
+    # mode is taken at conj(lambda1), and every derivative matches central
+    # differences of lambda1 tracked by secant steps at theta +- h
+    lam1 = _secant(-0.2185553 + 0.0808866j, cs)
+    assert lam1 == pytest.approx(-0.218555259 + 0.080886585j, abs=1e-9)
+    rep = sensitivities(eigenfunction(lam1, cs),
+                        adjoint_eigenfunction(lam1.conjugate(), cs), cs)
+    assert rep.lam == lam1
+    for name, got in _derivatives(rep).items():
+        theta = getattr(cs, name)
+        fd = central_diff(lambda t: _secant(lam1, replace(cs, **{name: t})),
+                          theta, 1e-5 * max(theta, 1.0))
+        assert abs(got - fd) <= 1e-6 * abs(fd), name
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +402,6 @@ def test_dR_dP_match_quadrature(modes):
     num_P = _gl_pairing(direct, adjoint, lambda c, q, cs_, qs_:
                         R * (-2.0 * P * c + q) * np.conj(cs_)
                         + R * c * np.conj(qs_))
-    for got, ref in ((dlambda_dR(direct, adjoint, params), num_R / den),
-                     (dlambda_dP(direct, adjoint, params), num_P / den)):
+    rep = sensitivities(direct, adjoint, params)
+    for got, ref in ((rep.dR, num_R / den), (rep.dP, num_P / den)):
         assert abs(got - ref) <= 1e-12 * abs(ref)

@@ -40,7 +40,10 @@ def test_init_zero_and_callable(cs):
     def bump(zone, x):
         return np.full_like(x, float(zone)), np.zeros_like(x)
 
-    st = init(SimConfig(Nx=8, T=1.0), cs, initial=bump)
+    # a function gives its data as its values at the cell centers
+    xs = cell_centers(8)
+    c0, q0 = zip(*(bump(z, xs[z - 1]) for z in range(1, 5)))
+    st = init(SimConfig(Nx=8, T=1.0), cs, initial=(c0, q0))
     for z in range(4):
         assert np.all(st.c[z, 1:] == z + 1)
 
@@ -70,6 +73,27 @@ def test_init_validation(cs):
         init(SimConfig(Nx=16, T=1.0, p=0.0), cs)
 
 
+@pytest.mark.parametrize("bad, error", [
+    ({"T": "1"}, ValidationError), ({"T": None}, ValidationError),
+    ({"p": "a"}, BadCFL)], ids=["T-string", "T-None", "p-string"])
+def test_init_refuses_a_config_value_that_is_not_a_number(cs, bad, error):
+    # each raised an untyped TypeError from a comparison before
+    with pytest.raises(error):
+        init(replace(SimConfig(Nx=16, T=1.0), **bad), cs)
+
+
+@pytest.mark.parametrize("initial", [
+    3, None, (np.ones((4, 16)),) * 3, [np.ones((4, 16))],
+    (np.full((4, 16), "a"), np.ones((4, 16))),
+    lambda zone, x: (np.ones_like(x), np.ones_like(x))],
+    ids=["int", "None", "3-tuple", "1-list", "strings", "callable"])
+def test_init_refuses_initial_data_it_cannot_take(cs, initial):
+    # each raised an untyped TypeError or ValueError before, but the
+    # function, which was taken as a second form of initial data
+    with pytest.raises(ValidationError, match="preset name or a pair"):
+        init(SimConfig(Nx=16, T=1.0), cs, initial=initial)
+
+
 @pytest.mark.parametrize("bad", [{"record_every": 0}, {"T": math.inf},
                                  {"T": math.nan}, {"T": -1.0}])
 def test_run_refuses_a_config_it_cannot_run(cs, bad):
@@ -86,8 +110,8 @@ def test_cell_centers_refuse_an_empty_grid(cs):
 
 
 def test_ghost_cells_feed(cs):
-    st = init(SimConfig(Nx=16, T=1.0, f0=0.5), cs)
     p = replace(cs, f0=0.5)
+    st = init(SimConfig(Nx=16, T=1.0), p)
     # zone-3 inlet ghost carries the feed source on top of the zone-2 exit
     want = (p.v2 * st.c[1, -1] + 0.5) / p.v3
     assert st.c[2, 0] == pytest.approx(want, rel=1e-14)
@@ -273,11 +297,12 @@ def test_energy_non_increasing(cs):
 
 def test_positivity_preserved(cs):
     rng = np.random.default_rng(5)
-    config = SimConfig(Nx=32, T=1.5, f0=0.5)
+    config = SimConfig(Nx=32, T=1.5)
+    fed = replace(cs, f0=0.5)
     c0 = rng.uniform(0.0, 1.0, size=(4, 32))
     q0 = rng.uniform(0.0, 1.0, size=(4, 32))
-    st = init(config, cs, initial=(c0, q0))
-    st, _ = run(st, config, cs)
+    st = init(config, fed, initial=(c0, q0))
+    st, _ = run(st, config, fed)
     assert st.c.min() >= 0.0
     assert st.q.min() >= 0.0
 
