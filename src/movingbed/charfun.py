@@ -23,8 +23,11 @@ On the real axis F_i, M_i, C and Delta are real, and a call whose lambdas
 are all real runs in float64 throughout (the real form of the hyperbolic
 pair takes cosh/sinh or cos/sin by the sign of the discriminant); one
 non-real lambda makes the call complex.
-The loop product is entrywise arithmetic on the four entry arrays of the
-2x2 factors, with no matmul, so Delta does not depend on the BLAS kernel.
+The zone factors are laid out entry-major, (zone, 2, 2, n): each matrix
+entry is one contiguous row over the n lambdas.  The loop product
+multiplies those rows, row j of the running product times a factor in
+three array operations, with no matmul, so Delta does not depend on the
+BLAS kernel and one lambda costs few numpy calls per factor.
 """
 
 from __future__ import annotations
@@ -124,18 +127,20 @@ def _lambdas(lam) -> tuple:
     """(1-D array, was lam a scalar); refuses what Delta cannot take.
 
     The array is float64 when every lambda is real (a zero imaginary part
-    counts as real), else complex.
+    counts as real), else complex; float64 input is copied as it is.
     """
     arr = np.asarray(lam)
     if arr.dtype.kind not in "iufc":        # strings, None, objects
         raise ValidationError(f"lambda must be numeric, got {lam!r}")
-    lams = np.atleast_1d(arr).astype(complex)
+    lams = np.array(arr, ndmin=1)
+    if lams.dtype != np.float64:
+        lams = lams.astype(complex)
+        if not lams.imag.any():
+            lams = lams.real.copy()
     if lams.ndim != 1 or lams.size == 0 or not np.isfinite(lams).all():
         raise ValidationError(
             f"lambda must be a finite scalar or a non-empty finite 1-D "
             f"array, got shape {arr.shape}")
-    if not lams.imag.any():
-        lams = lams.real.copy()
     return lams, arr.ndim == 0
 
 
@@ -184,8 +189,10 @@ def _zone_factors(lams: np.ndarray, v, R, P) -> tuple:
     """Zone matrices of zones 1..4 over a lambda array: (K, s, a) with
     M_i = e^{s_i} K_i, all in the dtype of lams.
 
-    v, R and P come from ``_constants``.  K is (4, n, 2, 2) with O(1)
-    entries; s = Re(a_i) + Re(b_i) and the half-traces a = a_i are (4, n).
+    v, R and P come from ``_constants``.  K is entry-major, (4, 2, 2, n):
+    K[i - 1, j, k] is entry (j, k) of M_i's mantissa over the n lambdas,
+    one contiguous row, with O(1) values.  s = Re(a_i) + Re(b_i) and the
+    half-traces a = a_i are (4, n).
     Call under np.errstate that ignores division by zero (b = 0 takes the
     series).
     """
@@ -199,11 +206,11 @@ def _zone_factors(lams: np.ndarray, v, R, P) -> tuple:
         phase = np.exp(1j * a.imag)
         shat, chat = shat * phase, chat * phase
     phi_shat = (lams + R - a) * shat
-    K = np.empty(a.shape + (2, 2), dtype=lams.dtype)
-    K[..., 0, 0] = chat - phi_shat
-    K[..., 0, 1] = R * P / v * shat
-    K[..., 1, 0] = -(R * P) * shat
-    K[..., 1, 1] = chat + phi_shat
+    K = np.empty((4, 2, 2, lams.size), dtype=lams.dtype)
+    K[:, 0, 0] = chat - phi_shat
+    K[:, 0, 1] = R * P / v * shat
+    K[:, 1, 0] = -(R * P) * shat
+    K[:, 1, 1] = chat + phi_shat
     return K, a.real + re_b, a
 
 
@@ -235,9 +242,8 @@ def _constants(params, owner, n: int) -> tuple:
     params is one ModelParams, a sequence of them, or the ``_set_table``
     of a sequence.  One set gives its floats (v as a (4, 1) column);
     several sets give arrays gathered per lambda by owner, the index of
-    each lambda's set (v is (4, n), the rest (n,), the port ratios
-    (n, 1)).  Every value is its set's own float, so a lambda gets the
-    same Delta either way.
+    each lambda's set (v is (4, n), the rest (n,) each).  Every value is
+    its set's own float, so a lambda gets the same Delta either way.
     """
     table = params if isinstance(params, np.ndarray) else _set_table(
         [params] if isinstance(params, ModelParams) else params)
@@ -252,7 +258,7 @@ def _constants(params, owner, n: int) -> tuple:
             f"owner must give each of the {n} lambdas the index of one of "
             f"the {sets} parameter sets")
     table = table[:, owner]
-    return table[:4], table[4], table[5], table[6], table[7:, :, None]
+    return table[:4], table[4], table[5], table[6], table[7:]
 
 
 def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
@@ -266,7 +272,7 @@ def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
     v, R, P, _, _ = _constants(params, None, lams.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         K, s, _ = _zone_factors(lams, v, R, P)
-    return K[zone - 1, 0], float(s[zone - 1, 0])
+    return K[zone - 1, ..., 0], float(s[zone - 1, 0])
 
 
 def zone_matrix(lam, zone: int, params: ModelParams) -> np.ndarray:
@@ -280,33 +286,39 @@ def zone_matrix(lam, zone: int, params: ModelParams) -> np.ndarray:
         return K * np.exp(np.float64(s))
 
 
+def _row_product(factors) -> tuple:
+    """scaled_product of entry-major factors: each matrix is (2, 2, ...)
+    and so is the mantissa returned, with the log_scales of shape (...)."""
+    p = None
+    scale = 0.0
+    for k, s in factors:
+        if p is None:                       # I @ K is K
+            p = np.array(k, dtype=np.result_type(k, 1.0))
+        else:                               # row j of p times K
+            p = p[:, :1] * k[0] + p[:, 1:] * k[1]
+        m = np.abs(p).max(axis=(0, 1))
+        m = np.where(m > 0.0, m, 1.0)
+        p *= 1.0 / m                        # rounds as p / m would
+        scale = scale + s + np.log(m)
+    return p, scale
+
+
 def scaled_product(factors) -> tuple:
     """Multiply one or more (matrix, log_scale) factors left to right,
     renormalizing.
 
-    Matrices are 2x2 or stacks (n, 2, 2) with log_scales of shape (n,).
+    Matrices are 2x2 or stacks (..., 2, 2) with log_scales of shape (...).
     Returns (mantissa, log_scale) with each mantissa's largest entry of
-    modulus 1, in the dtype of the factors.  The running product is
-    carried as the four entry arrays p00, p01, p10, p11 (the rows of one
-    array) and each factor is applied entrywise: a stack of 2x2 products
-    through matmul would cost one BLAS call per matrix.
+    modulus 1, in the dtype of the factors.  The product runs entry-major:
+    each factor is viewed as (2, 2, ...), so that entry (j, k) is one
+    array over the stack, and row j of the running product P is
+    P[j, 0] K[0] + P[j, 1] K[1], three array operations per factor for
+    both rows; a stack of 2x2 products through matmul would cost one BLAS
+    call per matrix.
     """
-    p = None
-    scale = 0.0
-    for K, s in factors:
-        k00, k01, k10, k11 = (K[..., i, j] for i in (0, 1) for j in (0, 1))
-        if p is None:                       # I @ K is K
-            p = np.array((k00, k01, k10, k11), dtype=np.result_type(K, 1.0))
-        else:
-            p00, p01, p10, p11 = p
-            p = np.array((p00 * k00 + p01 * k10, p00 * k01 + p01 * k11,
-                          p10 * k00 + p11 * k10, p10 * k01 + p11 * k11))
-        m = np.abs(p).max(axis=0)
-        m = np.where(m > 0.0, m, 1.0)
-        p *= 1.0 / m                        # rounds as p / m would
-        scale = scale + s + np.log(m)
-    prod = np.ascontiguousarray(np.moveaxis(p, 0, -1))
-    return prod.reshape(m.shape + (2, 2)), scale
+    p, scale = _row_product((np.moveaxis(K, (-2, -1), (0, 1)), s)
+                            for K, s in factors)
+    return np.ascontiguousarray(np.moveaxis(p, (0, 1), (-2, -1))), scale
 
 
 @dataclass(frozen=True)
@@ -417,8 +429,8 @@ def return_map(lam, params, owner=None) -> ReturnMapEval:
     with np.errstate(all="ignore"):         # non-finite results refused below
         K, s, a = _zone_factors(lams, v, R, P)
         for port, ratio in zip(_INJECTING, ratios):
-            K[port.zone - 1, :, :, 0] *= ratio  # M_k D_k: D_k scales column 0
-        mantissa, scale = scaled_product(
+            K[port.zone - 1, :, 0] *= ratio     # M_k D_k: D_k scales column 0
+        rows, scale = _row_product(
             [(K[port.zone - 1], s[port.zone - 1])
              for port in (PORTS[0], *PORTS[:0:-1])])    # zones 1, 4, 3, 2
         # det C = (v2 v4)/(v1 v3) * prod_i det M_i, det M_i = e^{2 a_i};
@@ -429,6 +441,7 @@ def return_map(lam, params, owner=None) -> ReturnMapEval:
         raise NonFiniteDetected(
             f"Delta overflows its scaled form at |lambda| up to "
             f"{np.abs(lams).max():.3g}")
+    mantissa = rows.transpose(2, 0, 1)      # (n, 2, 2), a view of the rows
     if scalar:
         return ReturnMapEval(lam=lams[0].item(), mantissa=mantissa[0],
                              log_scale=float(scale[0]),

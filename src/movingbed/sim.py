@@ -306,8 +306,9 @@ def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState
 
     ``initial`` is a preset name ("constant" for (1, P), "zero",
     "eigenfunction" for the dominant mode) or a pair (c, q) of (4, Nx)
-    arrays of numbers; data given by a function are its values at
-    ``cell_centers(Nx)``.  Anything else is refused with ValidationError.
+    arrays of finite real numbers; data given by a function are its
+    values at ``cell_centers(Nx)``.  Anything else, a complex pair or
+    one holding nan or inf included, is refused with ValidationError.
     """
     p = _resolve_p(config, params)
     dx = 1.0 / config.Nx
@@ -324,13 +325,16 @@ def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState
     else:
         shape = (4, config.Nx)
         try:
-            c0, q0 = (np.asarray(a, dtype=float) for a in initial)
-        except (TypeError, ValueError):     # not a pair, or not numbers
+            c0, q0 = (np.asarray(a) for a in initial)
+        except (TypeError, ValueError):     # not a pair, or ragged
             c0 = q0 = None
-        if c0 is None or c0.shape != shape or q0.shape != shape:
+        if (c0 is None or c0.shape != shape or q0.shape != shape
+                or c0.dtype.kind not in "biuf" or q0.dtype.kind not in "biuf"):
             raise ValidationError(
                 f"initial must be a preset name or a pair of {shape} "
-                "arrays of numbers")
+                "arrays of real numbers")
+        if not (np.isfinite(c0).all() and np.isfinite(q0).all()):
+            raise ValidationError("initial data must be finite")
         c[:, 1:] = c0
         q[:, 1:] = q0
     _apply(state.u.reshape(-1), _port_tables(params, config.Nx + 2)[0])

@@ -1,9 +1,11 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from movingbed import sensitivity
 from movingbed.charfun import (BRANCH_COMPLEX_PAIR, BRANCH_REAL_DISTINCT,
                                BRANCH_REPEATED, asymptotic_envelope,
                                branch_boundaries, delta,
@@ -361,3 +363,131 @@ def test_return_map_refuses_lambda_beyond_the_scaled_form(cs):
     assert math.isfinite(return_map(-1e153, cs).log_abs_delta)
     with pytest.raises(NonFiniteDetected):
         return_map(np.array([-1.0, 1e155]), cs)
+
+
+# ---------------------------------------------------------------------------
+# return_map's output bits and the contract of its lambda input
+# ---------------------------------------------------------------------------
+
+def _pinned_inputs():
+    rng = np.random.default_rng(22)
+    return {
+        "scalar": -0.11,
+        "geometric": -np.geomspace(40.0, 1e-6, 200),
+        "real": np.linspace(-80.0, 80.0, 50),
+        "complex": (rng.uniform(-60.0, 20.0, 30)
+                    + 1j * rng.uniform(-30.0, 30.0, 30)),
+        "mixed": np.array([-2.5 + 0j, -1.0 + 0.75j, 4.0 - 3.0j, -0.11]),
+    }
+
+
+def _digest(ev) -> str:
+    """sha256 over the dtype, shape and bytes of mantissa, log_scale,
+    det_log and delta."""
+    h = hashlib.sha256()
+    for field in (ev.mantissa, ev.log_scale, ev.det_log, ev.delta):
+        a = np.asarray(field)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of return_map's fields for the case study (0) and two strict
+# draws of the wide box (1, 2) over each input of _pinned_inputs, and for
+# 39 lambdas shared out over the 13 sets of full_report's FD batch.  Any
+# change to Delta's arithmetic or to the order of its roundings shows
+# here.  numpy's exp, sin and cos may round differently on another CPU or
+# numpy build; these are numpy 2.4.6 on x86-64.
+_PINNED_DIGESTS = {
+    "0-scalar":
+        "f26d034da94ef3bb2e3f76f19d241b00811ee91b0e42bd2038d5faaed4d104b3",
+    "0-geometric":
+        "22c2083172c1d8ea10333cf0f0ad71e7eb3eadc0bdcd35311e3a4f94667d5608",
+    "0-real":
+        "2cd643714b83f2c34e4aa83516e00a24b280b342ccfaec5139d36b6d2cbbab98",
+    "0-complex":
+        "9521a6e02cefe179a7deeb4b9a732bf135b4542808d22bde2787a799d08abc65",
+    "0-mixed":
+        "77e6754bb3c69f1dda0f9084541dbb4a8d3a7019c4ddc31c1b5c4e1b702862dd",
+    "1-scalar":
+        "95e9845a54a0d436d1c0ed814c0d8ebdec6e3da0c3942985eb4a243ce724c5b8",
+    "1-geometric":
+        "904b15a80ab57c22211cf4b31fbf40cec3d3c8bf0ec0556f0e778d8b1fd9dcc8",
+    "1-real":
+        "7b495768992775952460d309013893c904578d1c6f8d6ce230f068ec3065433e",
+    "1-complex":
+        "327567ed88edd7b28239cf44e99c5f5c0d0c4f4d74e11ed458023c40fbc15880",
+    "1-mixed":
+        "35f22eaf8cda9266019910e984dd3442ca8a44746b92a3ec2d6bf05b1ceaff36",
+    "2-scalar":
+        "073373404c763311b7d50e3b0bacf668b7caf88f005731c49b765a061866a1e6",
+    "2-geometric":
+        "5992528f5187aff5efaef70819e15431de5f38ac02212f5c7fd38f614024cecf",
+    "2-real":
+        "5e19dd28a38f7924ab3776ea21fda417ccc526ea096a0cedb17381cf68455def",
+    "2-complex":
+        "def2d525f1b8d7e1164b86b2cd94ad304ca18583451d377063d7de95df1263a6",
+    "2-mixed":
+        "69aa225b548472983564b573655dfc2121c72229fa2d7a46fae6bbdffe208cfd",
+    "fd-batch":
+        "e7752de4ebe7ae491a0d75d538c5473e98f32a45be9c7c90fa292513f277f5f1",
+}
+
+
+def test_return_map_bits_are_pinned(cs, wide_box):
+    got = {f"{i}-{name}": _digest(return_map(lam, p))
+           for i, p in enumerate([cs, *wide_box[:2]])
+           for name, lam in _pinned_inputs().items()}
+    batch = [cs, *(q for name in sensitivity._NAMES
+                   for q in sensitivity._fd_pair(cs, name)[1])]
+    got["fd-batch"] = _digest(return_map(np.linspace(-3.0, -0.01, 39),
+                                         batch, np.arange(39) % 13))
+    assert got == _PINNED_DIGESTS
+
+
+def _shapes(ev) -> tuple:
+    """(type, dtype, shape) of lam, mantissa, log_scale, det_log, delta."""
+    return tuple((type(f).__name__, np.asarray(f).dtype.name, np.shape(f))
+                 for f in (ev.lam, ev.mantissa, ev.log_scale, ev.det_log,
+                           ev.delta))
+
+
+_REAL_ARRAY = (("ndarray", "float64", (2,)),
+               ("ndarray", "float64", (2, 2, 2)),
+               ("ndarray", "float64", (2,)), ("ndarray", "float64", (2,)),
+               ("ndarray", "float64", (2,)))
+_REAL_SCALAR = (("float", "float64", ()), ("ndarray", "float64", (2, 2)),
+                ("float", "float64", ()), ("float", "float64", ()),
+                ("float64", "float64", ()))
+
+
+@pytest.mark.parametrize("lam, fields, same_as", [
+    (np.array([-3, 2]), _REAL_ARRAY, [-3.0, 2.0]),
+    (np.array([-0.5, 2.25], dtype=np.float32), _REAL_ARRAY, [-0.5, 2.25]),
+    (np.array([-0.5, 2.25]) + 0j, _REAL_ARRAY, [-0.5, 2.25]),
+    (np.array(-0.5), _REAL_SCALAR, -0.5),
+    (np.array(-0.5 + 0j), _REAL_SCALAR, -0.5),
+    (np.float32(-0.5), _REAL_SCALAR, -0.5),
+    (-2, _REAL_SCALAR, -2.0),
+    (-0.0, _REAL_SCALAR, 0.0),
+    (np.array([-0.0, 0.0]), _REAL_ARRAY, [0.0, 0.0])],
+    ids=["int", "float32", "complex-zero-imag", "0-d", "0-d-complex",
+         "float32-scalar", "int-scalar", "minus-zero", "minus-zero-array"])
+def test_lambda_input_keeps_its_contract(cs, lam, fields, same_as):
+    # every real input takes the float64 path: the fields have the types
+    # and shapes of a float64 call, and the same bits
+    ev = return_map(lam, cs)
+    assert _shapes(ev) == fields
+    assert _digest(ev) == _digest(return_map(same_as, cs))
+    assert np.array_equal(np.signbit(ev.lam), np.signbit(np.real(lam)))
+    if isinstance(lam, np.ndarray) and lam.ndim:
+        assert not np.shares_memory(ev.lam, lam)
+
+
+@pytest.mark.parametrize("lam", [
+    np.array([]), np.array([], dtype=int), np.array([-1.0, np.inf]),
+    np.array([np.nan], dtype=np.float32), np.array(-np.inf),
+    np.array([-1.0 + 0j, complex(0.0, np.nan)]), complex(np.inf, 0.0)])
+def test_lambda_input_refuses_non_finite_or_empty(cs, lam):
+    with pytest.raises(ValidationError):
+        return_map(lam, cs)

@@ -94,6 +94,33 @@ def test_init_refuses_initial_data_it_cannot_take(cs, initial):
         init(SimConfig(Nx=16, T=1.0), cs, initial=initial)
 
 
+@pytest.mark.parametrize("c0, match", [
+    (np.ones((4, 16)) * (1.0 + 1.0j), "real numbers"),
+    (np.ones((4, 16)) + 0j, "real numbers"),
+    (np.full((4, 16), math.nan), "finite"),
+    (np.full((4, 16), math.inf), "finite"),
+    (np.where(np.eye(4, 16) > 0, -math.inf, 1.0), "finite")],
+    ids=["complex", "complex-zero-imag", "nan", "inf", "one-minus-inf"])
+def test_init_refuses_complex_or_non_finite_initial_data(cs, c0, match):
+    # a complex pair was cast with only a ComplexWarning, and nan or inf
+    # surfaced only at the first recorded step as NonFiniteDetected
+    config = SimConfig(Nx=16, T=1.0)
+    for pair in ((c0, np.ones((4, 16))), (np.ones((4, 16)), c0)):
+        with pytest.raises(ValidationError, match=match):
+            init(config, cs, initial=pair)
+
+
+def test_init_takes_real_and_integer_arrays(cs):
+    config = SimConfig(Nx=16, T=1.0)
+    ints = np.arange(64).reshape(4, 16)
+    st = init(config, cs, initial=(ints, ints.astype(np.float32)))
+    assert st.c.dtype == st.q.dtype == np.float64
+    assert np.array_equal(st.c[:, 1:], ints)
+    assert np.array_equal(st.q[:, 1:], ints)
+    for preset in ("constant", "zero", "eigenfunction"):
+        assert np.isfinite(init(config, cs, initial=preset).u).all()
+
+
 @pytest.mark.parametrize("bad", [{"record_every": 0}, {"T": math.inf},
                                  {"T": math.nan}, {"T": -1.0}])
 def test_run_refuses_a_config_it_cannot_run(cs, bad):
