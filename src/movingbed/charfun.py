@@ -13,6 +13,10 @@ characteristic function stays computable for |lambda| far beyond the
 overflow range of plain doubles; log |Delta| grows like sum(1/v_i)|lambda|
 for lambda -> -inf and like 4*lambda for lambda -> +inf.
 
+On each zone a mode is a sum of two exponentials e^{nu x}, nu = a_i +- b_i;
+``zone_eigen`` gives the exponents and weights of all four zones as (4, 2)
+tables, the one input the mode solves (``eigfun``) take from here.
+
 Determinants are accumulated factor-by-factor from the Liouville identity
 det M_i = exp(2 a_i) (computing them from the multiplied-out product would
 lose all relative accuracy whenever |det| << ||C||^2).
@@ -42,34 +46,12 @@ import numpy as np
 from .errors import NonFiniteDetected, ThresholdTooSmall, ValidationError
 from .params import PORTS, ModelParams, check_zone
 
-BRANCH_COMPLEX_PAIR = "complex-pair"
-BRANCH_REPEATED = "repeated"
-BRANCH_REAL_DISTINCT = "real-distinct"
-
-# Relative tolerance classifying the discriminant as zero (repeated root).
-_REPEATED_RTOL = 1e-9
 # Below this |b| the sinh(b)/b ratio switches to its Taylor series.
 _SMALL_B = 1e-4
 
 
-@dataclass(frozen=True)
-class ZoneEigen:
-    """Eigenstructure of F_i(lambda) for one zone."""
-
-    zone: int            # 1..4
-    alpha: complex       # ((v_i - 1) lambda + (v_i - P^2) R) / 2
-    beta: complex        # lambda^2 + lambda R (1 + P^2)
-    nu1: complex         # a + b
-    nu2: complex         # a - b
-    phi1: complex        # lambda + R - nu1
-    phi2: complex        # lambda + R - nu2
-    branch: str          # one of the BRANCH_* tags
-    a: complex           # alpha / v_i (half-trace of F_i)
-    b: complex           # principal sqrt(a^2 + beta/v_i); Re(b) >= 0
-
-
 def _exponents(lam, v, R: float, P: float) -> tuple:
-    """(alpha, beta, disc) of a zone with velocity v at lambda.
+    """(alpha, disc) of a zone with velocity v at lambda.
 
     a = alpha/v and b = sqrt(disc)/v.  Plain arithmetic, so lam and v may
     be scalars or numpy arrays that broadcast (lambdas by row, velocities
@@ -77,37 +59,46 @@ def _exponents(lam, v, R: float, P: float) -> tuple:
     """
     alpha = ((v - 1.0) * lam + (v - P * P) * R) / 2.0
     beta = lam * lam + lam * R * (1.0 + P * P)
-    return alpha, beta, alpha * alpha + v * beta
+    return alpha, alpha * alpha + v * beta
 
 
-def zone_eigen(lam, zone: int, params: ModelParams) -> ZoneEigen:
-    """Per-zone exponents nu_{1,2} and eigenvector weights phi_{1,2}.
+def _finite_lambda(lam, real: bool = False) -> complex:
+    """lam as a complex, if it is a finite number (with a zero imaginary
+    part, when real is set); else ValidationError naming it."""
+    try:
+        finite = cmath.isfinite(lam)
+    except TypeError:                   # None, a string, an array
+        finite = False
+    if not finite or (real and complex(lam).imag != 0.0):
+        raise ValidationError(
+            f"lambda must be a finite {'real ' if real else ''}number, "
+            f"got {lam!r}")
+    return complex(lam)
 
-    The branch tag reflects the sign of the discriminant alpha^2 + v*beta
-    for real lambda; non-real lambda with a non-degenerate discriminant is
-    tagged complex-pair.
+
+def zone_eigen(lam, params: ModelParams) -> tuple:
+    """(nus, phis) of the two exponentials on each zone: the exponents
+    nu = a_i +- b_i and weights phi = lambda + R - nu as (4, 2) complex
+    tables, zone i in row i - 1, in scalar complex arithmetic.
+
+    A lambda that is not a finite number raises ValidationError, exponents
+    beyond the double range NonFiniteDetected.
     """
-    v = params.v[check_zone(zone) - 1]
+    lam = _finite_lambda(lam)
     R = params.R
-    lam = complex(lam)
-    alpha, beta, disc = _exponents(lam, v, R, params.P)
-    a = alpha / v
-    scale = max(abs(alpha) ** 2, abs(v * beta), 1.0)
-    if abs(disc) <= _REPEATED_RTOL * scale:
-        branch = BRANCH_REPEATED
-    elif lam.imag == 0.0:
-        branch = BRANCH_COMPLEX_PAIR if disc.real < 0.0 else BRANCH_REAL_DISTINCT
-    else:
-        branch = BRANCH_COMPLEX_PAIR
-    if lam.imag == 0.0:
-        # keep the imaginary part exactly zero so the principal square root
-        # lands on the upper half-axis deterministically
-        disc = complex(disc.real, 0.0)
-    b = cmath.sqrt(disc) / v
-    nu1, nu2 = a + b, a - b
-    return ZoneEigen(zone=zone, alpha=alpha, beta=beta, nu1=nu1, nu2=nu2,
-                     phi1=lam + R - nu1, phi2=lam + R - nu2,
-                     branch=branch, a=a, b=b)
+    nus = np.empty((4, 2), dtype=complex)
+    phis = np.empty((4, 2), dtype=complex)
+    for i, v in enumerate(params.v):
+        alpha, disc = _exponents(lam, v, R, params.P)
+        if lam.imag == 0.0:     # the principal root on the upper half-axis
+            disc = complex(disc.real, 0.0)
+        a, b = alpha / v, cmath.sqrt(disc) / v
+        nu1, nu2 = a + b, a - b
+        nus[i] = nu1, nu2
+        phis[i] = lam + R - nu1, lam + R - nu2
+    if not (np.isfinite(nus).all() and np.isfinite(phis).all()):
+        raise NonFiniteDetected(f"zone exponents overflow at lambda={lam}")
+    return nus, phis
 
 
 def branch_boundaries(zone: int, params: ModelParams) -> tuple:
@@ -196,7 +187,7 @@ def _zone_factors(lams: np.ndarray, v, R, P) -> tuple:
     Call under np.errstate that ignores division by zero (b = 0 takes the
     series).
     """
-    alpha, _, disc = _exponents(lams, v, R, P)
+    alpha, disc = _exponents(lams, v, R, P)
     a = alpha * (1.0 / v)   # rounds as numpy's complex alpha / v does
     if np.iscomplexobj(lams):
         # as in zone_eigen: an exactly zero imaginary part for real lambda
@@ -287,8 +278,12 @@ def zone_matrix(lam, zone: int, params: ModelParams) -> np.ndarray:
 
 
 def _row_product(factors) -> tuple:
-    """scaled_product of entry-major factors: each matrix is (2, 2, ...)
-    and so is the mantissa returned, with the log_scales of shape (...)."""
+    """Multiply entry-major (matrix, log_scale) factors left to right,
+    renormalizing: each matrix is (2, 2, ...), entry (j, k) one array over
+    the stack, with log_scales of shape (...).  Row j of the product P is
+    P[j, 0] K[0] + P[j, 1] K[1], three array operations per factor.
+    Returns (mantissa, log_scale), each mantissa's largest entry of modulus
+    1 (a zero product stays 0), in the dtype of the factors."""
     p = None
     scale = 0.0
     for k, s in factors:
@@ -301,24 +296,6 @@ def _row_product(factors) -> tuple:
         p *= 1.0 / m                        # rounds as p / m would
         scale = scale + s + np.log(m)
     return p, scale
-
-
-def scaled_product(factors) -> tuple:
-    """Multiply one or more (matrix, log_scale) factors left to right,
-    renormalizing.
-
-    Matrices are 2x2 or stacks (..., 2, 2) with log_scales of shape (...).
-    Returns (mantissa, log_scale) with each mantissa's largest entry of
-    modulus 1, in the dtype of the factors.  The product runs entry-major:
-    each factor is viewed as (2, 2, ...), so that entry (j, k) is one
-    array over the stack, and row j of the running product P is
-    P[j, 0] K[0] + P[j, 1] K[1], three array operations per factor for
-    both rows; a stack of 2x2 products through matmul would cost one BLAS
-    call per matrix.
-    """
-    p, scale = _row_product((np.moveaxis(K, (-2, -1), (0, 1)), s)
-                            for K, s in factors)
-    return np.ascontiguousarray(np.moveaxis(p, (0, 1), (-2, -1))), scale
 
 
 @dataclass(frozen=True)
@@ -467,11 +444,13 @@ def det_closed_form_log(lam, params: ModelParams) -> complex:
 
     det C = (v2 v4)/(v1 v3) * exp(lambda (4 - sum 1/v_i)
                                   + R (4 - P^2 sum 1/v_i)).
+    A lambda that is not a finite number raises ValidationError.
     """
+    lam = _finite_lambda(lam)
     v = params.v
     s = sum(1.0 / vi for vi in v)
     return (math.log(v[1] * v[3] / (v[0] * v[2]))
-            + complex(lam) * (4.0 - s) + params.R * (4.0 - params.P ** 2 * s))
+            + lam * (4.0 - s) + params.R * (4.0 - params.P ** 2 * s))
 
 
 def asymptotic_envelope(lam: float, params: ModelParams,
@@ -479,7 +458,9 @@ def asymptotic_envelope(lam: float, params: ModelParams,
     """Leading-order log|Delta| for large real |lambda|.
 
     sum(1/v_i) * |lambda| on the left tail, 4*lambda on the right tail.
+    A lambda that is not a finite real number raises ValidationError.
     """
+    lam = _finite_lambda(lam, real=True).real
     if abs(lam) < threshold:
         raise ThresholdTooSmall(
             f"|lambda| = {abs(lam)} below asymptotic threshold {threshold}")

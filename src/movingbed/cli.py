@@ -120,8 +120,7 @@ def cmd_analyze(args, params: ModelParams, out: Path) -> dict:
 
 def cmd_spectrum(args, params: ModelParams, out: Path) -> dict:
     lo, hi = args.range
-    found = real_root_scan(params, (lo, hi), grid_n=args.grid, tol=args.tol,
-                           with_brackets=True)
+    found = real_root_scan(params, (lo, hi), grid_n=args.grid, tol=args.tol)
     rows = []
     if found:
         z, _ = return_map([r for r, _, _ in found], params)._delta_parts
@@ -224,10 +223,10 @@ def cmd_delta_scan(args, params: ModelParams, out: Path) -> dict:
     for lam, sign, log_abs, trace_log, det_log in zip(
             lams, ev.delta_sign.tolist(), ev.log_abs_delta.tolist(),
             ev.trace_log, ev.det_log.real):
-        if log_abs > 700.0:
-            d = math.inf * sign
-        else:
+        try:
             d = sign * math.exp(log_abs)
+        except OverflowError:           # |Delta| beyond the double range
+            d = math.inf * sign
         atan_delta = (2.0 / math.pi) * math.atan(d)
         rows.append((lam, d, atan_delta, sign, log_abs, trace_log, det_log))
     _write_csv(out / "delta_scan.csv",

@@ -5,10 +5,10 @@ On zone i the general solution of the eigenvalue ODE system is
     c_i(x) = sum_j C_i^j phi_i^j exp(nu_i^j x),
     q_i(x) = R P sum_j C_i^j exp(nu_i^j x),
 
-with nu, phi from charfun.zone_eigen; the adjoint problem uses the same
-weights with exp(-nu x).  Imposing the eight port conditions yields an
-8x8 homogeneous system M(lambda) C = 0 whose rank drops to 7 exactly at
-eigenvalues; coefficients are normalized by C_1^1 = 1.
+with nu, phi the (4, 2) tables of charfun.zone_eigen; the adjoint problem
+uses the same weights with exp(-nu x).  Imposing the eight port conditions
+yields an 8x8 homogeneous system M(lambda) C = 0 whose rank drops to 7
+exactly at eigenvalues; coefficients are normalized by C_1^1 = 1.
 
 The steady state with feed strength f0 solves the same system at
 lambda = 0 with the x=0 jump row carrying the feed:
@@ -26,7 +26,6 @@ zones in one closed-form ``exp_integral`` call (``zone_integrals``).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .charfun import zone_eigen
 from .errors import (DegenerateNullspace, NearZeroPairing, NonFiniteDetected,
-                     NotAnEigenvalue, SingularSystem, ValidationError)
+                     NotAnEigenvalue, SingularSystem)
 from .params import (PORTS, ZONE_LEFT, ZONES, ModelParams, check_count,
                      check_zone)
 
@@ -49,19 +48,6 @@ RANK_RTOL = 1e-8
 # perfbench draws (sweep and wide box) 3.5e-12; a null vector of a port
 # matrix that spans more than the double range can read 1.
 RESIDUAL_BOUND = 1e-8
-
-def _zone_tables(lam, params: ModelParams):
-    nus = np.empty((4, 2), dtype=complex)
-    phis = np.empty((4, 2), dtype=complex)
-    try:
-        for i in range(4):
-            ze = zone_eigen(lam, i + 1, params)
-            nus[i] = (ze.nu1, ze.nu2)
-            phis[i] = (ze.phi1, ze.phi2)
-    except OverflowError:
-        raise NonFiniteDetected(
-            f"zone exponents overflow at lambda={lam}") from None
-    return nus, phis
 
 
 def _conditions(sign: int) -> list:
@@ -210,13 +196,7 @@ def _solve(lam, params: ModelParams, sign: int, f0=None) -> EigenSolution:
     """The port-condition solution at lambda: the null vector, or with f0
     the solution whose feed row carries -f0; refused unless it is finite
     with a residual within RESIDUAL_BOUND."""
-    try:
-        finite = cmath.isfinite(lam)
-    except TypeError:                   # None, a string, an array
-        finite = False
-    if not finite:
-        raise ValidationError(f"lambda must be a finite number, got {lam!r}")
-    nus, phis = _zone_tables(lam, params)
+    nus, phis = zone_eigen(lam, params)
     with np.errstate(over="ignore", invalid="ignore"):
         M = _assemble(nus, phis, params, sign)
     if not np.isfinite(M).all():

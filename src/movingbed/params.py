@@ -159,14 +159,14 @@ class ModelParams:
     physical: PhysicalParams | None = None
 
     def __post_init__(self):
-        for name in ("v1", "v2", "v3", "v4", "R", "P"):
+        for name in ("v1", "v2", "v3", "v4", "R", "P", "f0"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            # a string or None would reach math.isfinite as a TypeError
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and (value > 0.0 or name == "f0" and value == 0.0)):
+                kind = "nonnegative" if name == "f0" else "positive"
                 raise NonPositiveParameter(
-                    f"{name} must be a positive finite number, got {value}")
-        if not (math.isfinite(self.f0) and self.f0 >= 0.0):
-            raise NonPositiveParameter(
-                f"f0 must be a nonnegative finite number, got {self.f0}")
+                    f"{name} must be a {kind} finite number, got {value}")
         if not self.limit_case:
             # v_in > v_up where liquid is injected, v_up > v_in where it
             # is withdrawn

@@ -44,9 +44,9 @@ class SimConfig:
     the params' f0.
 
     Refuses, with ValidationError, an Nx or record_every that is not an
-    integer, Nx below 8, record_every below 1 and a T that is not a
-    number, negative or not finite; p is checked against the velocities
-    when a run starts (BadCFL).
+    integer, Nx below 8, record_every below 1, a T that is not a
+    number, negative or not finite and a strang that is not a bool; p is
+    checked against the velocities when a run starts (BadCFL).
     """
 
     Nx: int = 400
@@ -61,6 +61,9 @@ class SimConfig:
         if not (isinstance(self.T, numbers.Real) and 0.0 <= self.T < math.inf):
             raise ValidationError(
                 f"T={self.T!r} must be a nonnegative finite number")
+        if not isinstance(self.strang, bool):
+            raise ValidationError(
+                f"strang={self.strang!r} must be True or False")
 
 
 @dataclass
@@ -301,6 +304,23 @@ def sample_steady_state(params: ModelParams, Nx: int) -> tuple:
     return _sample(steady_state(params), Nx)
 
 
+def _real_pair(pair, Nx: int, name: str, expected: str) -> tuple:
+    """pair as two arrays, if it is a pair of (4, Nx) arrays of finite real
+    numbers; else ValidationError naming it."""
+    shape = (4, Nx)
+    try:
+        c0, q0 = (np.asarray(a) for a in pair)
+    except (TypeError, ValueError):     # not a pair, or ragged
+        c0 = q0 = None
+    if (c0 is None or c0.shape != shape or q0.shape != shape
+            or c0.dtype.kind not in "biuf" or q0.dtype.kind not in "biuf"):
+        raise ValidationError(
+            f"{name} must be {expected} of {shape} arrays of real numbers")
+    if not (np.isfinite(c0).all() and np.isfinite(q0).all()):
+        raise ValidationError(f"{name} data must be finite")
+    return c0, q0
+
+
 def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState:
     """Fresh state with cells sampled from the initial condition.
 
@@ -323,20 +343,8 @@ def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState
         elif initial != "zero":
             raise ValidationError(f"unknown initial preset {initial!r}")
     else:
-        shape = (4, config.Nx)
-        try:
-            c0, q0 = (np.asarray(a) for a in initial)
-        except (TypeError, ValueError):     # not a pair, or ragged
-            c0 = q0 = None
-        if (c0 is None or c0.shape != shape or q0.shape != shape
-                or c0.dtype.kind not in "biuf" or q0.dtype.kind not in "biuf"):
-            raise ValidationError(
-                f"initial must be a preset name or a pair of {shape} "
-                "arrays of real numbers")
-        if not (np.isfinite(c0).all() and np.isfinite(q0).all()):
-            raise ValidationError("initial data must be finite")
-        c[:, 1:] = c0
-        q[:, 1:] = q0
+        c[:, 1:], q[:, 1:] = _real_pair(initial, config.Nx, "initial",
+                                        "a preset name or a pair")
     _apply(state.u.reshape(-1), _port_tables(params, config.Nx + 2)[0])
     return state
 
@@ -382,9 +390,11 @@ def sup_norm(state: SimState) -> float:
                      np.abs(state.q[:, 1:]).max()))
 
 
-def _profile_norm2(eigen_profile: tuple) -> float:
-    """Squared norm of a reference profile over both components."""
-    ref_c, ref_q = eigen_profile
+def _profile_norm2(eigen_profile: tuple, state: SimState) -> float:
+    """Squared norm of a reference profile over both components, refused
+    unless it is a pair of finite real arrays on the state's grid."""
+    ref_c, ref_q = _real_pair(eigen_profile, state.c.shape[1] - 1,
+                              "eigen_profile", "a pair")
     den = float(np.sum(ref_c * ref_c) + np.sum(ref_q * ref_q))
     if den == 0.0:
         raise ZeroProfile("reference profile is identically zero")
@@ -395,9 +405,11 @@ def profile_rms(state: SimState, eigen_profile: tuple) -> float:
     """Distance to the best scalar multiple of a reference profile.
 
     Minimizes ||state - s*ref|| over s and returns the minimum divided by
-    ||s*ref|| (both RMS over interior cells, both components).
+    ||s*ref|| (both RMS over interior cells, both components).  A profile
+    that is not a pair of finite real (4, Nx) arrays raises ValidationError.
     """
-    return _profile_rms(state, eigen_profile, _profile_norm2(eigen_profile))
+    return _profile_rms(state, eigen_profile,
+                        _profile_norm2(eigen_profile, state))
 
 
 def _profile_rms(state: SimState, eigen_profile: tuple, den: float) -> float:
@@ -438,7 +450,8 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
         callbacks = [callbacks]
     n_steps = int(math.ceil(config.T / state.dt - 1e-12))
     # the profile's norm is the same on every row
-    den = None if eigen_profile is None else _profile_norm2(eigen_profile)
+    den = (None if eigen_profile is None
+           else _profile_norm2(eigen_profile, state))
     rows = [_row(state, params, eigen_profile, den)]
     for cb in callbacks:
         cb(state, rows[-1])
@@ -463,8 +476,16 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
 
 
 def decay_rate(diagnostics, window) -> float:
-    """Least-squares slope of log(sup_norm) over a time window."""
-    t_lo, t_hi = window
+    """Least-squares slope of log(sup_norm) over a time window, a pair of
+    finite numbers (ValidationError otherwise)."""
+    try:
+        t_lo, t_hi = window
+    except (TypeError, ValueError):     # not a pair
+        t_lo = t_hi = None
+    if not all(isinstance(t, numbers.Real) and math.isfinite(t)
+               for t in (t_lo, t_hi)):
+        raise ValidationError(
+            f"window must be a pair of finite numbers, got {window!r}")
     pts = [(r.t, r.sup_norm) for r in diagnostics if t_lo <= r.t <= t_hi]
     if len(pts) < 10:
         raise InsufficientSamples(

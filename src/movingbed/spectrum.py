@@ -346,13 +346,13 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
 
 
 def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
-                   tol: float = 1e-12, with_brackets: bool = False) -> list:
-    """All sign-change-bracketed real roots of Delta on [lo, hi].
+                   tol: float = 1e-12) -> list:
+    """All sign-change-bracketed real roots of Delta on [lo, hi], as
+    (root, bracket_lo, bracket_hi) triples in ascending order.
 
     The grid is one return_map call per _MAX_POINTS points, and the
     bisections of all its cells share their calls, each cell's path
-    guided by regula falsi on its ends.  Returns floats, or
-    (root, bracket_lo, bracket_hi) triples when with_brackets is set.
+    guided by regula falsi on its ends.
     """
     check_count("grid_n", grid_n, 2)
     try:
@@ -373,9 +373,7 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     cells = _sign_cells(grid, _delta_values([grid], table, [0]))
     roots = _bisect(cells, table, [0] * len(cells),
                     [tol * max(1.0, abs(cell[0])) for cell in cells])
-    if with_brackets:
-        return [(r, a, b) for r, (a, b, _, _) in zip(roots, cells)]
-    return roots
+    return [(r, a, b) for r, (a, b, _, _) in zip(roots, cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +439,7 @@ def limit_asymptote(params: ModelParams, k: int) -> tuple:
     """Large-|k| expansion of (lambda_k^+, lambda_k^-) through the k^-2
     real and k^-1 imaginary corrections."""
     _require_limit(params)
-    if k == 0:
+    if check_count("k", k) == 0:
         raise ValidationError("asymptote is defined for k != 0")
     v, R, P = params.v1, params.R, params.P
     c1 = 2.0 * R * R * P * P / (math.pi * (v + 1.0))

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from movingbed import sensitivity
-from movingbed.charfun import (BRANCH_COMPLEX_PAIR, BRANCH_REAL_DISTINCT,
-                               BRANCH_REPEATED, asymptotic_envelope,
+from movingbed.charfun import (_row_product, asymptotic_envelope,
                                branch_boundaries, delta,
                                delta_sign_log, det_closed_form_log,
-                               return_map, scaled_product, zone_eigen,
+                               return_map, zone_eigen,
                                zone_matrix, zone_matrix_scaled)
 from movingbed.errors import (NonFiniteDetected, ThresholdTooSmall,
                               ValidationError)
@@ -28,24 +27,24 @@ def zone_generator(lam, zone, params):
 def test_phi_product_identity(cs):
     # phi1*phi2 = R^2 P^2 / v_i at any lambda, any zone
     rng = np.random.default_rng(1)
+    target = cs.R ** 2 * cs.P ** 2 / np.array(cs.v)
     for _ in range(50):
         lam = complex(rng.uniform(-40, 15), rng.uniform(-10, 10))
-        zone = rng.integers(1, 5)
-        ze = zone_eigen(lam, int(zone), cs)
-        target = cs.R ** 2 * cs.P ** 2 / cs.v[zone - 1]
-        assert abs(ze.phi1 * ze.phi2 - target) <= 1e-9 * abs(target)
+        nus, phis = zone_eigen(lam, cs)
+        assert nus.shape == phis.shape == (4, 2)
+        assert (np.abs(phis.prod(axis=1) - target) <= 1e-9 * target).all()
 
 
 def test_nus_are_generator_eigenvalues(cs):
     rng = np.random.default_rng(2)
     for _ in range(30):
         lam = complex(rng.uniform(-40, 15), rng.uniform(-10, 10))
-        zone = int(rng.integers(1, 5))
-        ze = zone_eigen(lam, zone, cs)
-        F = zone_generator(lam, zone, cs)
-        for nu in (ze.nu1, ze.nu2):
-            d = np.linalg.det(F - nu * np.eye(2))
-            assert abs(d) <= 1e-8 * max(1.0, np.abs(F).max() ** 2)
+        nus, _ = zone_eigen(lam, cs)
+        for zone in range(1, 5):
+            F = zone_generator(lam, zone, cs)
+            for nu in nus[zone - 1]:
+                d = np.linalg.det(F - nu * np.eye(2))
+                assert abs(d) <= 1e-8 * max(1.0, np.abs(F).max() ** 2)
 
 
 def test_branch_boundaries_order(cs):
@@ -55,14 +54,44 @@ def test_branch_boundaries_order(cs):
 
 
 def test_branch_classification(cs):
-    # the discriminant is an upward parabola in lambda: complex pair
-    # strictly between its two roots, real distinct outside
+    # the discriminant is an upward parabola in lambda: a complex-conjugate
+    # pair of exponents strictly between its two roots, two distinct real
+    # exponents outside
     for zone in range(1, 5):
         b_lo, b_hi = branch_boundaries(zone, cs)
-        assert zone_eigen((b_lo + b_hi) / 2, zone, cs).branch \
-            == BRANCH_COMPLEX_PAIR
-        assert zone_eigen(b_lo - 5.0, zone, cs).branch == BRANCH_REAL_DISTINCT
-        assert zone_eigen(b_hi + 5.0, zone, cs).branch == BRANCH_REAL_DISTINCT
+        nu1, nu2 = zone_eigen((b_lo + b_hi) / 2, cs)[0][zone - 1]
+        assert nu1.imag > 0.0 and nu1 == nu2.conjugate()
+        for lam in (b_lo - 5.0, b_hi + 5.0):
+            nu1, nu2 = zone_eigen(lam, cs)[0][zone - 1]
+            assert nu1.imag == nu2.imag == 0.0 and nu1.real > nu2.real
+
+
+@pytest.mark.parametrize("lam, error", [
+    (None, ValidationError), ("x", ValidationError), ([-1.0], ValidationError),
+    (math.nan, ValidationError), (math.inf, ValidationError),
+    (complex(-1.0, math.nan), ValidationError),
+    (1e200, NonFiniteDetected), (complex(-1e160, 1e160), NonFiniteDetected)])
+def test_zone_eigen_refuses_a_lambda_it_cannot_take(cs, lam, error):
+    # None raised TypeError, "x" ValueError and 1e200 OverflowError; inf
+    # and nan gave nan exponents without an error
+    with pytest.raises(error):
+        zone_eigen(lam, cs)
+
+
+@pytest.mark.parametrize("call", [det_closed_form_log, asymptotic_envelope])
+@pytest.mark.parametrize("lam", [None, "x", math.nan, math.inf, -math.inf])
+def test_scalar_lambda_entry_points_refuse_a_non_finite_lambda(cs, call, lam):
+    # None raised TypeError, nan returned nan and the envelope gave inf at inf
+    with pytest.raises(ValidationError):
+        call(lam, cs)
+
+
+def test_asymptotic_envelope_refuses_a_non_real_lambda(cs):
+    # a comparison of the complex lambda raised TypeError
+    with pytest.raises(ValidationError, match="real"):
+        asymptotic_envelope(complex(-20.0, 1.0), cs)
+    assert asymptotic_envelope(complex(-20.0, 0.0), cs) \
+        == asymptotic_envelope(-20.0, cs)
 
 
 def test_zone_matrix_against_taylor_expm(cs):
@@ -111,11 +140,11 @@ def test_zone_matrix_scaled_consistency(cs):
     assert np.abs(K * math.exp(s) - M).max() <= 1e-12 * np.abs(M).max()
 
 
-def test_scaled_product_matches_plain_product():
+def test_row_product_matches_plain_product():
     rng = np.random.default_rng(4)
     mats = [rng.normal(size=(2, 2)) for _ in range(6)]
-    factors = [(m, 0.0) for m in mats]
-    mantissa, log_scale = scaled_product(factors)
+    # a single 2x2 matrix is entry-major as it stands
+    mantissa, log_scale = _row_product([(m, 0.0) for m in mats])
     plain = np.eye(2)
     for m in mats:
         plain = plain @ m
@@ -124,33 +153,34 @@ def test_scaled_product_matches_plain_product():
 
 
 def _plain_rows(factors, n):
-    """The product of (n, 2, 2) factors row by row, by plain 2x2 @."""
+    """The product of entry-major (2, 2, n) factors for each of the n
+    stack entries, by plain 2x2 @."""
     rows = []
     for i in range(n):
         plain = np.eye(2, dtype=complex)
         for K, s in factors:
-            plain = plain @ (K[i] * math.exp(s[i]))
+            plain = plain @ (K[:, :, i] * math.exp(s[i]))
         rows.append(plain)
     return rows
 
 
-def test_scaled_product_of_a_stack_is_the_plain_product_row_by_row():
+def test_row_product_of_a_stack_is_the_plain_product_row_by_row():
     rng = np.random.default_rng(11)
     n = 12
-    zero = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    zero[[2, 7]] = 0.0             # rows whose product is zero: m = 0
-    factors = [(rng.normal(size=(n, 2, 2)), rng.uniform(-3, 3, n)),
-               (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)),
+    zero = rng.normal(size=(2, 2, n)) + 1j * rng.normal(size=(2, 2, n))
+    zero[:, :, [2, 7]] = 0.0       # entries whose product is zero: m = 0
+    factors = [(rng.normal(size=(2, 2, n)), rng.uniform(-3, 3, n)),
+               (rng.normal(size=(2, 2, n)) + 1j * rng.normal(size=(2, 2, n)),
                 rng.uniform(-3, 3, n)),
                (zero, rng.uniform(-3, 3, n)),
-               (rng.normal(size=(n, 2, 2)), rng.uniform(-3, 3, n))]
-    mantissa, log_scale = scaled_product(factors)
-    assert mantissa.shape == (n, 2, 2) and log_scale.shape == (n,)
+               (rng.normal(size=(2, 2, n)), rng.uniform(-3, 3, n))]
+    mantissa, log_scale = _row_product(factors)
+    assert mantissa.shape == (2, 2, n) and log_scale.shape == (n,)
     assert np.isfinite(log_scale).all()
     for i, plain in enumerate(_plain_rows(factors, n)):
-        got = mantissa[i] * math.exp(log_scale[i])
+        got = mantissa[:, :, i] * math.exp(log_scale[i])
         assert np.abs(got - plain).max() <= 1e-14 * np.abs(plain).max()
-    largest = np.abs(mantissa).max(axis=(1, 2))
+    largest = np.abs(mantissa).max(axis=(0, 1))
     assert (largest[[2, 7]] == 0.0).all()
     # numpy's complex-by-real division is not correctly rounded, so the
     # largest entry has modulus 1 to within an ulp, not exactly
@@ -158,22 +188,22 @@ def test_scaled_product_of_a_stack_is_the_plain_product_row_by_row():
     assert np.abs(others - 1.0).max() <= np.finfo(float).eps
 
 
-def test_scaled_product_of_one_matrix_is_one_row_of_the_stack():
+def test_row_product_of_one_matrix_is_one_entry_of_the_stack():
     rng = np.random.default_rng(12)
     n = 8
-    factors = [(rng.normal(size=(n, 2, 2)), rng.uniform(-3, 3, n))
+    factors = [(rng.normal(size=(2, 2, n)), rng.uniform(-3, 3, n))
                for _ in range(4)]
-    mantissa, log_scale = scaled_product(factors)
+    mantissa, log_scale = _row_product(factors)
     for i, plain in enumerate(_plain_rows(factors, n)):
-        got = mantissa[i] * math.exp(log_scale[i])
+        got = mantissa[:, :, i] * math.exp(log_scale[i])
         assert np.abs(got - plain).max() <= 1e-14 * np.abs(plain).max()
     assert (mantissa.imag == 0.0).all()
-    assert np.abs(np.abs(mantissa).max(axis=(1, 2)) - 1.0).max() \
+    assert np.abs(np.abs(mantissa).max(axis=(0, 1)) - 1.0).max() \
         <= np.finfo(float).eps
     # one 2x2 matrix in, one 2x2 mantissa and a scalar log_scale out
-    one, scale = scaled_product([(K[0], s[0]) for K, s in factors])
+    one, scale = _row_product([(K[:, :, 0], s[0]) for K, s in factors])
     assert one.shape == (2, 2) and np.ndim(scale) == 0
-    assert np.array_equal(one, mantissa[0]) and scale == log_scale[0]
+    assert np.array_equal(one, mantissa[:, :, 0]) and scale == log_scale[0]
 
 
 def test_det_identity_factor_vs_closed_form(cs):
@@ -261,10 +291,11 @@ def test_return_map_matches_the_mpmath_oracle(cs):
     import mpmath
     from oracles import mp_delta
     real, non_real = _oracle_lambdas(cs)
-    branches = {zone_eigen(lam, zone, cs).branch
-                for lam in real for zone in range(1, 5)}
-    assert branches == {BRANCH_COMPLEX_PAIR, BRANCH_REPEATED,
-                        BRANCH_REAL_DISTINCT}
+    # every zone's three regimes: a boundary, between, outside
+    regimes = {(lam in bounds, bounds[0] < lam < bounds[1])
+               for lam in real for bounds in
+               (branch_boundaries(zone, cs) for zone in range(1, 5))}
+    assert regimes == {(True, False), (False, True), (False, False)}
     ev = return_map(np.array(real), cs)
     evc = return_map(np.array(non_real), cs)
     z, _ = evc._delta_parts

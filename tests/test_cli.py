@@ -182,6 +182,26 @@ def test_delta_scan(tmp_path):
     assert len(rows) == 1 and float(rows[0][0]) == -5.0
 
 
+def test_delta_scan_writes_inf_only_beyond_the_double_range(tmp_path):
+    # log|Delta| runs from 700.5 to 716.6 here; every row read inf when
+    # the cut was log|Delta| > 700, not exp's overflow at 709.78
+    out = tmp_path / "run"
+    assert main(["delta-scan", "--range=158:162", "--grid", "9",
+                 "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "delta_scan.csv")
+    finite = 0
+    for r in rows:
+        d = dict(zip(header, r))
+        log_abs, delta = float(d["log_abs_delta"]), float(d["delta"])
+        assert log_abs > 700.0
+        if log_abs < math.log(sys.float_info.max):
+            finite += 1
+            assert delta == float(d["sign"]) * math.exp(log_abs)
+        else:
+            assert delta == float(d["sign"]) * math.inf
+    assert finite == 5
+
+
 @pytest.mark.parametrize("argv", [
     ["steady", "--f0", "1.0"],
     ["delta-scan"],

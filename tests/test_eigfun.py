@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -203,7 +204,6 @@ def test_null_vector_beyond_the_double_range_is_refused(monkeypatch):
 @pytest.mark.parametrize("zone", [0, -1, 5])
 def test_zone_outside_1_to_4_is_refused(cs, direct, zone):
     calls = {
-        "zone_eigen": lambda: zone_eigen(-0.3, zone, cs),
         "zone_matrix": lambda: zone_matrix(-0.3, zone, cs),
         "zone_matrix_scaled": lambda: zone_matrix_scaled(-0.3, zone, cs),
         "branch_boundaries": lambda: branch_boundaries(zone, cs),
@@ -216,6 +216,19 @@ def test_zone_outside_1_to_4_is_refused(cs, direct, zone):
     for bad in ([1, zone], [1.0]):
         with pytest.raises(ValidationError, match=re.escape(f"got {bad}")):
             direct.zone_values(bad, [0.5])
+
+
+def test_each_solve_takes_its_tables_from_one_zone_eigen_call(
+        cs, lam0, monkeypatch):
+    calls = []
+    monkeypatch.setattr(eigfun, "zone_eigen",
+                        lambda lam, p: calls.append(lam) or zone_eigen(lam, p))
+    nus, phis = zone_eigen(lam0, cs)
+    for solve in (eigenfunction, adjoint_eigenfunction):
+        sol = solve(lam0, cs)
+        assert np.array_equal(sol.nus, nus) and np.array_equal(sol.phis, phis)
+    steady_state(replace(cs, f0=1.0))
+    assert calls == [lam0, lam0, 0.0]
 
 
 def test_zone_values_match_the_docstring_formula(cs, lam0, lp):
@@ -282,7 +295,7 @@ def test_sampled_pairing_takes_port_samples_from_their_own_zone(direct,
 def test_projection_near_zero_pairing(cs, lam0, direct):
     # modes at different eigenvalues are biorthogonal, so the pairing
     # denominator degenerates
-    deep = real_root_scan(cs, (-12.7, -12.5), grid_n=100, tol=1e-12)[0]
+    deep = real_root_scan(cs, (-12.7, -12.5), grid_n=100, tol=1e-12)[0][0]
     other = adjoint_eigenfunction(deep, cs)
     with pytest.raises(NearZeroPairing):
         projection_coefficient(direct, other, evaluate(direct))
@@ -404,3 +417,64 @@ def test_limit_zero_modes_are_positive(lp):
         # parts, which the artifacts print
         zeros = sol.coeffs.view(float)[sol.coeffs.view(float) == 0.0]
         assert zeros.size and not np.signbit(zeros).any()
+
+
+# ---------------------------------------------------------------------------
+# the mode solves' output bits
+# ---------------------------------------------------------------------------
+
+def _mode_digest(solutions) -> str:
+    """sha256 over the dtype, shape and bytes of coeffs, nus, phis and
+    residual of each solution in turn."""
+    h = hashlib.sha256()
+    for sol in solutions:
+        for field in (sol.coeffs, sol.nus, sol.phis, sol.residual):
+            a = np.asarray(field)
+            h.update(f"{a.dtype}{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the direct and adjoint modes at the case study's lambda0, at
+# lambda = 0 and at the complex lambda_1^+ of the limit preset, and at
+# each wide-box set's own lambda0 (one digest over the 30 sets), and of
+# the case study's steady state with f0 = 1.  Any change to the zone
+# exponents, the port matrix or the solves' roundings shows here.  numpy's
+# exp and LAPACK may round differently on another CPU or build; these are
+# numpy 2.4.6 on x86-64.
+_PINNED_MODE_DIGESTS = {
+    "case-study-direct":
+        "bd907979c005a99be80f7786351b9fb666b1f4f6a2c381b0609048a450b1691a",
+    "case-study-adjoint":
+        "2ff3a71f2a00f1a5711551b54f0e079a8dc67df7929405b19915ce98446fa7a1",
+    "limit-0-direct":
+        "633bae805bd76d9848bb508cd13b6ce6d35c4a217edb96fdf44af9045851c96f",
+    "limit-0-adjoint":
+        "3fef465ef4b23d41617466def34518f41ef51960cedf36333c5fbc02f9782fb0",
+    "limit-k1-direct":
+        "ebdf05fd9d8f336d3c9f506db0649e345edda63345925eff70ff1085e620e052",
+    "limit-k1-adjoint":
+        "4be5e9a0bee05be036d0efb38337a55d36905f7efdbc9f56b4a42c830451d2b9",
+    "wide-box-direct":
+        "da88ebc4393a8b67b6a23bdb0ed3ab9f69e9e51694c3a1ee3fd20c2f4aa4c7e2",
+    "wide-box-adjoint":
+        "ccc93ca428ca1e67be25df350bd984de76f81787b0e660427da84740c909d979",
+    "steady":
+        "c4391dd2f1116e622a6f6581a5647da7a6149c6897a8e3205ea7c6cad033e9ad",
+}
+
+
+def test_mode_bits_are_pinned(cs, lam0, lp, wide_box):
+    points = {"case-study": (cs, lam0), "limit-0": (lp, 0.0),
+              "limit-k1": (lp, limit_point(lp, 1).lambda_plus)}
+    got = {}
+    for name, (p, lam) in points.items():
+        got[f"{name}-direct"] = _mode_digest([eigenfunction(lam, p)])
+        got[f"{name}-adjoint"] = _mode_digest([adjoint_eigenfunction(lam, p)])
+    lams = [dominant_eigenvalue(p) for p in wide_box]
+    for name, solve in (("direct", eigenfunction),
+                        ("adjoint", adjoint_eigenfunction)):
+        got[f"wide-box-{name}"] = _mode_digest(
+            [solve(lam, p) for lam, p in zip(lams, wide_box)])
+    got["steady"] = _mode_digest([steady_state(case_study(f0=1.0))])
+    assert got == _PINNED_MODE_DIGESTS

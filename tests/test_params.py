@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from movingbed import sim
@@ -10,8 +12,8 @@ from movingbed.params import (ModelParams, PhysicalParams, case_study,
                               from_physical, limit_params, load_params,
                               params_from_dict, params_to_dict, preset,
                               save_params, time_constant)
-from movingbed.spectrum import (collocation_spectrum, limit_point,
-                                limit_spectrum, real_root_scan)
+from movingbed.spectrum import (collocation_spectrum, limit_asymptote,
+                                limit_point, limit_spectrum, real_root_scan)
 
 
 def test_case_study_values(cs):
@@ -131,6 +133,46 @@ def test_counts_must_be_integers(entry):
         with pytest.raises(ValidationError, match=rf"^{name} must be"):
             call(n)
     call(0 if least is None else least)
+
+
+def _run8(profile):
+    config = sim.SimConfig(Nx=8, T=0.1)
+    return sim.run(sim.init(config, case_study()), config, case_study(),
+                   eigen_profile=profile)
+
+
+def _profile_rms8(profile):
+    return sim.profile_rms(sim.init(sim.SimConfig(Nx=8), case_study()),
+                           profile)
+
+
+_PROFILES = [(np.ones((4, 9)), np.ones((4, 9))),
+             (np.full((4, 8), math.nan), np.ones((4, 8))), None]
+
+# each value raised an untyped TypeError or ValueError, gave nan or was
+# taken as it was: (the call with one value, the values, the error)
+_WRONG_VALUES = {
+    "limit_asymptote-k": (lambda k: limit_asymptote(limit_params(), k),
+                          [0.5, "a", None], ValidationError),
+    "decay_rate-window": (lambda w: sim.decay_rate([], w),
+                          [None, (0,), (0.0, math.nan), ("a", 1.0)],
+                          ValidationError),
+    "run-eigen_profile": (_run8, _PROFILES[:2], ValidationError),
+    "profile_rms": (_profile_rms8, _PROFILES, ValidationError),
+    "SimConfig-strang": (lambda s: sim.SimConfig(strang=s),
+                         ["yes", 1, None], ValidationError),
+    "ModelParams": (lambda kw: replace(case_study(), **kw),
+                    [{"v1": "a"}, {"f0": None}, {"R": [18.0]}],
+                    NonPositiveParameter),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_WRONG_VALUES))
+def test_entry_points_refuse_values_of_the_wrong_type(entry):
+    call, values, error = _WRONG_VALUES[entry]
+    for value in values:
+        with pytest.raises(error):
+            call(value)
 
 
 def test_presets():

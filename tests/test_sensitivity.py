@@ -263,7 +263,7 @@ def _rescaled(sol, factor):
 
 
 def test_zero_denominator_between_modes(cs, lam0):
-    deep = real_root_scan(cs, (-12.7, -12.5), grid_n=100, tol=1e-12)[0]
+    deep = real_root_scan(cs, (-12.7, -12.5), grid_n=100, tol=1e-12)[0][0]
     direct = eigenfunction(lam0, cs)
     other = adjoint_eigenfunction(deep, cs)
     assert abs(inner_product(direct, other)) < 1e-8
@@ -377,7 +377,7 @@ def modes(request, cs, lam0):
         params, lam = cs, lam0
     elif request.param == "deep":
         params = cs
-        lam = real_root_scan(cs, (-12.7, -12.5), grid_n=100, tol=1e-12)[0]
+        lam = real_root_scan(cs, (-12.7, -12.5), grid_n=100, tol=1e-12)[0][0]
     else:
         params = ModelParams(1.53, 1.12, 1.43, 1.02, R=18.0 * 0.85,
                              P=1.03 * 1.05)

@@ -47,15 +47,15 @@ def test_dominant_eigenvalue_tol_validation(cs):
 
 
 def test_real_root_scan_finds_deeper_roots(cs, lam0):
-    roots = real_root_scan(cs, (-14.0, -0.01), grid_n=400, tol=1e-10)
+    roots = [r for r, _, _ in real_root_scan(cs, (-14.0, -0.01), grid_n=400,
+                                             tol=1e-10)]
     assert any(abs(r - lam0) < 1e-6 for r in roots)
     assert any(abs(r + 12.701155) < 1e-4 for r in roots)
     assert any(abs(r + 12.608163) < 1e-4 for r in roots)
 
 
 def test_real_root_scan_brackets(cs):
-    triples = real_root_scan(cs, (-1.0, -0.01), grid_n=100, tol=1e-10,
-                             with_brackets=True)
+    triples = real_root_scan(cs, (-1.0, -0.01), grid_n=100, tol=1e-10)
     assert len(triples) == 1
     root, lo, hi = triples[0]
     assert lo <= root <= hi
@@ -144,7 +144,8 @@ def test_bisection_stops_at_the_300_step_cap(cs, monkeypatch):
     monkeypatch.setattr(spectrum, "return_map", stub)
     ref = bisect(sign, -1.0, 1.0, -1.0, 1e-300)
     assert ref == 4.909093465297727e-91
-    assert real_root_scan(cs, (-1.0, 1.0), grid_n=2, tol=1e-300) == [ref]
+    assert real_root_scan(cs, (-1.0, 1.0), grid_n=2, tol=1e-300) \
+        == [(ref, -1.0, 1.0)]
     assert [len(lam) for lam in calls] == [2, 300]
 
 
@@ -505,8 +506,7 @@ def test_the_replay_is_scalar_bisection_for_any_guess(monkeypatch, seed):
 
 
 def test_real_root_scan_matches_scalar_bisection(cs):
-    found = real_root_scan(cs, (-14.0, -0.01), grid_n=400, tol=1e-10,
-                           with_brackets=True)
+    found = real_root_scan(cs, (-14.0, -0.01), grid_n=400, tol=1e-10)
     assert len(found) >= 3
     for root, a, b in found:
         s = return_map(a, cs).delta_sign
