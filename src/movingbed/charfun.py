@@ -63,10 +63,11 @@ def _exponents(lam, v, R: float, P: float) -> tuple:
 
 
 def _finite_lambda(lam, real: bool = False) -> complex:
-    """lam as a complex, if it is a finite number (with a zero imaginary
-    part, when real is set); else ValidationError naming it."""
+    """lam as a complex, if it is a finite number but not a bool (with a
+    zero imaginary part, when real is set); else ValidationError naming
+    it."""
     try:
-        finite = cmath.isfinite(lam)
+        finite = cmath.isfinite(lam) and not isinstance(lam, (bool, np.bool_))
     except TypeError:                   # None, a string, an array
         finite = False
     if not finite or (real and complex(lam).imag != 0.0):

@@ -2,7 +2,7 @@
 
 Subcommands: analyze, spectrum, simulate, sensitivity, limit, steady,
 delta-scan.  Every run writes a manifest.json into the output directory
-echoing the command, parameters, and tolerances, so artifacts are
+echoing the command, parameters, and flags, so artifacts are
 reproducible byte for byte (nothing in the toolkit is randomized).
 
 Exit codes: 0 success, 2 parameter/validation problems (including
@@ -86,11 +86,10 @@ def _sensitivity_json(rep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each writes its artifacts into out and returns the
-# tolerances the manifest echoes
+# subcommands: each writes its artifacts into out
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args, params: ModelParams, out: Path) -> dict:
+def cmd_analyze(args, params: ModelParams, out: Path) -> None:
     summary: dict = {"version": __version__}
     if params.limit_case:
         lam0 = 0.0
@@ -115,12 +114,10 @@ def cmd_analyze(args, params: ModelParams, out: Path) -> dict:
     _write_csv(out / "adjoint_profile.csv", _PROFILE_HEADER,
                _profile_rows(evaluate(adjoint, args.grid)))
     _write_json(out / "analyze_summary.json", summary)
-    return {"tol": args.tol}
 
 
-def cmd_spectrum(args, params: ModelParams, out: Path) -> dict:
-    lo, hi = args.range
-    found = real_root_scan(params, (lo, hi), grid_n=args.grid, tol=args.tol)
+def cmd_spectrum(args, params: ModelParams, out: Path) -> None:
+    found = real_root_scan(params, args.range, grid_n=args.grid, tol=args.tol)
     rows = []
     if found:
         z, _ = return_map([r for r, _, _ in found], params)._delta_parts
@@ -133,10 +130,9 @@ def cmd_spectrum(args, params: ModelParams, out: Path) -> dict:
         for z in collocation_spectrum(params, N=N):
             crows.append((z.real, z.imag, N))
     _write_csv(out / "collocation.csv", ["re", "im", "N"], crows)
-    return {"tol": args.tol, "range": [lo, hi], "grid": args.grid}
 
 
-def cmd_limit(args, params: ModelParams, out: Path) -> dict:
+def cmd_limit(args, params: ModelParams, out: Path) -> None:
     table = limit_spectrum(params, k_max=args.grid)
     _write_csv(out / "limit_spectrum.csv",
                ["k", "re_plus", "im_plus", "re_minus", "im_minus"],
@@ -151,17 +147,15 @@ def cmd_limit(args, params: ModelParams, out: Path) -> dict:
         "k_star": imaginary_vanishing_k(params),
         "max_residual": float(limit_residual(checked, params).max()),
     })
-    return {"k_max": args.grid}
 
 
-def cmd_sensitivity(args, params: ModelParams, out: Path) -> dict:
+def cmd_sensitivity(args, params: ModelParams, out: Path) -> None:
     rep = full_report(params, tol=args.tol)
     _write_json(out / "sensitivity.json",
                 {"lambda0": rep.lam.real, **_sensitivity_json(rep)})
-    return {"tol": args.tol}
 
 
-def cmd_steady(args, params: ModelParams, out: Path) -> dict:
+def cmd_steady(args, params: ModelParams, out: Path) -> None:
     sol = steady_state(params)
     samples = evaluate(sol, args.grid)
     _write_csv(out / "steady_profile.csv", _PROFILE_HEADER,
@@ -174,10 +168,9 @@ def cmd_steady(args, params: ModelParams, out: Path) -> dict:
         "q_max": float(samples.q.real.max()),
         "residual": float(sol.residual),
     })
-    return {}
 
 
-def cmd_simulate(args, params: ModelParams, out: Path) -> dict:
+def cmd_simulate(args, params: ModelParams, out: Path) -> None:
     config = simmod.SimConfig(Nx=args.Nx, p=args.p, T=args.T,
                               record_every=args.record_every,
                               strang=args.strang)
@@ -211,13 +204,10 @@ def cmd_simulate(args, params: ModelParams, out: Path) -> dict:
     except InsufficientSamples:
         summary["decay_rate"] = None
     _write_json(out / "simulate_summary.json", summary)
-    return {"Nx": args.Nx, "p": args.p, "T": args.T,
-            "record_every": args.record_every}
 
 
-def cmd_delta_scan(args, params: ModelParams, out: Path) -> dict:
-    lo, hi = args.range
-    lams = np.linspace(lo, hi, check_count("grid", args.grid, 1))
+def cmd_delta_scan(args, params: ModelParams, out: Path) -> None:
+    lams = np.linspace(*args.range, check_count("grid", args.grid, 1))
     ev = return_map(lams, params)
     rows = []
     for lam, sign, log_abs, trace_log, det_log in zip(
@@ -232,7 +222,6 @@ def cmd_delta_scan(args, params: ModelParams, out: Path) -> dict:
     _write_csv(out / "delta_scan.csv",
                ["lambda", "delta", "atan_delta", "sign", "log_abs_delta",
                 "trace_log", "det_log"], rows)
-    return {"range": [lo, hi], "grid": args.grid}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +323,7 @@ def main(argv=None) -> int:
             params = replace(params, f0=args.f0)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        tolerances = args.func(args, params, out)
+        args.func(args, params, out)
         _write_json(out / "manifest.json", {
             "command": args.command,
             "version": __version__,
@@ -342,7 +331,6 @@ def main(argv=None) -> int:
             "params_path": args.params,
             "output_dir": str(out),
             "deterministic": True,
-            "tolerances": tolerances,
             "flags": {k: v for k, v in sorted(vars(args).items())
                       if k != "func" and v is not None},
         })

@@ -52,15 +52,7 @@ class PhysicalParams:
     Q_feed: float = 0.0     # feed flow rate
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise NonPositiveParameter(
-                f"epsilon must lie in (0, 1), got {self.epsilon}")
-        for name in ("H", "k", "L_zone", "L_column", "u_s",
-                     "m1", "m2", "m3", "m4"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise NonPositiveParameter(
-                    f"{name} must be a positive finite number, got {value}")
+        _check_fields(self, _PHYSICAL_FIELDS)
 
     @property
     def F(self) -> float:
@@ -88,15 +80,68 @@ def check_zone(zone) -> np.ndarray:
 
 
 def check_count(name: str, value, minimum: int | None = None) -> int:
-    """value, if it is an integer (at least minimum, when given); else
-    ValidationError naming it (a float count would reach numpy or range as
-    a TypeError, or be taken as is)."""
-    if not (isinstance(value, numbers.Integral)
+    """value, if it is an integer but not a bool (at least minimum, when
+    given); else ValidationError naming it (a float count would reach numpy
+    or range as a TypeError, or be taken as is)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValidationError(
             f"{name} must be an integer{bound}, got {value!r}")
     return value
+
+
+def check_real(name: str, value, error=ValidationError, *, gt=None,
+               ge=None, lt=None) -> float:
+    """value as a float, if it is a finite real number but not a bool, and
+    > gt, >= ge and < lt for each bound given; else error naming it (a
+    string or None would reach a comparison as a TypeError, a bool would
+    pass as 0 or 1, and nan makes every comparison false)."""
+    real = type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:               # an int beyond the double range
+        x = math.inf
+    if not (math.isfinite(x) and (gt is None or x > gt)
+            and (ge is None or x >= ge) and (lt is None or x < lt)):
+        bounds = " and".join(f" {op} {b}" for op, b in
+                         ((">", gt), (">=", ge), ("<", lt)) if b is not None)
+        raise error(
+            f"{name!r} must be a finite number{bounds}, got {value!r}")
+    return x
+
+
+def check_pair(name: str, value) -> tuple:
+    """(lo, hi) as floats, if value is a pair of finite real numbers with
+    lo <= hi; else ValidationError naming it."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):     # not a pair
+        raise ValidationError(
+            f"{name!r} must be a pair (lo, hi), got {value!r}") from None
+    lo = check_real(f"{name}[0]", lo)
+    return lo, check_real(f"{name}[1]", hi, ge=lo)
+
+
+def _check_fields(obj, fields: dict) -> None:
+    """Check each field of a frozen dataclass named in fields against its
+    bounds with check_real, raising NonPositiveParameter, and store it as
+    a float."""
+    for name, bounds in fields.items():
+        value = getattr(obj, name)
+        x = check_real(name, value, NonPositiveParameter, **bounds)
+        if type(value) is not float:    # an int or a numpy float
+            object.__setattr__(obj, name, x)
+
+
+# the bounds of each number field, for check_real
+_POSITIVE, _NONNEGATIVE = {"gt": 0.0}, {"ge": 0.0}
+_PHYSICAL_FIELDS = {"epsilon": {"gt": 0.0, "lt": 1.0}, **dict.fromkeys(
+    ("H", "k", "L_zone", "L_column", "u_s", "m1", "m2", "m3", "m4",
+     "c_feed"), _POSITIVE), "Q_feed": _NONNEGATIVE}
+_MODEL_FIELDS = {**dict.fromkeys(("v1", "v2", "v3", "v4", "R", "P"),
+                                 _POSITIVE), "f0": _NONNEGATIVE}
 
 
 @dataclass(frozen=True)
@@ -159,14 +204,12 @@ class ModelParams:
     physical: PhysicalParams | None = None
 
     def __post_init__(self):
-        for name in ("v1", "v2", "v3", "v4", "R", "P", "f0"):
-            value = getattr(self, name)
-            # a string or None would reach math.isfinite as a TypeError
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                    and (value > 0.0 or name == "f0" and value == 0.0)):
-                kind = "nonnegative" if name == "f0" else "positive"
-                raise NonPositiveParameter(
-                    f"{name} must be a {kind} finite number, got {value}")
+        _check_fields(self, _MODEL_FIELDS)
+        if not (self.physical is None
+                or isinstance(self.physical, PhysicalParams)):
+            raise ValidationError(
+                f"physical must be a PhysicalParams or None, "
+                f"got {self.physical!r}")
         if not self.limit_case:
             # v_in > v_up where liquid is injected, v_up > v_in where it
             # is withdrawn
@@ -216,19 +259,12 @@ def time_constant(lambda0: float, phys: PhysicalParams, L_ref: float) -> float:
 
     ``L_ref`` is explicit because the kinetic group uses the zone length
     while the time scale may use the column length; the caller chooses.
-    A rate that is not a real number or is -inf, a rate that is not
-    negative (nan included) and an L_ref that is not positive and finite
+    A rate that is not a finite negative number (NonNegativeEigenvalue)
+    and an L_ref that is not a positive finite number (NonPositiveParameter)
     are refused.
     """
-    if not (isinstance(lambda0, numbers.Real) and lambda0 != -math.inf):
-        raise ValidationError(
-            f"time constant requires a finite rate, got {lambda0!r}")
-    if not lambda0 < 0.0:
-        raise NonNegativeEigenvalue(
-            f"time constant requires a negative rate, got {lambda0}")
-    if not (isinstance(L_ref, numbers.Real) and 0.0 < L_ref < math.inf):
-        raise NonPositiveParameter(
-            f"L_ref must be positive and finite, got {L_ref!r}")
+    lambda0 = check_real("lambda0", lambda0, NonNegativeEigenvalue, lt=0.0)
+    L_ref = check_real("L_ref", L_ref, NonPositiveParameter, gt=0.0)
     return L_ref / (phys.u_s * abs(lambda0))
 
 
@@ -244,14 +280,6 @@ def params_to_dict(params: ModelParams) -> dict:
     if params.physical is not None:
         out["physical"] = asdict(params.physical)
     return out
-
-
-def _number(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{name!r} must be a number, got {value!r}") from None
 
 
 def params_from_dict(data: dict) -> ModelParams:
@@ -270,17 +298,12 @@ def params_from_dict(data: dict) -> ModelParams:
     if phys is not None:
         if not isinstance(phys, dict):
             raise ValidationError(f"'physical' must be an object, got {phys!r}")
-        for name, value in phys.items():
-            if not isinstance(value, (int, float)):
-                raise ValidationError(
-                    f"'physical.{name}' must be a number, got {value!r}")
         try:
             phys = PhysicalParams(**phys)
         except TypeError as exc:         # a missing or unknown field
             raise ValidationError(f"'physical': {exc}") from None
-    return ModelParams(*(_number(f"v{i}", x) for i, x in enumerate(v, 1)),
-                       R=_number("R", data["R"]), P=_number("P", data["P"]),
-                       f0=_number("f0", data.get("f0", 0.0)), physical=phys)
+    return ModelParams(*v, R=data["R"], P=data["P"], f0=data.get("f0", 0.0),
+                       physical=phys)
 
 
 def load_params(path) -> ModelParams:

@@ -26,7 +26,6 @@ ghost and j = 1..Nx the cells.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,7 +33,8 @@ import numpy as np
 from .eigfun import EigenSolution, eigenfunction, steady_state
 from .errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                      ValidationError, ZeroProfile)
-from .params import PORTS, ZONE_LEFT, ZONES, ModelParams, check_count
+from .params import (PORTS, ZONE_LEFT, ZONES, ModelParams, check_count,
+                     check_pair, check_real)
 from .spectrum import dominant_eigenvalue
 
 
@@ -45,8 +45,9 @@ class SimConfig:
 
     Refuses, with ValidationError, an Nx or record_every that is not an
     integer, Nx below 8, record_every below 1, a T that is not a
-    number, negative or not finite and a strang that is not a bool; p is
-    checked against the velocities when a run starts (BadCFL).
+    nonnegative finite number and a strang that is not a bool.  A p that
+    is not a positive finite number raises BadCFL here, and a p at or above
+    1/max(v, 1) raises it when a run starts.
     """
 
     Nx: int = 400
@@ -58,9 +59,9 @@ class SimConfig:
     def __post_init__(self):
         check_count("Nx", self.Nx, 8)
         check_count("record_every", self.record_every, 1)
-        if not (isinstance(self.T, numbers.Real) and 0.0 <= self.T < math.inf):
-            raise ValidationError(
-                f"T={self.T!r} must be a nonnegative finite number")
+        check_real("T", self.T, ge=0.0)
+        if self.p is not None:
+            check_real("p", self.p, BadCFL, gt=0.0)
         if not isinstance(self.strang, bool):
             raise ValidationError(
                 f"strang={self.strang!r} must be True or False")
@@ -107,10 +108,9 @@ class DiagnosticsRow:
 
 def _resolve_p(config: SimConfig, params: ModelParams) -> float:
     cap = 1.0 / max(max(params.v), 1.0)
-    p = 0.9 * cap if config.p is None else config.p
-    if not (isinstance(p, numbers.Real) and 0.0 < p < cap):
-        raise BadCFL(f"Courant parameter p={p!r} outside (0, {cap:.6g})")
-    return p
+    if config.p is None:
+        return 0.9 * cap
+    return check_real("p", config.p, BadCFL, gt=0.0, lt=cap)
 
 
 # Row neighbors in the (8, Nx+2) layout: the zone upstream and downstream
@@ -477,15 +477,8 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
 
 def decay_rate(diagnostics, window) -> float:
     """Least-squares slope of log(sup_norm) over a time window, a pair of
-    finite numbers (ValidationError otherwise)."""
-    try:
-        t_lo, t_hi = window
-    except (TypeError, ValueError):     # not a pair
-        t_lo = t_hi = None
-    if not all(isinstance(t, numbers.Real) and math.isfinite(t)
-               for t in (t_lo, t_hi)):
-        raise ValidationError(
-            f"window must be a pair of finite numbers, got {window!r}")
+    finite numbers t_lo <= t_hi (ValidationError otherwise)."""
+    t_lo, t_hi = check_pair("window", window)
     pts = [(r.t, r.sup_norm) for r in diagnostics if t_lo <= r.t <= t_hi]
     if len(pts) < 10:
         raise InsufficientSamples(

@@ -22,7 +22,6 @@ has no real root of Delta between it and 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,8 @@ import numpy as np
 from .charfun import _set_table, return_map
 from .errors import (EigSolverFailure, LimitCaseHasNoBracket, NotLimitCase,
                      NoSignChangeFound, ValidationError)
-from .params import PORTS, ModelParams, check_count
+from .params import (PORTS, ModelParams, check_count, check_pair,
+                     check_real)
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,7 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
         sets = [params]
     if not sets:
         raise ValidationError("no parameter sets to solve")
-    if not (isinstance(tol, numbers.Real) and tol > 0.0):
-        raise ValidationError(f"tol must be positive, got {tol!r}")
+    tol = check_real("tol", tol, gt=0.0)
     # where an error names its set: nowhere for a single one
     at = [""] if single else [f" (set {i})" for i in range(len(sets))]
     M0 = []
@@ -355,17 +354,8 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     guided by regula falsi on its ends.
     """
     check_count("grid_n", grid_n, 2)
-    try:
-        lo, hi = range_
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"range_ must be a pair (lo, hi), got {range_!r}") from None
-    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
-            and -math.inf < lo <= hi < math.inf):
-        raise ValidationError(f"need finite lo <= hi, got [{lo!r}, {hi!r}]")
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
-        raise ValidationError(
-            f"tol must be positive and finite, got {tol!r}")
+    lo, hi = check_pair("range_", range_)
+    tol = check_real("tol", tol, gt=0.0)
     if lo == hi:
         return []
     table = _set_table([params])

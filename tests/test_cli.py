@@ -264,14 +264,28 @@ def test_exit_code_malformed_params(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+# the case study's physical block without H and Q_feed
+_PHYSICAL = ('"epsilon": 0.67, "k": 6.0, "L_zone": 60.0, "L_column": 30.0, '
+             '"u_s": 20.0, "m1": 3.06, "m2": 2.24, "m3": 2.86, "m4": 2.04')
+
+
 @pytest.mark.parametrize("body, field", [
     ('{"v": [1.53, 1.12, 1.43, 1.02], "P": 1.03}', "'R'"),
     ('[1.53, 1.12, 1.43, 1.02]', "object"),
     ('{"v": 5, "R": 18.0, "P": 1.03}', "'v'"),
     ('{"v": [1.53, 1.12, 1.43, 1.02], "R": "abc", "P": 1.03}', "'R'"),
     ('{"v": [1.53, 1.12, 1.43, 1.02], "R": 18.0, "P": 1.03, '
-     '"physical": {"epsilon": 0.67, "H": 2.14}}', "'k'")],
-    ids=["no-R", "list", "scalar-v", "string-R", "partial-physical"])
+     '"physical": {"epsilon": 0.67, "H": 2.14}}', "'k'"),
+    # each of these ran, read as 18.0, 1.0, 1.0 and -5.0, and exited 0
+    ('{"v": [1.53, 1.12, 1.43, 1.02], "R": "18", "P": 1.03}', "'R'"),
+    ('{"v": [1.53, 1.12, 1.43, 1.02], "R": true, "P": 1.03}', "'R'"),
+    ('{"v": [1.53, 1.12, 1.43, 1.02], "R": 18.0, "P": 1.03, '
+     '"physical": {"H": true, ' + _PHYSICAL + '}}', "'H'"),
+    ('{"v": [1.53, 1.12, 1.43, 1.02], "R": 18.0, "P": 1.03, '
+     '"physical": {"H": 2.14, "Q_feed": -5, ' + _PHYSICAL + '}}', "'Q_feed'")],
+    ids=["no-R", "list", "scalar-v", "string-R", "partial-physical",
+         "numeric-string-R", "bool-R", "bool-physical-H",
+         "negative-physical-Q_feed"])
 def test_params_file_of_the_wrong_shape_exits_2(tmp_path, capsys, body,
                                                  field):
     bad = tmp_path / "bad.json"

@@ -1,19 +1,24 @@
 import math
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from movingbed import sim
+from movingbed.charfun import zone_eigen
 from movingbed.eigfun import eigenfunction, evaluate
-from movingbed.errors import (NonNegativeEigenvalue, NonPositiveParameter,
-                              PortOrderingViolated, ValidationError)
+from movingbed.errors import (BadCFL, NonNegativeEigenvalue,
+                              NonPositiveParameter, PortOrderingViolated,
+                              ValidationError)
 from movingbed.params import (ModelParams, PhysicalParams, case_study,
                               from_physical, limit_params, load_params,
                               params_from_dict, params_to_dict, preset,
                               save_params, time_constant)
-from movingbed.spectrum import (collocation_spectrum, limit_asymptote,
-                                limit_point, limit_spectrum, real_root_scan)
+from movingbed.spectrum import (collocation_spectrum, dominant_eigenvalue,
+                                limit_asymptote, limit_point, limit_spectrum,
+                                real_root_scan)
 
 
 def test_case_study_values(cs):
@@ -173,6 +178,82 @@ def test_entry_points_refuse_values_of_the_wrong_type(entry):
     for value in values:
         with pytest.raises(error):
             call(value)
+
+
+_PHYS = case_study().physical
+
+# every entry point that takes a scalar number: (the call with one value,
+# the name its error gives, the error)
+_SCALARS = {
+    "ModelParams.R": (lambda x: replace(case_study(), R=x), "'R'",
+                      NonPositiveParameter),
+    "ModelParams.f0": (lambda x: replace(case_study(), f0=x), "'f0'",
+                       NonPositiveParameter),
+    "PhysicalParams.epsilon": (lambda x: replace(_PHYS, epsilon=x),
+                               "'epsilon'", NonPositiveParameter),
+    "PhysicalParams.H": (lambda x: replace(_PHYS, H=x), "'H'",
+                         NonPositiveParameter),
+    "PhysicalParams.c_feed": (lambda x: replace(_PHYS, c_feed=x),
+                              "'c_feed'", NonPositiveParameter),
+    "PhysicalParams.Q_feed": (lambda x: replace(_PHYS, Q_feed=x),
+                              "'Q_feed'", NonPositiveParameter),
+    "time_constant.lambda0": (lambda x: time_constant(x, _PHYS, 30.0),
+                              "'lambda0'", ValidationError),
+    "time_constant.L_ref": (lambda x: time_constant(-0.11, _PHYS, x),
+                            "'L_ref'", NonPositiveParameter),
+    "SimConfig.T": (lambda x: sim.SimConfig(T=x), "'T'", ValidationError),
+    "SimConfig.p": (lambda x: sim.SimConfig(p=x), "'p'", BadCFL),
+    "SimConfig.record_every": (lambda x: sim.SimConfig(record_every=x),
+                               "record_every", ValidationError),
+    "_resolve_p": (lambda x: sim._resolve_p(SimpleNamespace(p=x),
+                                            case_study()), "'p'", BadCFL),
+    "decay_rate.window": (lambda x: sim.decay_rate([], (0.0, x)),
+                          "'window[1]'", ValidationError),
+    "dominant_eigenvalue.tol": (lambda x: dominant_eigenvalue(case_study(), x),
+                                "'tol'", ValidationError),
+    "real_root_scan.lo": (lambda x: real_root_scan(case_study(), (x, 2.0), 50),
+                          "'range_[0]'", ValidationError),
+    "real_root_scan.hi": (
+        lambda x: real_root_scan(case_study(), (-1.0, x), 50),
+        "'range_[1]'", ValidationError),
+    "real_root_scan.tol": (
+        lambda x: real_root_scan(case_study(), (-1.0, -0.01), 50, x),
+        "'tol'", ValidationError),
+    "limit_point.k": (lambda x: limit_point(limit_params(), x), "k",
+                      ValidationError),
+    "zone_eigen.lambda": (lambda x: zone_eigen(x, case_study()), "lambda",
+                          ValidationError),
+}
+_NOT_NUMBERS = {"True": True, "string": "18", "None": None, "nan": math.nan,
+                "inf": math.inf}
+
+
+# p=None is the default Courant parameter, not a missing number
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}")
+    for entry in sorted(_SCALARS) for kind, value in _NOT_NUMBERS.items()
+    if not (value is None and _SCALARS[entry][1] == "'p'")])
+def test_scalar_inputs_refuse_bools_strings_none_and_non_finite(entry, value):
+    # a bool was taken as 0 or 1 almost everywhere, and several checks let
+    # a string, nan or inf through
+    call, name, error = _SCALARS[entry]
+    with pytest.raises(error, match=re.escape(name)):
+        call(value)
+
+
+def test_number_fields_are_stored_as_floats(cs):
+    # an integer or a numpy float is stored as a float, so params_to_dict
+    # echoes a JSON 18 as 18.0 whichever way the params were built
+    params = replace(cs, R=np.float64(18.0), f0=2)
+    phys = replace(cs.physical, k=6)
+    assert (type(params.R), type(params.f0), type(phys.k)) == (float,) * 3
+    assert params == replace(cs, f0=2.0) and phys == cs.physical
+
+
+def test_model_params_refuse_a_physical_block_of_the_wrong_type(cs):
+    # "x" was accepted, and params_to_dict then failed with a TypeError
+    with pytest.raises(ValidationError, match="physical"):
+        replace(cs, physical="x")
 
 
 def test_presets():
