@@ -92,9 +92,9 @@ def check_count(name: str, value, minimum: int | None = None) -> int:
 
 
 def check_real(name: str, value, error=ValidationError, *, gt=None,
-               ge=None, lt=None) -> float:
+               ge=None, lt=None, le=None) -> float:
     """value as a float, if it is a finite real number but not a bool, and
-    > gt, >= ge and < lt for each bound given; else error naming it (a
+    > gt, >= ge, < lt and <= le for each bound given; else error naming it (a
     string or None would reach a comparison as a TypeError, a bool would
     pass as 0 or 1, and nan makes every comparison false)."""
     real = type(value) is float or (isinstance(value, numbers.Real)
@@ -104,9 +104,11 @@ def check_real(name: str, value, error=ValidationError, *, gt=None,
     except OverflowError:               # an int beyond the double range
         x = math.inf
     if not (math.isfinite(x) and (gt is None or x > gt)
-            and (ge is None or x >= ge) and (lt is None or x < lt)):
+            and (ge is None or x >= ge) and (lt is None or x < lt)
+            and (le is None or x <= le)):
         bounds = " and".join(f" {op} {b}" for op, b in
-                         ((">", gt), (">=", ge), ("<", lt)) if b is not None)
+                             ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+                             if b is not None)
         raise error(
             f"{name!r} must be a finite number{bounds}, got {value!r}")
     return x

@@ -21,6 +21,14 @@ zone's first cell; for c they pass through the port map (its inverse at
 the outlet), for q they are plain copies.  ``SimState.c`` and
 ``SimState.q`` are (4, Nx+1) views of columns 0..Nx, so j = 0 is the inlet
 ghost and j = 1..Nx the cells.
+
+``run`` hands the advected cells straight to the relaxation: each step's
+advection writes into scratch rather than u, and the relaxation multiplies
+from that scratch into u and refreshes the ghosts once, which saves one
+copy of u and one ghost refresh per step.  The public sub-steps
+``advection_step`` and ``mass_transfer_step`` are unchanged: each advances
+u in place with its ghosts refreshed, and ``run`` gives the same bits as
+calling them in turn.
 """
 
 from __future__ import annotations
@@ -184,6 +192,13 @@ class _Stepper:
     temporaries every step can make malloc trim the heap top and fault it
     back in on the next step.  It serves one u array and one (params, dt,
     dx); ``_stepper`` makes a new one when any of them changes.
+
+    The relaxation cannot multiply u into itself, so it reads from the
+    scratch ``cq_out``.  An advection step run with ``held`` writes its
+    cells there and is marked held; the next ``transfer`` then relaxes
+    them into u with no copy of u first, and its ghost refresh stands for
+    the advection's.  With nothing held, ``transfer`` copies u into
+    ``cq_out`` first.
     """
 
     def __init__(self, state: SimState, params: ModelParams):
@@ -213,6 +228,8 @@ class _Stepper:
         self.nonzero = np.empty(size - 1, dtype=bool)
         self.cq = u.reshape(2, -1)
         self.cq_out = np.empty_like(self.cq)
+        self.flat_out = self.cq_out.reshape(-1)
+        self.held = False               # cq_out holds the advected cells
 
     def _set_frac(self, frac: float) -> None:
         """Per-cell (h, s) of an advection step over frac*dt.
@@ -228,7 +245,10 @@ class _Stepper:
         self.s.reshape(8, -1)[:] = (sign * nu)[:, None]
         self.frac = frac
 
-    def advect(self, frac: float) -> None:
+    def advect(self, frac: float, held: bool = False) -> None:
+        """Advance u by the advection over frac*dt, ghosts refreshed; or,
+        held, leave u as it is and write the advected cells to cq_out for
+        the next transfer, whose own refresh then fills the ghosts."""
         if frac != self.frac:
             self._set_frac(frac)
         # backward differences along the flat array; those that straddle
@@ -252,14 +272,21 @@ class _Stepper:
         _apply(self.face, self.faces)
         np.subtract(self.face_hi, den, out=self.b)
         np.multiply(self.s_hi, self.b, out=self.b)
-        np.subtract(self.flat, self.diff, out=self.flat)
-        _apply(self.flat, self.cells)
+        if held:
+            np.subtract(self.flat, self.diff, out=self.flat_out)
+        else:
+            np.subtract(self.flat, self.diff, out=self.flat)
+            _apply(self.flat, self.cells)
+        self.held = held
 
     def transfer(self) -> None:
-        # matmul into u itself would allocate a hidden copy of u
-        np.matmul(self.relax, self.cq, out=self.cq_out)
-        np.copyto(self.cq, self.cq_out)
+        # matmul into u itself would allocate a hidden copy of u, so the
+        # relaxation reads from cq_out: the held advected cells, else u
+        if not self.held:
+            np.copyto(self.cq_out, self.cq)
+        np.matmul(self.relax, self.cq_out, out=self.cq)
         _apply(self.flat, self.cells)
+        self.held = False
 
 
 def _stepper(state: SimState, params: ModelParams) -> _Stepper:
@@ -358,8 +385,10 @@ def advection_step(state: SimState, params: ModelParams,
     nonnegative.  Liquid inlet fluxes are the port map of the upstream
     outlet fluxes and the solid is one periodic loop, so with equal
     velocities the mass integral(c + P q) changes only by rounding.
-    Advances the state in place (ghosts refreshed) and returns it.
+    Advances the state in place (ghosts refreshed) and returns it.  A frac
+    that is not a real number in (0, 1] raises ValidationError.
     """
+    frac = check_real("frac", frac, gt=0.0, le=1.0)
     _stepper(state, params).advect(frac)
     return state
 
@@ -434,6 +463,24 @@ def _row(state, params, eigen_profile, den) -> DiagnosticsRow:
                           sup_norm=sup_norm(state), profile_rms=rms)
 
 
+def _callback_list(callbacks) -> list:
+    """callbacks as a list, if it is None, one callable or an iterable of
+    callables; else ValidationError."""
+    if callbacks is None:
+        return []
+    if callable(callbacks):
+        return [callbacks]
+    try:
+        listed = list(callbacks)
+    except TypeError:                   # not iterable
+        listed = None
+    if listed is None or not all(callable(cb) for cb in listed):
+        raise ValidationError(
+            "callbacks must be a callable or an iterable of callables, "
+            f"got {callbacks!r}")
+    return listed
+
+
 def run(state: SimState, config: SimConfig, params: ModelParams,
         callbacks=None, eigen_profile: tuple | None = None):
     """March to t >= T, recording diagnostics every record_every steps.
@@ -441,13 +488,22 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
     Returns (final state, list of DiagnosticsRow).  The given state is
     left as it is; the run advances a copy in place.  Callbacks, if given,
     are invoked as cb(state, row) at every recorded step with that live
-    state, so a callback copies what it keeps.
+    state, so a callback copies what it keeps.  Callbacks that are not one
+    callable or an iterable of callables, and a state whose grid does not
+    have config.Nx cells per zone, raise ValidationError before any step.
+
+    Each step's advection writes its cells to the stepper's scratch, not
+    to u, and ``mass_transfer_step`` relaxes them into u and refreshes the
+    ghosts: one copy of u and one ghost refresh fewer per step than
+    calling ``advection_step`` and ``mass_transfer_step`` in turn, with
+    the same bits.
     """
+    callbacks = _callback_list(callbacks)
+    if state.u.shape != (8, config.Nx + 2):
+        raise ValidationError(
+            f"state array {state.u.shape} does not fit config.Nx="
+            f"{config.Nx}, which needs {(8, config.Nx + 2)}")
     state = replace(state, u=state.u.copy())
-    if callbacks is None:
-        callbacks = []
-    elif callable(callbacks):
-        callbacks = [callbacks]
     n_steps = int(math.ceil(config.T / state.dt - 1e-12))
     # the profile's norm is the same on every row
     den = (None if eigen_profile is None
@@ -455,14 +511,17 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
     rows = [_row(state, params, eigen_profile, den)]
     for cb in callbacks:
         cb(state, rows[-1])
+    # a callback may swap u or change dt, so the stepper is fetched again
+    # after each recorded step
+    k = _stepper(state, params)
     for n in range(1, n_steps + 1):
         if config.strang:
-            state = advection_step(state, params, frac=0.5)
-            state = mass_transfer_step(state, params)
-            state = advection_step(state, params, frac=0.5)
+            k.advect(0.5, held=True)
+            mass_transfer_step(state, params)
+            k.advect(0.5)
         else:
-            state = advection_step(state, params)
-            state = mass_transfer_step(state, params)
+            k.advect(1.0, held=True)
+            mass_transfer_step(state, params)
         state.t = n * state.dt
         if n % config.record_every == 0 or n == n_steps:
             if not (np.all(np.isfinite(state.c))
@@ -472,6 +531,7 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
             rows.append(_row(state, params, eigen_profile, den))
             for cb in callbacks:
                 cb(state, rows[-1])
+            k = _stepper(state, params)
     return state, rows
 
 

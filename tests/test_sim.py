@@ -9,9 +9,11 @@ import pytest
 from movingbed.errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                               ValidationError, ZeroProfile)
 from movingbed.params import limit_params
-from movingbed.sim import (SimConfig, SimState, advection_step, cell_centers,
-                           decay_rate, energy, init, mass, mass_transfer_step,
-                           profile_rms, run, sample_eigenfunction, sup_norm)
+from movingbed import sim
+from movingbed.sim import (DiagnosticsRow, SimConfig, SimState, advection_step,
+                           cell_centers, decay_rate, energy, init, mass,
+                           mass_transfer_step, profile_rms, run,
+                           sample_eigenfunction, sup_norm)
 
 
 def test_cell_centers_layout():
@@ -227,6 +229,26 @@ def test_advection_step_matches_loop_reference(cs):
             assert np.allclose(st.q[:, 1:], want_q, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("frac", [None, math.nan, math.inf, "0.5", 1 + 0j,
+                                  0, 0.0, -0.5, True, 1.0 + 1e-12, 2.5])
+def test_advection_step_refuses_a_frac_outside_zero_one(cs, frac):
+    st = init(SimConfig(Nx=16, T=0.2), cs)
+    before = st.u.copy()
+    with pytest.raises(ValidationError, match="frac"):
+        advection_step(st, cs, frac=frac)
+    assert st.u.tobytes() == before.tobytes()
+
+
+def test_advection_step_takes_any_real_frac_in_zero_one(cs):
+    st = init(SimConfig(Nx=16, T=0.2), cs, initial="eigenfunction")
+    want = replace(st, u=st.u.copy())
+    advection_step(want, cs, frac=0.25)
+    advection_step(st, cs, frac=np.float32(0.25))
+    assert st.u.tobytes() == want.u.tobytes()
+    advection_step(st, cs, frac=1)
+    assert np.isfinite(st.u).all()
+
+
 def _stepped(state, params, frac):
     """A fresh copy of the state (no stepper yet), advected and relaxed."""
     fresh = replace(state, u=state.u.copy())
@@ -274,29 +296,60 @@ def test_stepper_follows_params_frac_and_dt(cs):
     assert deep.u.tobytes() == want.tobytes()
 
 
-def test_steps_allocate_nothing_the_size_of_u(cs):
-    # a Strang step at Nx = 1600 holds 8 * 1602 cells; the smallest
-    # temporary of that size is 12.8 kB, so a 4 KiB peak admits none
-    st = init(SimConfig(Nx=1600, T=1.0), cs, initial="eigenfunction")
+def test_steps_allocate_nothing_the_size_of_u(cs, monkeypatch):
+    # a step at Nx = 1600 holds 8 * 1602 cells; the smallest temporary of
+    # that size is 12.8 kB, so a 4 KiB peak admits none
+    config = SimConfig(Nx=1600, T=1.0, record_every=10 ** 6)
+    st = init(config, cs, initial="eigenfunction")
     assert st.stepper is None            # made by the first step only
+
+    def plain_step():
+        advection_step(st, cs)
+        mass_transfer_step(st, cs)
 
     def strang_step():
         advection_step(st, cs, frac=0.5)
         mass_transfer_step(st, cs)
         advection_step(st, cs, frac=0.5)
 
-    for _ in range(3):
-        strang_step()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    for step in (plain_step, strang_step):
+        for _ in range(3):
+            step()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(20):
+                step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096, f"traced peak {peak} B above the start"
+
+    # the steps inside run: each relaxation's peak is traced over all
+    # that ran since the end of the previous one, its advection included
+    peaks, base = [], [0]
+    relax = sim.mass_transfer_step
+
+    def traced_relax(state, params):
+        state = relax(state, params)
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1] - base[0])
+        else:
+            tracemalloc.start()
         tracemalloc.reset_peak()
-        for _ in range(20):
-            strang_step()
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4096, f"traced peak {peak} B above the start"
+        base[0] = tracemalloc.get_traced_memory()[0]
+        return state
+
+    monkeypatch.setattr(sim, "mass_transfer_step", traced_relax)
+    for strang in (False, True):
+        peaks.clear()
+        try:
+            run(st, replace(config, T=25 * st.dt, strang=strang), cs)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) >= 20
+        assert max(peaks) <= 4096, f"traced peaks {peaks} B above the start"
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +414,105 @@ def test_run_callbacks_and_strang(cs):
     st = init(config, cs)
     run(st, config, cs, callbacks=[lambda s, r: seen.append(r.t)])
     assert seen and seen[0] == 0.0
+
+
+def _called_before_the_check(state, row):
+    raise AssertionError("a callback ran before run checked them all")
+
+
+@pytest.mark.parametrize("callbacks", ["abc", 3, [None],
+                                       [_called_before_the_check, 5]])
+def test_run_refuses_callbacks_it_cannot_call(cs, callbacks):
+    config = SimConfig(Nx=16, T=0.2)
+    with pytest.raises(ValidationError, match="callbacks"):
+        run(init(config, cs), config, cs, callbacks=callbacks)
+
+
+def test_run_takes_any_iterable_of_callables(cs):
+    seen = []
+    config = SimConfig(Nx=16, T=0.2, record_every=4)
+    st = init(config, cs)
+    _, rows = run(st, config, cs,
+                  callbacks=(cb for cb in [lambda s, r: seen.append(r)]))
+    assert seen == rows
+
+
+def test_run_refuses_a_state_on_another_grid(cs):
+    st = init(SimConfig(Nx=16, T=0.2), cs)
+    with pytest.raises(ValidationError, match="Nx"):
+        run(st, SimConfig(Nx=64, T=0.2), cs)
+
+
+def _public_run(state, config, params, eigen_profile=None):
+    """run rebuilt from the public sub-steps and diagnostics: the final
+    state, its rows and the inlet ghost column of c at each row."""
+    st = replace(state, u=state.u.copy())
+    n_steps = int(math.ceil(config.T / st.dt - 1e-12))
+
+    def row():
+        rms = (None if eigen_profile is None
+               else profile_rms(st, eigen_profile))
+        return DiagnosticsRow(t=st.t, energy=energy(st, params),
+                              mass=mass(st, params), sup_norm=sup_norm(st),
+                              profile_rms=rms)
+
+    rows, ghosts = [row()], [st.c[:, 0].copy()]
+    for n in range(1, n_steps + 1):
+        if config.strang:
+            advection_step(st, params, frac=0.5)
+            mass_transfer_step(st, params)
+            advection_step(st, params, frac=0.5)
+        else:
+            advection_step(st, params)
+            mass_transfer_step(st, params)
+        st.t = n * st.dt
+        if n % config.record_every == 0 or n == n_steps:
+            rows.append(row())
+            ghosts.append(st.c[:, 0].copy())
+    return st, rows, ghosts
+
+
+@pytest.mark.parametrize("strang", [False, True], ids=["plain", "strang"])
+@pytest.mark.parametrize("which, Nx, initial", [
+    ("case", 16, "constant"), ("case", 16, "eigenfunction"),
+    ("case", 400, "constant"), ("case", 400, "eigenfunction"),
+    ("fed", 24, "random"), ("limit", 24, "eigenfunction"),
+    ("limit", 400, "random")])
+def test_run_is_the_public_step_sequence(cs, which, Nx, initial, strang):
+    # run hands the advected cells straight to the relaxation; its states,
+    # rows and ghosts must be those of the public sub-steps, bit for bit
+    params = {"case": cs, "fed": replace(cs, f0=0.7),
+              "limit": limit_params()}[which]
+    if initial == "random":
+        rng = np.random.default_rng(Nx)
+        initial = (rng.uniform(0.0, 2.0, (4, Nx)),
+                   rng.uniform(0.0, 2.0, (4, Nx)))
+    config = SimConfig(Nx=Nx, T=0.3 if Nx < 100 else 0.1, record_every=3,
+                       strang=strang)
+    st = init(config, params, initial=initial)
+    profile = sample_eigenfunction(params, Nx)
+    ghosts = []
+    got, rows = run(st, config, params, eigen_profile=profile,
+                    callbacks=lambda s, r: ghosts.append(s.c[:, 0].copy()))
+    want, want_rows, want_ghosts = _public_run(st, config, params, profile)
+    assert len(rows) > 3
+    assert got.u.tobytes() == want.u.tobytes()
+    assert rows == want_rows
+    assert [g.tobytes() for g in ghosts] == [g.tobytes() for g in want_ghosts]
+
+
+@pytest.mark.parametrize("strang", [False, True], ids=["plain", "strang"])
+def test_run_leaves_no_step_half_done(cs, strang):
+    # a relaxation of run's final state relaxes that state's own cells
+    config = SimConfig(Nx=24, T=0.2, strang=strang)
+    st, _ = run(init(config, cs, initial="eigenfunction"), config, cs)
+    want = replace(st, u=st.u.copy())
+    mass_transfer_step(want, cs)
+    mass_transfer_step(st, cs)
+    assert st.u.tobytes() == want.u.tobytes()
+    advection_step(want, cs)
+    advection_step(st, cs)
+    assert st.u.tobytes() == want.u.tobytes()
 
 
 def test_nonfinite_detected(cs):
