@@ -23,6 +23,9 @@ lose all relative accuracy whenever |det| << ||C||^2).
 
 The return map is evaluated over a 1-D array of lambda (real or complex)
 in one numpy pass; a scalar lambda is the one-point case of the same code.
+Every entry point that takes lambda checks it in one place, ``_lambdas``:
+the zone tables and matrices, the closed-form det and the envelope take
+one number, return_map a number or a 1-D array.
 On the real axis F_i, M_i, C and Delta are real, and a call whose lambdas
 are all real runs in float64 throughout (the real form of the hyperbolic
 pair takes cosh/sinh or cos/sin by the sign of the discriminant); one
@@ -49,6 +52,9 @@ from .params import PORTS, ModelParams, check_zone
 # Below this |b| the sinh(b)/b ratio switches to its Taylor series.
 _SMALL_B = 1e-4
 
+# Below this |lambda| asymptotic_envelope refuses to give the tails.
+_ENVELOPE_THRESHOLD = 10.0
+
 
 def _exponents(lam, v, R: float, P: float) -> tuple:
     """(alpha, disc) of a zone with velocity v at lambda.
@@ -62,30 +68,16 @@ def _exponents(lam, v, R: float, P: float) -> tuple:
     return alpha, alpha * alpha + v * beta
 
 
-def _finite_lambda(lam, real: bool = False) -> complex:
-    """lam as a complex, if it is a finite number but not a bool (with a
-    zero imaginary part, when real is set); else ValidationError naming
-    it."""
-    try:
-        finite = cmath.isfinite(lam) and not isinstance(lam, (bool, np.bool_))
-    except TypeError:                   # None, a string, an array
-        finite = False
-    if not finite or (real and complex(lam).imag != 0.0):
-        raise ValidationError(
-            f"lambda must be a finite {'real ' if real else ''}number, "
-            f"got {lam!r}")
-    return complex(lam)
-
-
 def zone_eigen(lam, params: ModelParams) -> tuple:
     """(nus, phis) of the two exponentials on each zone: the exponents
     nu = a_i +- b_i and weights phi = lambda + R - nu as (4, 2) complex
     tables, zone i in row i - 1, in scalar complex arithmetic.
 
-    A lambda that is not a finite number raises ValidationError, exponents
-    beyond the double range NonFiniteDetected.
+    A lambda that is not one finite number raises ValidationError (the
+    check of ``_lambdas``), exponents beyond the double range
+    NonFiniteDetected.
     """
-    lam = _finite_lambda(lam)
+    lam = complex(_lambdas(lam, one=True)[0][0])
     R = params.R
     nus = np.empty((4, 2), dtype=complex)
     phis = np.empty((4, 2), dtype=complex)
@@ -115,15 +107,20 @@ def branch_boundaries(zone: int, params: ModelParams) -> tuple:
     return lam1, lam2
 
 
-def _lambdas(lam) -> tuple:
-    """(1-D array, was lam a scalar); refuses what Delta cannot take.
+def _lambdas(lam, one: bool = False) -> tuple:
+    """(1-D array, was lam a scalar): the one check of lambda here.
 
-    The array is float64 when every lambda is real (a zero imaginary part
-    counts as real), else complex; float64 input is copied as it is.
+    ValidationError unless lam is a finite number or a non-empty finite
+    1-D array of them (with one set, a number).  The array is float64 when
+    every lambda is real (a zero imaginary part counts as real), else
+    complex; float64 input is copied as it is.
     """
     arr = np.asarray(lam)
-    if arr.dtype.kind not in "iufc":        # strings, None, objects
+    if arr.dtype.kind not in "iufc":        # strings, None, huge ints
         raise ValidationError(f"lambda must be numeric, got {lam!r}")
+    if one and arr.ndim:
+        raise ValidationError(
+            f"lambda must be one number, got shape {arr.shape}")
     lams = np.array(arr, ndmin=1)
     if lams.dtype != np.float64:
         lams = lams.astype(complex)
@@ -223,7 +220,15 @@ def _set_row(params: ModelParams) -> tuple:
 def _set_table(sets) -> np.ndarray:
     """The ``_set_row`` of each parameter set in sets, one column per set:
     what return_map takes from a sequence of sets, built once for as many
-    calls as need it."""
+    calls as need it.  One set is a sequence of one; what is not a
+    ModelParams raises ValidationError naming its index."""
+    try:
+        sets = [sets] if isinstance(sets, ModelParams) else list(sets)
+    except TypeError:                   # not iterable: one bad set
+        sets = [sets]
+    for i, p in enumerate(sets):
+        if not isinstance(p, ModelParams):
+            raise ValidationError(f"not a ModelParams: {p!r} (set {i})")
     return np.array([_set_row(p) for p in sets]).T
 
 
@@ -232,35 +237,37 @@ def _constants(params, owner, n: int) -> tuple:
     return_map call.
 
     params is one ModelParams, a sequence of them, or the ``_set_table``
-    of a sequence.  One set gives its floats (v as a (4, 1) column);
-    several sets give arrays gathered per lambda by owner, the index of
-    each lambda's set (v is (4, n), the rest (n,) each).  Every value is
-    its set's own float, so a lambda gets the same Delta either way.
+    of a sequence.  The layout is read once, from the column of each
+    lambda's set: one set's column broadcasts over the n lambdas (v is
+    (4, 1), the rest numpy floats), and several sets are gathered per
+    lambda by owner, the index of each lambda's set (v is (4, n), the
+    rest (n,) each).  Every value is its set's own float, so a lambda
+    gets the same Delta either way.
     """
-    table = params if isinstance(params, np.ndarray) else _set_table(
-        [params] if isinstance(params, ModelParams) else params)
+    table = params if isinstance(params, np.ndarray) else _set_table(params)
     sets = table.shape[-1]
     if sets == 1:
-        row = table[:, 0].tolist()
-        return np.array(row[:4])[:, None], *row[4:7], row[7:]
-    owner = np.asarray(() if owner is None else owner)
-    if (not sets or owner.shape != (n,) or owner.dtype.kind not in "iu"
-            or owner.min() < 0 or owner.max() >= sets):
-        raise ValidationError(
-            f"owner must give each of the {n} lambdas the index of one of "
-            f"the {sets} parameter sets")
+        owner = 0
+    else:
+        owner = np.asarray(() if owner is None else owner)
+        if (not sets or owner.shape != (n,) or owner.dtype.kind not in "iu"
+                or owner.min() < 0 or owner.max() >= sets):
+            raise ValidationError(
+                f"owner must give each of the {n} lambdas the index of one "
+                f"of the {sets} parameter sets")
     table = table[:, owner]
-    return table[:4], table[4], table[5], table[6], table[7:]
+    return table[:4].reshape(4, -1), table[4], table[5], table[6], table[7:]
 
 
 def zone_matrix_scaled(lam, zone: int, params: ModelParams) -> tuple:
     """Zone matrix as (mantissa K, log_scale s) with M_i = e^{s} K.
 
     The mantissa entries are O(1) for any lambda; s = Re(a_i) + Re(b_i).
-    K is real for real lambda, complex otherwise.
+    K is real for real lambda, complex otherwise.  A lambda that is not
+    one finite number raises ValidationError (the check of ``_lambdas``).
     """
     check_zone(zone)
-    lams, _ = _lambdas(lam)
+    lams, _ = _lambdas(lam, one=True)
     v, R, P, _, _ = _constants(params, None, lams.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         K, s, _ = _zone_factors(lams, v, R, P)
@@ -316,7 +323,7 @@ class ReturnMapEval:
     log_scale: float
     det_log: float | complex
 
-    @property
+    @cached_property
     def trace_mantissa(self) -> complex:
         return self.mantissa[..., 0, 0] + self.mantissa[..., 1, 1]
 
@@ -349,8 +356,7 @@ class ReturnMapEval:
         """
         t = self.trace_mantissa
         det_s = self.det_log.real
-        with np.errstate(divide="ignore"):
-            trace_s = self.log_scale + np.log(np.abs(t))
+        trace_s = self.trace_log
         lmax = np.maximum(np.maximum(trace_s, det_s), 0.0)
         det = det_s - lmax
         if np.iscomplexobj(self.det_log):
@@ -397,8 +403,9 @@ def return_map(lam, params, owner=None) -> ReturnMapEval:
     owner an integer array giving the index of each lambda's set; each
     lambda then gets the Delta of its own set, bit for bit.  A caller
     that makes many calls on one sequence may pass its ``_set_table``
-    instead, built once.  Non-numeric, non-finite or empty lam, or an
-    owner that does not fit, raises ValidationError, and |lambda| so
+    instead, built once.  Non-numeric, non-finite or empty lam, a set
+    that is not a ModelParams or an owner that does not fit raises
+    ValidationError, and |lambda| so
     large that even the scaled form overflows (beyond about 1e154)
     raises NonFiniteDetected.
     """
@@ -445,26 +452,31 @@ def det_closed_form_log(lam, params: ModelParams) -> complex:
 
     det C = (v2 v4)/(v1 v3) * exp(lambda (4 - sum 1/v_i)
                                   + R (4 - P^2 sum 1/v_i)).
-    A lambda that is not a finite number raises ValidationError.
+    A lambda that is not one finite number raises ValidationError (the
+    check of ``_lambdas``).
     """
-    lam = _finite_lambda(lam)
+    lam = complex(_lambdas(lam, one=True)[0][0])
     v = params.v
     s = sum(1.0 / vi for vi in v)
     return (math.log(v[1] * v[3] / (v[0] * v[2]))
             + lam * (4.0 - s) + params.R * (4.0 - params.P ** 2 * s))
 
 
-def asymptotic_envelope(lam: float, params: ModelParams,
-                        threshold: float = 10.0) -> float:
+def asymptotic_envelope(lam: float, params: ModelParams) -> float:
     """Leading-order log|Delta| for large real |lambda|.
 
     sum(1/v_i) * |lambda| on the left tail, 4*lambda on the right tail.
-    A lambda that is not a finite real number raises ValidationError.
+    A lambda that is not one finite real number raises ValidationError
+    (the check of ``_lambdas``, then its dtype), and |lambda| below
+    _ENVELOPE_THRESHOLD (10) raises ThresholdTooSmall.
     """
-    lam = _finite_lambda(lam, real=True).real
-    if abs(lam) < threshold:
-        raise ThresholdTooSmall(
-            f"|lambda| = {abs(lam)} below asymptotic threshold {threshold}")
+    (lam,), _ = _lambdas(lam, one=True)
+    if np.iscomplexobj(lam):
+        raise ValidationError(f"lambda must be a real number, got {lam}")
+    lam = float(lam)
+    if abs(lam) < _ENVELOPE_THRESHOLD:
+        raise ThresholdTooSmall(f"|lambda| = {abs(lam)} below asymptotic "
+                                f"threshold {_ENVELOPE_THRESHOLD}")
     if lam < 0.0:
         return sum(1.0 / vi for vi in params.v) * abs(lam)
     return 4.0 * lam

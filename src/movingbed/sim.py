@@ -55,7 +55,9 @@ class SimConfig:
     integer, Nx below 8, record_every below 1, a T that is not a
     nonnegative finite number and a strang that is not a bool.  A p that
     is not a positive finite number raises BadCFL here, and a p at or above
-    1/max(v, 1) raises it when a run starts.
+    1/max(v, 1) raises it in ``init``; a state's dt/dx is checked the same
+    way against the params of its first step, in ``run`` or either
+    sub-step, and again whenever those params change.
     """
 
     Nx: int = 400
@@ -114,11 +116,21 @@ class DiagnosticsRow:
     profile_rms: float | None = None
 
 
+def _cap(params: ModelParams) -> float:
+    """The strict upper bound 1/max(v, 1) on the Courant parameter dt/dx."""
+    return 1.0 / max(max(params.v), 1.0)
+
+
 def _resolve_p(config: SimConfig, params: ModelParams) -> float:
-    cap = 1.0 / max(max(params.v), 1.0)
+    cap = _cap(params)
     if config.p is None:
         return 0.9 * cap
     return check_real("p", config.p, BadCFL, gt=0.0, lt=cap)
+
+
+def _check_courant(dt: float, dx: float, params: ModelParams) -> None:
+    """BadCFL unless dt/dx is below the bound ``_resolve_p`` puts on p."""
+    check_real("dt/dx", dt / dx, BadCFL, gt=0.0, lt=_cap(params))
 
 
 # Row neighbors in the (8, Nx+2) layout: the zone upstream and downstream
@@ -290,11 +302,18 @@ class _Stepper:
 
 
 def _stepper(state: SimState, params: ModelParams) -> _Stepper:
-    """The state's stepper, made again if u, params, dt or dx changed."""
+    """The state's stepper, made again if u, params, dt or dx changed.
+
+    A new stepper first checks the state's Courant parameter dt/dx
+    against params and raises BadCFL at or above 1/max(v, 1), so a state
+    made for slower velocities cannot be stepped under faster ones; this
+    costs nothing per step.
+    """
     k = state.stepper
     if (k is None or k.u is not state.u or k.dt != state.dt
             or k.dx != state.dx
             or (k.params is not params and k.params != params)):
+        _check_courant(state.dt, state.dx, params)
         k = state.stepper = _Stepper(state, params)
     return k
 
@@ -359,7 +378,10 @@ def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState
     """
     p = _resolve_p(config, params)
     dx = 1.0 / config.Nx
-    state = SimState(u=np.zeros((8, config.Nx + 2)), t=0.0, dt=p * dx, dx=dx)
+    dt = p * dx
+    # dt/dx may round up to the bound: refuse here what the first step would
+    _check_courant(dt, dx, params)
+    state = SimState(u=np.zeros((8, config.Nx + 2)), t=0.0, dt=dt, dx=dx)
     c, q = state.c, state.q
     if isinstance(initial, str):
         if initial == "constant":

@@ -282,12 +282,11 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     if not sets:
         raise ValidationError("no parameter sets to solve")
     tol = check_real("tol", tol, gt=0.0)
+    table = _set_table(sets)            # refuses what is not a ModelParams
     # where an error names its set: nowhere for a single one
     at = [""] if single else [f" (set {i})" for i in range(len(sets))]
     M0 = []
     for i, p in enumerate(sets):
-        if not isinstance(p, ModelParams):
-            raise ValidationError(f"not a ModelParams: {p!r}{at[i]}")
         try:
             bb = bracket_bound(p)  # rejects the equal-velocity case
         except LimitCaseHasNoBracket as exc:
@@ -296,7 +295,6 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
             raise ValidationError(
                 f"tol={tol} exceeds bracket width M0={bb.M0}{at[i]}")
         M0.append(bb.M0)
-    table = _set_table(sets)
     grids = -np.geomspace(tol, M0, _GRID_N, axis=1)
     cells = _grid_cells(grids, table, [0]) + [None] * (len(sets) - 1)
     a, b = cells[0][:2]
@@ -473,8 +471,6 @@ def limit_residual(lam, params: ModelParams):
 
 def _cheb(N: int) -> tuple:
     """Chebyshev differentiation matrix and nodes x_j = cos(j pi / N)."""
-    if N == 0:
-        return np.zeros((1, 1)), np.array([1.0])
     x = np.cos(np.pi * np.arange(N + 1) / N)
     c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
     X = np.tile(x, (N + 1, 1)).T

@@ -70,18 +70,35 @@ def test_branch_classification(cs):
     (None, ValidationError), ("x", ValidationError), ([-1.0], ValidationError),
     (math.nan, ValidationError), (math.inf, ValidationError),
     (complex(-1.0, math.nan), ValidationError),
+    pytest.param(2 ** 2000, ValidationError, id="2**2000"),
+    pytest.param(-(10 ** 400), ValidationError, id="-10**400"),
     (1e200, NonFiniteDetected), (complex(-1e160, 1e160), NonFiniteDetected)])
 def test_zone_eigen_refuses_a_lambda_it_cannot_take(cs, lam, error):
-    # None raised TypeError, "x" ValueError and 1e200 OverflowError; inf
-    # and nan gave nan exponents without an error
+    # None raised TypeError, "x" ValueError, 1e200 and the ints beyond the
+    # double range OverflowError; inf and nan gave nan exponents without
+    # an error
     with pytest.raises(error):
         zone_eigen(lam, cs)
 
 
-@pytest.mark.parametrize("call", [det_closed_form_log, asymptotic_envelope])
-@pytest.mark.parametrize("lam", [None, "x", math.nan, math.inf, -math.inf])
+def _zone_matrix_2(lam, params):
+    return zone_matrix(lam, 2, params)
+
+
+def _zone_matrix_scaled_2(lam, params):
+    return zone_matrix_scaled(lam, 2, params)
+
+
+@pytest.mark.parametrize("call", [det_closed_form_log, asymptotic_envelope,
+                                  _zone_matrix_2, _zone_matrix_scaled_2])
+@pytest.mark.parametrize("lam", [
+    None, "x", math.nan, math.inf, -math.inf,
+    pytest.param(2 ** 2000, id="2**2000"),
+    pytest.param(10 ** 400, id="10**400"), [-1.0, -5.0]])
 def test_scalar_lambda_entry_points_refuse_a_non_finite_lambda(cs, call, lam):
-    # None raised TypeError, nan returned nan and the envelope gave inf at inf
+    # None raised TypeError, nan returned nan and the envelope gave inf at
+    # inf; the ints beyond the double range raised OverflowError, and the
+    # zone matrices took the first of two lambdas without an error
     with pytest.raises(ValidationError):
         call(lam, cs)
 
@@ -384,10 +401,25 @@ def test_return_map_refuses_an_owner_that_does_not_fit(cs, owner):
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, [], [-1.0, math.nan],
-                                 [[-1.0, -2.0]], "x", None])
+                                 [[-1.0, -2.0]], "x", None,
+                                 pytest.param(2 ** 2000, id="2**2000"),
+                                 pytest.param([-1.0, -(10 ** 400)],
+                                              id="-10**400-in-a-list")])
 def test_return_map_refuses_non_finite_or_empty_lambda(cs, lam):
     with pytest.raises(ValidationError):
         return_map(lam, cs)
+
+
+@pytest.mark.parametrize("sets, owner, index", [
+    (None, None, 0), ([None], None, 0), ("ab", [0], 0), (5, None, 0)])
+def test_return_map_refuses_a_set_that_is_not_a_model_params(cs, sets,
+                                                             owner, index):
+    # None raised TypeError, a None among the sets AttributeError
+    with pytest.raises(ValidationError,
+                       match=rf"^not a ModelParams: .* \(set {index}\)$"):
+        return_map(-0.5, sets, owner)
+    with pytest.raises(ValidationError, match=r"\(set 1\)$"):
+        return_map(-0.5, [cs, sets], [0])
 
 
 def test_return_map_refuses_lambda_beyond_the_scaled_form(cs):

@@ -145,7 +145,8 @@ def test_not_an_eigenvalue(cs, lam0):
     (-math.inf, ValidationError), (complex(0.0, math.nan), ValidationError),
     (-1e10, NonFiniteDetected), (1e300, NonFiniteDetected),
     (-1e300, NonFiniteDetected), (1e160, NonFiniteDetected),
-    (None, ValidationError), ("x", ValidationError)])
+    (None, ValidationError), ("x", ValidationError),
+    pytest.param(2 ** 2000, ValidationError, id="2**2000")])
 def test_mode_solves_refuse_a_lambda_they_cannot_take(cs, solve, lam, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no RuntimeWarning on the way

@@ -8,7 +8,7 @@ import pytest
 
 from movingbed.errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                               ValidationError, ZeroProfile)
-from movingbed.params import limit_params
+from movingbed.params import case_study, limit_params
 from movingbed import sim
 from movingbed.sim import (DiagnosticsRow, SimConfig, SimState, advection_step,
                            cell_centers, decay_rate, energy, init, mass,
@@ -136,6 +136,54 @@ def test_cell_centers_refuse_an_empty_grid(cs):
         cell_centers(0)
     with pytest.raises(ValidationError):
         sample_eigenfunction(cs, 0)
+    # an int beyond the double range raised OverflowError
+    with pytest.raises(ValidationError):
+        sample_eigenfunction(cs, 8, 2 ** 2000)
+
+
+def test_a_state_is_not_stepped_under_velocities_that_break_its_cfl(cs):
+    # init checks p against its own params only: run under three times v1
+    # and v3 (Courant number 2.7) ended with a sup norm of 5.9e47 and a
+    # most negative cell of -2.8e47, and raised no error
+    config = SimConfig(Nx=32, T=2.0)
+    st = init(config, cs)
+    fast = replace(cs, v1=3 * cs.v1, v3=3 * cs.v3)
+    before = st.u.tobytes()
+    for step in (lambda: run(st, config, fast),
+                 lambda: advection_step(st, fast),
+                 lambda: mass_transfer_step(st, fast)):
+        with pytest.raises(BadCFL, match="dt/dx"):
+            step()
+        assert st.u.tobytes() == before and st.stepper is None
+    # a stepper made under cs does not serve fast either
+    advection_step(st, cs)
+    kept, before = st.stepper, st.u.tobytes()
+    with pytest.raises(BadCFL):
+        advection_step(st, fast)
+    assert st.u.tobytes() == before and st.stepper is kept
+    # a dt raised past the bound is refused under the params init took
+    st.dt *= 2.0
+    with pytest.raises(BadCFL):
+        mass_transfer_step(st, cs)
+
+
+@pytest.mark.parametrize("params", [limit_params(v=1.0), limit_params(),
+                                    case_study()])
+def test_a_p_init_takes_is_taken_by_the_first_step(params):
+    # p just below 1/max(v, 1): dt = p * dx, read back as dt/dx, can
+    # round up to the bound; init refuses such a p, so no p it takes is
+    # refused by a step
+    p = math.nextafter(1.0 / max(max(params.v), 1.0), 0.0)
+    taken = 0
+    for Nx in range(8, 400):
+        try:
+            st = init(SimConfig(Nx=Nx, T=1.0, p=p), params)
+        except BadCFL:
+            continue
+        advection_step(st, params)
+        mass_transfer_step(st, params)
+        taken += 1
+    assert taken > 300
 
 
 def test_ghost_cells_feed(cs):

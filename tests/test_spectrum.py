@@ -565,6 +565,20 @@ def test_limit_asymptote_converges(lp):
     assert scaled[0] < 5e3
 
 
+@pytest.mark.parametrize("P", [0.8, 0.5])
+def test_limit_asymptote_converges_below_p_one(P):
+    # below P = 1 the fast branch is lambda_k^+ and the slow one
+    # lambda_k^-: each branch's err * k^3 is non-increasing
+    params = limit_params(P=P)
+    table = {e.k: e for e in limit_spectrum(params, k_max=80)}
+    ks = (20, 30, 40, 60, 80)
+    for branch in (0, 1):
+        scaled = [abs((table[k].lambda_plus, table[k].lambda_minus)[branch]
+                      - limit_asymptote(params, k)[branch]) * k ** 3
+                  for k in ks]
+        assert all(a >= b for a, b in zip(scaled, scaled[1:])), scaled
+
+
 def test_imaginary_vanishing_k(lp):
     k_star = imaginary_vanishing_k(lp)
     assert k_star == pytest.approx(14.340311264045784, rel=1e-12)
