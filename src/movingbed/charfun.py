@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFiniteDetected, ThresholdTooSmall, ValidationError
-from .params import PORTS, ModelParams, check_zone
+from .params import PORTS, ModelParams, check_instance, check_zone
 
 # Below this |b| the sinh(b)/b ratio switches to its Taylor series.
 _SMALL_B = 1e-4
@@ -74,11 +75,11 @@ def zone_eigen(lam, params: ModelParams) -> tuple:
     tables, zone i in row i - 1, in scalar complex arithmetic.
 
     A lambda that is not one finite number raises ValidationError (the
-    check of ``_lambdas``), exponents beyond the double range
-    NonFiniteDetected.
+    check of ``_lambdas``), as does params if not a ModelParams, and
+    exponents beyond the double range NonFiniteDetected.
     """
     lam = complex(_lambdas(lam, one=True)[0][0])
-    R = params.R
+    R = check_instance("params", params, ModelParams).R
     nus = np.empty((4, 2), dtype=complex)
     phis = np.empty((4, 2), dtype=complex)
     for i, v in enumerate(params.v):
@@ -100,7 +101,8 @@ def branch_boundaries(zone: int, params: ModelParams) -> tuple:
     Returns (lam1, lam2) with lam1 <= lam2 <= 0; the discriminant is
     negative (complex pair) strictly between them.
     """
-    v = params.v[check_zone(zone) - 1]
+    zone = check_zone(zone)
+    v = check_instance("params", params, ModelParams).v[zone - 1]
     R, P = params.R, params.P
     lam1 = -R * (math.sqrt(v) + P) ** 2 / (v + 1.0)
     lam2 = -R * (math.sqrt(v) - P) ** 2 / (v + 1.0)
@@ -117,7 +119,8 @@ def _lambdas(lam, one: bool = False) -> tuple:
     """
     arr = np.asarray(lam)
     if arr.dtype.kind not in "iufc":        # strings, None, huge ints
-        raise ValidationError(f"lambda must be numeric, got {lam!r}")
+        raise ValidationError(
+            f"lambda must be numeric, got {reprlib.repr(lam)}")
     if one and arr.ndim:
         raise ValidationError(
             f"lambda must be one number, got shape {arr.shape}")
@@ -221,15 +224,14 @@ def _set_table(sets) -> np.ndarray:
     """The ``_set_row`` of each parameter set in sets, one column per set:
     what return_map takes from a sequence of sets, built once for as many
     calls as need it.  One set is a sequence of one; what is not a
-    ModelParams raises ValidationError naming its index."""
+    ModelParams is refused by ``params.check_instance``, named "set i" by
+    its index."""
     try:
         sets = [sets] if isinstance(sets, ModelParams) else list(sets)
     except TypeError:                   # not iterable: one bad set
         sets = [sets]
-    for i, p in enumerate(sets):
-        if not isinstance(p, ModelParams):
-            raise ValidationError(f"not a ModelParams: {p!r} (set {i})")
-    return np.array([_set_row(p) for p in sets]).T
+    return np.array([_set_row(check_instance(f"set {i}", p, ModelParams))
+                     for i, p in enumerate(sets)]).T
 
 
 def _constants(params, owner, n: int) -> tuple:
@@ -453,10 +455,10 @@ def det_closed_form_log(lam, params: ModelParams) -> complex:
     det C = (v2 v4)/(v1 v3) * exp(lambda (4 - sum 1/v_i)
                                   + R (4 - P^2 sum 1/v_i)).
     A lambda that is not one finite number raises ValidationError (the
-    check of ``_lambdas``).
+    check of ``_lambdas``), as does params if not a ModelParams.
     """
     lam = complex(_lambdas(lam, one=True)[0][0])
-    v = params.v
+    v = check_instance("params", params, ModelParams).v
     s = sum(1.0 / vi for vi in v)
     return (math.log(v[1] * v[3] / (v[0] * v[2]))
             + lam * (4.0 - s) + params.R * (4.0 - params.P ** 2 * s))
@@ -467,8 +469,9 @@ def asymptotic_envelope(lam: float, params: ModelParams) -> float:
 
     sum(1/v_i) * |lambda| on the left tail, 4*lambda on the right tail.
     A lambda that is not one finite real number raises ValidationError
-    (the check of ``_lambdas``, then its dtype), and |lambda| below
-    _ENVELOPE_THRESHOLD (10) raises ThresholdTooSmall.
+    (the check of ``_lambdas``, then its dtype), |lambda| below
+    _ENVELOPE_THRESHOLD (10) raises ThresholdTooSmall, and then params
+    that is not a ModelParams raises ValidationError.
     """
     (lam,), _ = _lambdas(lam, one=True)
     if np.iscomplexobj(lam):
@@ -477,6 +480,7 @@ def asymptotic_envelope(lam: float, params: ModelParams) -> float:
     if abs(lam) < _ENVELOPE_THRESHOLD:
         raise ThresholdTooSmall(f"|lambda| = {abs(lam)} below asymptotic "
                                 f"threshold {_ENVELOPE_THRESHOLD}")
+    v = check_instance("params", params, ModelParams).v
     if lam < 0.0:
-        return sum(1.0 / vi for vi in params.v) * abs(lam)
+        return sum(1.0 / vi for vi in v) * abs(lam)
     return 4.0 * lam

@@ -35,7 +35,7 @@ from .charfun import zone_eigen
 from .errors import (DegenerateNullspace, NearZeroPairing, NonFiniteDetected,
                      NotAnEigenvalue, SingularSystem)
 from .params import (PORTS, ZONE_LEFT, ZONES, ModelParams, check_count,
-                     check_zone)
+                     check_instance, check_zone)
 
 # Singular values of the column-scaled port matrix below RANK_RTOL * sigma_max
 # count as zero.  Over 800 mode solves in the whole box (v +-10%, R +-25%,
@@ -251,7 +251,7 @@ def steady_state(params: ModelParams) -> EigenSolution:
     The system is nonsingular exactly when 0 is not an eigenvalue (strict
     port ordering).
     """
-    if params.limit_case:
+    if check_instance("params", params, ModelParams).limit_case:
         raise SingularSystem(
             "equal velocities: 0 is an eigenvalue, no unique steady state")
     return _solve(0.0, params, +1, params.f0)

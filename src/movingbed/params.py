@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -126,6 +127,15 @@ def check_pair(name: str, value) -> tuple:
     return lo, check_real(f"{name}[1]", hi, ge=lo)
 
 
+def check_instance(name: str, value, cls):
+    """value, if it is a cls; else ValidationError naming it (an attribute
+    read on anything else would end in an untyped AttributeError)."""
+    if not isinstance(value, cls):
+        raise ValidationError(
+            f"not a {cls.__name__}: {reprlib.repr(value)} ({name})")
+    return value
+
+
 def _check_fields(obj, fields: dict) -> None:
     """Check each field of a frozen dataclass named in fields against its
     bounds with check_real, raising NonPositiveParameter, and store it as
@@ -207,11 +217,8 @@ class ModelParams:
 
     def __post_init__(self):
         _check_fields(self, _MODEL_FIELDS)
-        if not (self.physical is None
-                or isinstance(self.physical, PhysicalParams)):
-            raise ValidationError(
-                f"physical must be a PhysicalParams or None, "
-                f"got {self.physical!r}")
+        if self.physical is not None:
+            check_instance("physical", self.physical, PhysicalParams)
         if not self.limit_case:
             # v_in > v_up where liquid is injected, v_up > v_in where it
             # is withdrawn
@@ -244,7 +251,7 @@ def from_physical(phys: PhysicalParams, use_rounded_F: bool = False) -> ModelPar
     ``use_rounded_F`` rounds the phase ratio F to one decimal before use,
     which reproduces hand calculations that take F = 0.5 for eps = 0.67.
     """
-    F = phys.F
+    F = check_instance("phys", phys, PhysicalParams).F
     if use_rounded_F:
         F = round(F, 1)
     if F <= 0.0:
@@ -261,20 +268,21 @@ def time_constant(lambda0: float, phys: PhysicalParams, L_ref: float) -> float:
 
     ``L_ref`` is explicit because the kinetic group uses the zone length
     while the time scale may use the column length; the caller chooses.
-    A rate that is not a finite negative number (NonNegativeEigenvalue)
-    and an L_ref that is not a positive finite number (NonPositiveParameter)
-    are refused.
+    A rate that is not a finite negative number (NonNegativeEigenvalue),
+    an L_ref that is not a positive finite number (NonPositiveParameter)
+    and a phys that is not a PhysicalParams (ValidationError) are refused.
     """
     lambda0 = check_real("lambda0", lambda0, NonNegativeEigenvalue, lt=0.0)
     L_ref = check_real("L_ref", L_ref, NonPositiveParameter, gt=0.0)
-    return L_ref / (phys.u_s * abs(lambda0))
+    return L_ref / (check_instance("phys", phys, PhysicalParams).u_s
+                    * abs(lambda0))
 
 
 # -- serialization ----------------------------------------------------------
 
 def params_to_dict(params: ModelParams) -> dict:
     out = {
-        "v": [params.v1, params.v2, params.v3, params.v4],
+        "v": list(check_instance("params", params, ModelParams).v),
         "R": params.R,
         "P": params.P,
         "f0": params.f0,
@@ -314,8 +322,9 @@ def load_params(path) -> ModelParams:
 
 
 def save_params(params: ModelParams, path) -> None:
+    data = params_to_dict(params)       # refused before path is truncated
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 

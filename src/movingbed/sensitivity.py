@@ -36,7 +36,7 @@ from .eigfun import (EigenSolution, adjoint_eigenfunction,  # noqa: F401
                      checked_pairing, eigenfunction, inner_product,
                      zone_integrals)
 from .errors import ValidationError
-from .params import PORTS, ZONES, ModelParams
+from .params import PORTS, ZONES, ModelParams, check_instance
 from .spectrum import dominant_eigenvalue
 
 
@@ -90,6 +90,7 @@ def sensitivities(direct: EigenSolution, adjoint: EigenSolution,
     """The six derivatives of the eigenvalue of direct, the mode at
     lambda; adjoint is the adjoint mode at conj(lambda).  One checked
     pairing divides all six numerators; fd_check is None."""
+    check_instance("params", params, ModelParams)
     den = checked_pairing(direct, adjoint)
     analytic = [num / den for num in _numerators(direct, adjoint, params)]
     return SensitivityReport(lam=direct.lam, dv=np.array(analytic[:4]),
@@ -104,7 +105,7 @@ def _fd_pair(params: ModelParams, name: str) -> tuple:
     sets are valid: the room of R and P is theta, that of a velocity its
     smallest gap to the velocity across a port.
     """
-    theta = getattr(params, name)
+    theta = getattr(check_instance("params", params, ModelParams), name)
     room = theta
     if name.startswith("v"):
         k = int(name[1])

@@ -42,7 +42,7 @@ from .eigfun import EigenSolution, eigenfunction, steady_state
 from .errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                      ValidationError, ZeroProfile)
 from .params import (PORTS, ZONE_LEFT, ZONES, ModelParams, check_count,
-                     check_pair, check_real)
+                     check_instance, check_pair, check_real)
 from .spectrum import dominant_eigenvalue
 
 
@@ -118,7 +118,7 @@ class DiagnosticsRow:
 
 def _cap(params: ModelParams) -> float:
     """The strict upper bound 1/max(v, 1) on the Courant parameter dt/dx."""
-    return 1.0 / max(max(params.v), 1.0)
+    return 1.0 / max(*check_instance("params", params, ModelParams).v, 1.0)
 
 
 def _resolve_p(config: SimConfig, params: ModelParams) -> float:
@@ -341,7 +341,8 @@ def sample_eigenfunction(params: ModelParams, Nx: int,
     """
     if lam is None:
         # equal velocities: the dominant eigenvalue is 0 exactly
-        lam = 0.0 if params.limit_case else dominant_eigenvalue(params)
+        lam = (0.0 if check_instance("params", params, ModelParams).limit_case
+               else dominant_eigenvalue(params))
     return _sample(eigenfunction(lam, params), Nx)
 
 
@@ -432,8 +433,8 @@ def energy(state: SimState, params: ModelParams) -> float:
 
 def mass(state: SimState, params: ModelParams) -> float:
     """Q = sum (c + P q) dx over the interior cells."""
-    return float(np.sum(state.c[:, 1:] + params.P * state.q[:, 1:])) \
-        * state.dx
+    P = check_instance("params", params, ModelParams).P
+    return float(np.sum(state.c[:, 1:] + P * state.q[:, 1:])) * state.dx
 
 
 def sup_norm(state: SimState) -> float:

@@ -29,8 +29,8 @@ import numpy as np
 from .charfun import _set_table, return_map
 from .errors import (EigSolverFailure, LimitCaseHasNoBracket, NotLimitCase,
                      NoSignChangeFound, ValidationError)
-from .params import (PORTS, ModelParams, check_count, check_pair,
-                     check_real)
+from .params import (PORTS, ModelParams, check_count, check_instance,
+                     check_pair, check_real)
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,11 @@ class BracketBudget:
 
     M0: float
     Q0: float
-    v_min: float
-    v_max: float
 
 
 def bracket_bound(params: ModelParams) -> BracketBudget:
     """Explicit 0 < M0 < R with the dominant eigenvalue in [-M0, 0)."""
-    if params.limit_case:
+    if check_instance("params", params, ModelParams).limit_case:
         raise LimitCaseHasNoBracket(
             "equal velocities: the dominant eigenvalue is 0 exactly")
     v_min, v_max = min(params.v), max(params.v)
@@ -54,7 +52,7 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
     denom = v_min * (v_max - v_min) / 2.0 + v_max * (R * P * P + 1.0)
     M0 = R - R * R * P * P * v_min / denom
     Q0 = denom / (R * P)
-    return BracketBudget(M0=M0, Q0=Q0, v_min=v_min, v_max=v_max)
+    return BracketBudget(M0=M0, Q0=Q0)
 
 
 # Most lambda points per return_map call.  The largest stage of a batch
@@ -270,9 +268,10 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     In any batch, the sign check refuses a window with one root between
     it and -tol; only an even number of them could pass it.
 
-    Every set is checked (its type, equal velocities, tol against M0)
-    before Delta is evaluated; errors about a sequence, or anything else
-    that is not one ModelParams, name the index of the set at fault.
+    Every set is checked (its type by ``params.check_instance``, equal
+    velocities, tol against M0) before Delta is evaluated; errors about a
+    sequence, or anything else that is not one ModelParams, name the index
+    of the set at fault ("set i").
     """
     single = isinstance(params, ModelParams)
     try:
@@ -375,14 +374,10 @@ class LimitSpectrum:
     k: int
     lambda_plus: complex
     lambda_minus: complex
-    X: float
-    Y: float
-    U: float
-    V: float
 
 
 def _require_limit(params: ModelParams):
-    if not params.limit_case:
+    if not check_instance("params", params, ModelParams).limit_case:
         raise NotLimitCase(f"velocities {params.v} are not all equal")
 
 
@@ -412,8 +407,7 @@ def limit_point(params: ModelParams, k: int) -> LimitSpectrum:
     U, V = _uv_from_xy(X, Y)
     lam_p = complex((-A + U) / 2.0, (-B + V) / 2.0)
     lam_m = complex((-A - U) / 2.0, (-B - V) / 2.0)
-    return LimitSpectrum(k=k, lambda_plus=lam_p, lambda_minus=lam_m,
-                         X=X, Y=Y, U=U, V=V)
+    return LimitSpectrum(k=k, lambda_plus=lam_p, lambda_minus=lam_m)
 
 
 def limit_spectrum(params: ModelParams, k_max: int = 80) -> list:
@@ -491,7 +485,8 @@ def collocation_spectrum(params: ModelParams, N: int = 30) -> np.ndarray:
     D, _ = _cheb(check_count("N", N, 8))
     Dx = -2.0 * D                     # zone has unit length; x ascends with j
     m = N + 1
-    v, R, P = params.v, params.R, params.P
+    v = check_instance("params", params, ModelParams).v
+    R, P = params.R, params.P
     n = 8 * m
     A = np.zeros((n, n))
     S = np.eye(n)

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from movingbed import sim
-from movingbed.charfun import zone_eigen
-from movingbed.eigfun import eigenfunction, evaluate
+from movingbed.charfun import (asymptotic_envelope, branch_boundaries, delta,
+                               delta_sign_log, det_closed_form_log,
+                               return_map, zone_eigen, zone_matrix,
+                               zone_matrix_scaled)
+from movingbed.eigfun import (adjoint_eigenfunction, eigenfunction, evaluate,
+                              steady_state)
 from movingbed.errors import (BadCFL, NonNegativeEigenvalue,
                               NonPositiveParameter, PortOrderingViolated,
                               ValidationError)
@@ -16,9 +20,13 @@ from movingbed.params import (ModelParams, PhysicalParams, case_study,
                               from_physical, limit_params, load_params,
                               params_from_dict, params_to_dict, preset,
                               save_params, time_constant)
-from movingbed.spectrum import (collocation_spectrum, dominant_eigenvalue,
-                                limit_asymptote, limit_point, limit_spectrum,
-                                real_root_scan)
+from movingbed.sensitivity import (central_difference, full_report,
+                                   sensitivities)
+from movingbed.spectrum import (bracket_bound, collocation_spectrum,
+                                dominant_eigenvalue, imaginary_vanishing_k,
+                                limit_asymptote, limit_point, limit_residual,
+                                limit_spectrum, real_root_scan,
+                                stable_eigenvalues)
 
 
 def test_case_study_values(cs):
@@ -84,6 +92,10 @@ def test_dict_round_trip(cs):
 def test_save_load_round_trip(tmp_path, cs):
     path = tmp_path / "params.json"
     save_params(cs, path)
+    assert load_params(path) == cs
+    # a refused set leaves the file as it was; it was emptied
+    with pytest.raises(ValidationError):
+        save_params(None, path)
     assert load_params(path) == cs
 
 
@@ -241,6 +253,92 @@ def test_scalar_inputs_refuse_bools_strings_none_and_non_finite(entry, value):
         call(value)
 
 
+_LAM0 = -0.1103771231538904     # the case study's dominant eigenvalue
+
+
+def _sensitivities(params):
+    cs = case_study()
+    return sensitivities(eigenfunction(_LAM0, cs),
+                         adjoint_eigenfunction(_LAM0, cs), params)
+
+
+def _state8():
+    return sim.init(sim.SimConfig(Nx=8), case_study())
+
+
+# every public entry point that takes one parameter set: (the call with
+# one value, the name its error gives).  Each ended in an untyped
+# AttributeError on anything but a ModelParams, except those that build
+# return_map's set table, whose error names the set's index.
+_PARAM_SETS = {
+    "zone_eigen": (lambda p: zone_eigen(-0.1, p), "params"),
+    "branch_boundaries": (lambda p: branch_boundaries(1, p), "params"),
+    "det_closed_form_log": (lambda p: det_closed_form_log(-1.0, p),
+                            "params"),
+    "asymptotic_envelope": (lambda p: asymptotic_envelope(-20.0, p),
+                            "params"),
+    "eigenfunction": (lambda p: eigenfunction(_LAM0, p), "params"),
+    "adjoint_eigenfunction": (lambda p: adjoint_eigenfunction(_LAM0, p),
+                              "params"),
+    "steady_state": (steady_state, "params"),
+    "bracket_bound": (bracket_bound, "params"),
+    "limit_point": (lambda p: limit_point(p, 1), "params"),
+    "limit_spectrum": (limit_spectrum, "params"),
+    "limit_asymptote": (lambda p: limit_asymptote(p, 1), "params"),
+    "imaginary_vanishing_k": (imaginary_vanishing_k, "params"),
+    "limit_residual": (lambda p: limit_residual(-1.0, p), "params"),
+    "collocation_spectrum": (collocation_spectrum, "params"),
+    "stable_eigenvalues": (stable_eigenvalues, "params"),
+    "full_report": (full_report, "params"),
+    "central_difference": (lambda p: central_difference(p, "R"), "params"),
+    "sensitivities": (_sensitivities, "params"),
+    "sample_eigenfunction": (lambda p: sim.sample_eigenfunction(p, 8),
+                             "params"),
+    "sample_steady_state": (lambda p: sim.sample_steady_state(p, 8),
+                            "params"),
+    "init": (lambda p: sim.init(sim.SimConfig(Nx=8), p), "params"),
+    "run": (lambda p: sim.run(_state8(), sim.SimConfig(Nx=8, T=0.1), p),
+            "params"),
+    "advection_step": (lambda p: sim.advection_step(_state8(), p), "params"),
+    "mass_transfer_step": (lambda p: sim.mass_transfer_step(_state8(), p),
+                           "params"),
+    "mass": (lambda p: sim.mass(_state8(), p), "params"),
+    "params_to_dict": (params_to_dict, "params"),
+    "return_map": (lambda p: return_map(-0.5, p), "set 0"),
+    "delta": (lambda p: delta(-0.5, p), "set 0"),
+    "delta_sign_log": (lambda p: delta_sign_log(-0.5, p), "set 0"),
+    "zone_matrix": (lambda p: zone_matrix(-0.5, 1, p), "set 0"),
+    "zone_matrix_scaled": (lambda p: zone_matrix_scaled(-0.5, 1, p),
+                           "set 0"),
+    "dominant_eigenvalue": (dominant_eigenvalue, "set 0"),
+    "real_root_scan": (lambda p: real_root_scan(p, (-1.0, -0.01)), "set 0"),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}")
+    for entry in sorted(_PARAM_SETS)
+    for kind, value in (("None", None), ("string", "cs"),
+                        ("physical", _PHYS))])
+def test_entry_points_refuse_what_is_not_a_model_params(entry, value):
+    call, name = _PARAM_SETS[entry]
+    with pytest.raises(ValidationError,
+                       match=rf"^not a ModelParams: .* \({name}\)$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: time_constant(-0.1, p, 30.0), from_physical],
+    ids=["time_constant", "from_physical"])
+@pytest.mark.parametrize("value", [None, "cs", case_study()],
+                         ids=["None", "string", "ModelParams"])
+def test_entry_points_refuse_what_is_not_a_physical_params(call, value):
+    # each ended in an untyped AttributeError
+    with pytest.raises(ValidationError,
+                       match=r"^not a PhysicalParams: .* \(phys\)$"):
+        call(value)
+
+
 def test_number_fields_are_stored_as_floats(cs):
     # an integer or a numpy float is stored as a float, so params_to_dict
     # echoes a JSON 18 as 18.0 whichever way the params were built
@@ -252,7 +350,8 @@ def test_number_fields_are_stored_as_floats(cs):
 
 def test_model_params_refuse_a_physical_block_of_the_wrong_type(cs):
     # "x" was accepted, and params_to_dict then failed with a TypeError
-    with pytest.raises(ValidationError, match="physical"):
+    with pytest.raises(ValidationError,
+                       match=r"^not a PhysicalParams: 'x' \(physical\)$"):
         replace(cs, physical="x")
 
 
