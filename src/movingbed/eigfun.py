@@ -274,7 +274,7 @@ def evaluate(sol: EigenSolution, n_per_zone: int = 101) -> ProfileSamples:
     """Sample a solution zone by zone, endpoints included in every zone."""
     x = np.add.outer(ZONE_LEFT, np.linspace(
         0.0, 1.0, check_count("n_per_zone", n_per_zone, 2)))
-    c, q = sol.zone_values(ZONES, x)
+    c, q = check_instance("sol", sol, EigenSolution).zone_values(ZONES, x)
     side = np.full(x.shape, ".", dtype="<U1")
     side[:, 0], side[:, -1] = "R", "L"
     return ProfileSamples(x=x.ravel(), c=c.ravel(), q=q.ravel(),
@@ -325,8 +325,8 @@ def inner_product(a: EigenSolution, b: EigenSolution) -> complex:
     Closed form over all zones at once; a and b may be direct, adjoint or
     steady.  A pairing beyond the double range comes out inf or nan.
     """
-    ca, qa, ra = a.amplitudes()
-    cb, qb, rb = b.amplitudes()
+    ca, qa, ra = check_instance("a", a, EigenSolution).amplitudes()
+    cb, qb, rb = check_instance("b", b, EigenSolution).amplitudes()
     return complex((zone_integrals(ca, cb, ra, rb)
                     + zone_integrals(qa, qb, ra, rb)).sum())
 

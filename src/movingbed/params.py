@@ -76,7 +76,8 @@ def check_zone(zone) -> np.ndarray:
     zone 0 for zone 4, -1 for zone 3)."""
     z = np.asarray(zone)
     if not (z.dtype.kind in "iu" and ((1 <= z) & (z <= 4)).all()):
-        raise ValidationError(f"zone must be one of 1..4, got {zone!r}")
+        raise ValidationError(
+            f"zone must be one of 1..4, got {reprlib.repr(zone)}")
     return z
 
 
@@ -88,7 +89,7 @@ def check_count(name: str, value, minimum: int | None = None) -> int:
             and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValidationError(
-            f"{name} must be an integer{bound}, got {value!r}")
+            f"{name} must be an integer{bound}, got {reprlib.repr(value)}")
     return value
 
 
@@ -111,7 +112,8 @@ def check_real(name: str, value, error=ValidationError, *, gt=None,
                              ((">", gt), (">=", ge), ("<", lt), ("<=", le))
                              if b is not None)
         raise error(
-            f"{name!r} must be a finite number{bounds}, got {value!r}")
+            f"{name!r} must be a finite number{bounds}, got "
+            f"{reprlib.repr(value)}")
     return x
 
 
@@ -122,7 +124,8 @@ def check_pair(name: str, value) -> tuple:
         lo, hi = value
     except (TypeError, ValueError):     # not a pair
         raise ValidationError(
-            f"{name!r} must be a pair (lo, hi), got {value!r}") from None
+            f"{name!r} must be a pair (lo, hi), got {reprlib.repr(value)}"
+        ) from None
     lo = check_real(f"{name}[0]", lo)
     return lo, check_real(f"{name}[1]", hi, ge=lo)
 

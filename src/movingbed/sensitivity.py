@@ -91,6 +91,8 @@ def sensitivities(direct: EigenSolution, adjoint: EigenSolution,
     lambda; adjoint is the adjoint mode at conj(lambda).  One checked
     pairing divides all six numerators; fd_check is None."""
     check_instance("params", params, ModelParams)
+    check_instance("direct", direct, EigenSolution)
+    check_instance("adjoint", adjoint, EigenSolution)
     den = checked_pairing(direct, adjoint)
     analytic = [num / den for num in _numerators(direct, adjoint, params)]
     return SensitivityReport(lam=direct.lam, dv=np.array(analytic[:4]),

@@ -19,8 +19,8 @@ Columns 0 and Nx+1 are slaved ghosts that complete the limiter stencil.
 Column 0 holds the upstream-in-x zone's last cell, column Nx+1 the next
 zone's first cell; for c they pass through the port map (its inverse at
 the outlet), for q they are plain copies.  ``SimState.c`` and
-``SimState.q`` are (4, Nx+1) views of columns 0..Nx, so j = 0 is the inlet
-ghost and j = 1..Nx the cells.
+``SimState.q`` are (4, Nx+1) views of columns 0..Nx of the state's current
+u, so j = 0 is the inlet ghost and j = 1..Nx the cells.
 
 ``run`` hands the advected cells straight to the relaxation: each step's
 advection writes into scratch rather than u, and the relaxation multiplies
@@ -77,29 +77,45 @@ class SimConfig:
                 f"strang={self.strang!r} must be True or False")
 
 
+class _Rows:
+    """c or q: a (4, Nx+1) view of the state's current u; assigning to it
+    writes into u."""
+
+    def __init__(self, rows: slice):
+        self.rows = rows
+
+    def __get__(self, state, owner=None):
+        return self if state is None else state.u[self.rows, :-1]
+
+    def __set__(self, state, value):
+        state.u[self.rows, :-1] = value
+
+
 @dataclass
 class SimState:
-    """Both phases in one (8, Nx+2) array; c and q are views into it.
+    """Both phases in one (8, Nx+2) array u; c, q and dx are read from
+    whatever u is, so no copy or new u can leave them behind.
 
     The scratch rows, constants and views the steps use live in
     ``stepper``, made by the first step (a state that is never stepped
-    holds none) and made again when u, params, dt or dx change.
+    holds none) and made again when u, params or dt change.
     """
 
     u: np.ndarray                 # (8, Nx+2), rows c1..c4, q1..q4
     t: float
     dt: float
-    dx: float
-    c: np.ndarray = field(init=False, repr=False)    # (4, Nx+1) view
-    q: np.ndarray = field(init=False, repr=False)    # (4, Nx+1) view
     stepper: _Stepper | None = field(default=None, init=False, repr=False,
                                      compare=False)
+    c = _Rows(slice(None, 4))
+    q = _Rows(slice(4, None))
 
     def __post_init__(self):
         # the steps update u through flat views, which need one block
         self.u = np.ascontiguousarray(self.u, dtype=float)
-        self.c = self.u[:4, :-1]
-        self.q = self.u[4:, :-1]
+
+    @property
+    def dx(self) -> float:
+        return 1.0 / (self.u.shape[1] - 2)
 
     def __getstate__(self):
         # copies and pickles leave the stepper behind: a copied stepper's
@@ -202,8 +218,8 @@ class _Stepper:
     of u, so that a step is a fixed sequence of ufunc calls into memory
     made here.  A step allocates nothing the size of u: fresh ~0.1 MB
     temporaries every step can make malloc trim the heap top and fault it
-    back in on the next step.  It serves one u array and one (params, dt,
-    dx); ``_stepper`` makes a new one when any of them changes.
+    back in on the next step.  It serves one u array (which fixes dx) and
+    one (params, dt); ``_stepper`` makes a new one when any changes.
 
     The relaxation cannot multiply u into itself, so it reads from the
     scratch ``cq_out``.  An advection step run with ``held`` writes its
@@ -214,7 +230,8 @@ class _Stepper:
     """
 
     def __init__(self, state: SimState, params: ModelParams):
-        u = state.u
+        # a u assigned since __post_init__ may have no flat view: copy it
+        u = state.u = np.ascontiguousarray(state.u, dtype=float)
         self.u, self.params, self.dt, self.dx = u, params, state.dt, state.dx
         self.cells, self.faces = _port_tables(params, u.shape[1])
         self.relax = _relaxation(params, state.dt)
@@ -302,17 +319,17 @@ class _Stepper:
 
 
 def _stepper(state: SimState, params: ModelParams) -> _Stepper:
-    """The state's stepper, made again if u, params, dt or dx changed.
+    """The state's stepper, made again if u, params or dt changed.
 
-    A new stepper first checks the state's Courant parameter dt/dx
-    against params and raises BadCFL at or above 1/max(v, 1), so a state
-    made for slower velocities cannot be stepped under faster ones; this
-    costs nothing per step.
+    A new stepper first checks that state is a SimState (ValidationError)
+    and its Courant parameter dt/dx against params, raising BadCFL at or
+    above 1/max(v, 1), so a state made for slower velocities cannot be
+    stepped under faster ones; this costs nothing per step.
     """
-    k = state.stepper
+    k = getattr(state, "stepper", None)
     if (k is None or k.u is not state.u or k.dt != state.dt
-            or k.dx != state.dx
             or (k.params is not params and k.params != params)):
+        check_instance("state", state, SimState)
         _check_courant(state.dt, state.dx, params)
         k = state.stepper = _Stepper(state, params)
     return k
@@ -377,12 +394,12 @@ def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState
     values at ``cell_centers(Nx)``.  Anything else, a complex pair or
     one holding nan or inf included, is refused with ValidationError.
     """
-    p = _resolve_p(config, params)
+    p = _resolve_p(check_instance("config", config, SimConfig), params)
     dx = 1.0 / config.Nx
     dt = p * dx
     # dt/dx may round up to the bound: refuse here what the first step would
     _check_courant(dt, dx, params)
-    state = SimState(u=np.zeros((8, config.Nx + 2)), t=0.0, dt=dt, dx=dx)
+    state = SimState(u=np.zeros((8, config.Nx + 2)), t=0.0, dt=dt)
     c, q = state.c, state.q
     if isinstance(initial, str):
         if initial == "constant":
@@ -425,7 +442,7 @@ def mass_transfer_step(state: SimState, params: ModelParams) -> SimState:
     return state
 
 
-def energy(state: SimState, params: ModelParams) -> float:
+def energy(state: SimState) -> float:
     """E = 1/2 * sum (c^2 + q^2) dx over the interior cells."""
     c, q = state.c[:, 1:], state.q[:, 1:]
     return 0.5 * float(np.sum(c * c) + np.sum(q * q)) * state.dx
@@ -481,7 +498,7 @@ def _row(state, params, eigen_profile, den) -> DiagnosticsRow:
     rms = None
     if eigen_profile is not None:
         rms = _profile_rms(state, eigen_profile, den)
-    return DiagnosticsRow(t=state.t, energy=energy(state, params),
+    return DiagnosticsRow(t=state.t, energy=energy(state),
                           mass=mass(state, params),
                           sup_norm=sup_norm(state), profile_rms=rms)
 
@@ -511,9 +528,10 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
     Returns (final state, list of DiagnosticsRow).  The given state is
     left as it is; the run advances a copy in place.  Callbacks, if given,
     are invoked as cb(state, row) at every recorded step with that live
-    state, so a callback copies what it keeps.  Callbacks that are not one
-    callable or an iterable of callables, and a state whose grid does not
-    have config.Nx cells per zone, raise ValidationError before any step.
+    state, so a callback copies what it keeps; it may assign a new u or
+    change dt.  A state or config of the wrong class, callbacks that are
+    not one callable or an iterable of callables, and a state whose grid
+    does not have config.Nx cells per zone raise ValidationError first.
 
     Each step's advection writes its cells to the stepper's scratch, not
     to u, and ``mass_transfer_step`` relaxes them into u and refreshes the
@@ -522,10 +540,11 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
     the same bits.
     """
     callbacks = _callback_list(callbacks)
-    if state.u.shape != (8, config.Nx + 2):
+    shape = (8, check_instance("config", config, SimConfig).Nx + 2)
+    if check_instance("state", state, SimState).u.shape != shape:
         raise ValidationError(
             f"state array {state.u.shape} does not fit config.Nx="
-            f"{config.Nx}, which needs {(8, config.Nx + 2)}")
+            f"{config.Nx}, which needs {shape}")
     state = replace(state, u=state.u.copy())
     n_steps = int(math.ceil(config.T / state.dt - 1e-12))
     # the profile's norm is the same on every row
@@ -535,7 +554,7 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
     for cb in callbacks:
         cb(state, rows[-1])
     # a callback may swap u or change dt, so the stepper is fetched again
-    # after each recorded step
+    # after each recorded step; c, q and dx are read from whatever u is
     k = _stepper(state, params)
     for n in range(1, n_steps + 1):
         if config.strang:

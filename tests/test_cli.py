@@ -295,6 +295,16 @@ def test_params_file_of_the_wrong_shape_exits_2(tmp_path, capsys, body,
     assert field in capsys.readouterr().err
 
 
+def test_params_file_with_a_physical_block_that_is_not_an_object_exits_2(
+        tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"v": [1.53, 1.12, 1.43, 1.02], "R": 18.0, "P": 1.03, '
+                   '"physical": 3}')
+    assert main(["steady", "--params", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "'physical' must be an object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["steady", "limit", "simulate",
                                      "delta-scan"])
 def test_tol_is_an_option_only_where_it_is_read(tmp_path, command):

@@ -15,9 +15,10 @@ from movingbed.eigfun import (RESIDUAL_BOUND, EigenSolution,
                               checked_pairing, eigenfunction, evaluate,
                               inner_product, projection_coefficient,
                               steady_state)
-from movingbed.errors import (MovingBedError, NearZeroPairing,
-                              NonFiniteDetected, NotAnEigenvalue,
-                              SingularSystem, ValidationError)
+from movingbed.errors import (DegenerateNullspace, MovingBedError,
+                              NearZeroPairing, NonFiniteDetected,
+                              NotAnEigenvalue, SingularSystem,
+                              ValidationError)
 from movingbed.params import ModelParams, case_study
 from movingbed.spectrum import (bracket_bound, dominant_eigenvalue,
                                 limit_point, real_root_scan)
@@ -200,6 +201,23 @@ def test_null_vector_beyond_the_double_range_is_refused(monkeypatch):
         np.r_[np.ones(7), 0.0], np.eye(8), np.full(8, 1e-310)))
     with pytest.raises(NonFiniteDetected):
         eigfun._solve_nullspace(np.zeros((8, 8)))
+
+
+def test_a_nullspace_of_dimension_two_is_refused():
+    # a rank-6 complex matrix with no zero column: two null vectors, and
+    # no reason to pick either
+    rng = np.random.default_rng(3)
+    left, right = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                   for shape in ((8, 6), (6, 8)))
+    with pytest.raises(DegenerateNullspace, match="dimension >= 2"):
+        eigfun._solve_nullspace(left @ right)
+
+
+def test_a_steady_system_with_zero_as_an_eigenvalue_is_refused(lp):
+    # steady_state refuses equal velocities first; the solve's own check
+    # catches the singular system
+    with pytest.raises(SingularSystem, match="singular"):
+        eigfun._solve(0.0, lp, +1, 0.0)
 
 
 @pytest.mark.parametrize("zone", [0, -1, 5])

@@ -11,7 +11,8 @@ from movingbed.charfun import (asymptotic_envelope, branch_boundaries, delta,
                                delta_sign_log, det_closed_form_log,
                                return_map, zone_eigen, zone_matrix,
                                zone_matrix_scaled)
-from movingbed.eigfun import (adjoint_eigenfunction, eigenfunction, evaluate,
+from movingbed.eigfun import (EigenSolution, adjoint_eigenfunction,
+                              eigenfunction, evaluate, inner_product,
                               steady_state)
 from movingbed.errors import (BadCFL, NonNegativeEigenvalue,
                               NonPositiveParameter, PortOrderingViolated,
@@ -253,6 +254,28 @@ def test_scalar_inputs_refuse_bools_strings_none_and_non_finite(entry, value):
         call(value)
 
 
+# a count may be any integer, however large
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}")
+    for entry in sorted(_SCALARS)
+    for kind, value in (("huge_int", 10 ** 400), ("long_string", "a" * 5000))
+    if not (kind == "huge_int" and entry in ("SimConfig.record_every",
+                                             "limit_point.k"))])
+def test_scalar_refusals_quote_a_long_value_in_short(entry, value):
+    # the whole repr went into the message: 441 characters for 10**400,
+    # 5,035 for the string
+    call, name, error = _SCALARS[entry]
+    with pytest.raises(error, match=re.escape(name)) as info:
+        call(value)
+    assert len(str(info.value)) < 200
+
+
+def test_check_zone_quotes_a_long_value_in_short(cs):
+    with pytest.raises(ValidationError, match="zone must be") as info:
+        zone_matrix(-0.5, [0] * 5000, cs)
+    assert len(str(info.value)) < 200
+
+
 _LAM0 = -0.1103771231538904     # the case study's dominant eigenvalue
 
 
@@ -337,6 +360,63 @@ def test_entry_points_refuse_what_is_not_a_physical_params(call, value):
     with pytest.raises(ValidationError,
                        match=r"^not a PhysicalParams: .* \(phys\)$"):
         call(value)
+
+
+def _direct():
+    return eigenfunction(_LAM0, case_study())
+
+
+_CONFIG8 = sim.SimConfig(Nx=8, T=0.1)
+
+# every public entry point that takes a simulation state or config or an
+# eigen solution: (the call with one value, the name its error gives, the
+# class it wants).  Each ended in an untyped AttributeError.
+_OBJECTS = {
+    "init-config": (lambda x: sim.init(x, case_study()), "config",
+                    sim.SimConfig),
+    "run-state": (lambda x: sim.run(x, _CONFIG8, case_study()), "state",
+                  sim.SimState),
+    "run-config": (lambda x: sim.run(_state8(), x, case_study()), "config",
+                   sim.SimConfig),
+    "advection_step": (lambda x: sim.advection_step(x, case_study()),
+                       "state", sim.SimState),
+    "mass_transfer_step": (lambda x: sim.mass_transfer_step(x, case_study()),
+                           "state", sim.SimState),
+    "evaluate": (evaluate, "sol", EigenSolution),
+    "inner_product-a": (lambda x: inner_product(x, _direct()), "a",
+                        EigenSolution),
+    "inner_product-b": (lambda x: inner_product(_direct(), x), "b",
+                        EigenSolution),
+    "sensitivities-direct": (
+        lambda x: sensitivities(x, _direct(), case_study()), "direct",
+        EigenSolution),
+    "sensitivities-adjoint": (
+        lambda x: sensitivities(_direct(), x, case_study()), "adjoint",
+        EigenSolution),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}")
+    for entry in sorted(_OBJECTS)
+    for kind, value in (("None", None), ("string", "cs"),
+                        ("params", case_study()))])
+def test_entry_points_refuse_an_object_of_the_wrong_class(entry, value):
+    call, name, cls = _OBJECTS[entry]
+    with pytest.raises(ValidationError,
+                       match=rf"^not a {cls.__name__}: .* \({name}\)$"):
+        call(value)
+
+
+def test_from_physical_refuses_a_phase_ratio_that_rounds_to_zero(cs):
+    # F = 0.04/0.96 rounds to 0.0 at one decimal
+    with pytest.raises(NonPositiveParameter, match="phase ratio F"):
+        from_physical(replace(cs.physical, epsilon=0.96), use_rounded_F=True)
+
+
+def test_params_from_dict_refuses_a_physical_block_that_is_not_an_object(cs):
+    with pytest.raises(ValidationError, match="'physical' must be an object"):
+        params_from_dict({**params_to_dict(cs), "physical": 3})
 
 
 def test_number_fields_are_stored_as_floats(cs):

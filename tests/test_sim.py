@@ -1,6 +1,7 @@
 import math
+import pickle
 import tracemalloc
-from copy import deepcopy
+from copy import copy, deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,12 @@ def test_init_refuses_initial_data_it_cannot_take(cs, initial):
     # function, which was taken as a second form of initial data
     with pytest.raises(ValidationError, match="preset name or a pair"):
         init(SimConfig(Nx=16, T=1.0), cs, initial=initial)
+
+
+def test_init_refuses_an_unknown_preset_name(cs):
+    with pytest.raises(ValidationError,
+                       match=r"^unknown initial preset 'bogus'$"):
+        init(SimConfig(Nx=16, T=1.0), cs, "bogus")
 
 
 @pytest.mark.parametrize("c0, match", [
@@ -344,6 +351,80 @@ def test_stepper_follows_params_frac_and_dt(cs):
     assert deep.u.tobytes() == want.tobytes()
 
 
+def _assert_read_from_u(st, profile):
+    """c, q and dx describe the state's current u, and every diagnostic
+    equals that of a fresh state made from a copy of it."""
+    assert np.shares_memory(st.c, st.u) and np.shares_memory(st.q, st.u)
+    assert st.dx == 1.0 / 16
+    fresh = SimState(st.u.copy(), st.t, st.dt)
+    for diagnostic in (energy, lambda s: mass(s, case_study()), sup_norm,
+                       lambda s: profile_rms(s, profile)):
+        assert diagnostic(st) == diagnostic(fresh)
+
+
+def _swapped(st):
+    st.u = st.u * 0.5
+    return st
+
+
+def _strided(st):
+    # rows 2 Nx + 4 apart: no flat view of this u exists, and the steps
+    # advanced a flat copy of it
+    st.u = np.hstack([st.u, st.u])[:, :st.u.shape[1]]
+    return st
+
+
+@pytest.mark.parametrize("make", [
+    copy, deepcopy, lambda st: pickle.loads(pickle.dumps(st)),
+    _swapped, _strided],
+    ids=["copy", "deepcopy", "pickle", "new-u", "strided-u"])
+def test_c_q_and_dx_are_read_from_the_current_u(cs, make):
+    # c, q and dx were stored beside u: after a deep copy, a pickle round
+    # trip or a new u, the diagnostics read the old cells
+    profile = sample_eigenfunction(cs, 16)
+    st = init(SimConfig(Nx=16, T=1.0), cs, initial="eigenfunction")
+    advection_step(st, cs)
+    mass_transfer_step(st, cs)
+    st = make(st)
+    want = _stepped(st, cs, 1.0)
+    advection_step(st, cs)
+    mass_transfer_step(st, cs)
+    assert np.array_equal(st.u, want)
+    _assert_read_from_u(st, profile)
+    # assigning to c or q writes into u
+    before = st.u.copy()
+    st.c *= 2.5
+    assert np.array_equal(st.u[:4, :-1], 2.5 * before[:4, :-1])
+    assert np.array_equal(st.u[:, -1], before[:, -1])
+    assert np.array_equal(st.u[4:], before[4:])
+
+
+@pytest.mark.parametrize("swap", [_swapped, _strided],
+                         ids=["new-u", "strided-u"])
+def test_a_run_follows_a_u_its_callback_swaps_in(cs, swap):
+    # the rows after the swap are those of a run started from the new u
+    config = SimConfig(Nx=16, T=0.5, record_every=3)
+    profile = sample_eigenfunction(cs, 16)
+    start = init(config, cs, initial="eigenfunction")
+    seen = []
+
+    def callback(st, row):
+        if not seen:
+            swap(st)
+        else:
+            _assert_read_from_u(st, profile)
+        seen.append(row)
+
+    st, rows = run(start, config, cs, callbacks=callback,
+                   eigen_profile=profile)
+    want, want_rows = run(swap(replace(start, u=start.u.copy())), config, cs,
+                          eigen_profile=profile)
+    assert len(rows) == len(seen) > 2
+    assert rows[1:] == want_rows[1:]
+    assert np.array_equal(st.u, want.u)
+    _assert_read_from_u(st, profile)
+
+
 def test_steps_allocate_nothing_the_size_of_u(cs, monkeypatch):
     # a step at Nx = 1600 holds 8 * 1602 cells; the smallest temporary of
     # that size is 12.8 kB, so a 4 KiB peak admits none
@@ -406,11 +487,11 @@ def test_steps_allocate_nothing_the_size_of_u(cs, monkeypatch):
 
 def test_energy_mass_sup(cs):
     st = init(SimConfig(Nx=16, T=1.0), cs, initial="zero")
-    assert energy(st, cs) == 0.0
+    assert energy(st) == 0.0
     assert mass(st, cs) == 0.0
     st = init(SimConfig(Nx=16, T=1.0), cs)
     # constant (1, P) over total length 4
-    assert energy(st, cs) == pytest.approx(0.5 * (1 + cs.P ** 2) * 4.0)
+    assert energy(st) == pytest.approx(0.5 * (1 + cs.P ** 2) * 4.0)
     assert mass(st, cs) == pytest.approx((1 + cs.P ** 2) * 4.0)
     assert sup_norm(st) == pytest.approx(cs.P)
 
@@ -500,7 +581,7 @@ def _public_run(state, config, params, eigen_profile=None):
     def row():
         rms = (None if eigen_profile is None
                else profile_rms(st, eigen_profile))
-        return DiagnosticsRow(t=st.t, energy=energy(st, params),
+        return DiagnosticsRow(t=st.t, energy=energy(st),
                               mass=mass(st, params), sup_norm=sup_norm(st),
                               profile_rms=rms)
 

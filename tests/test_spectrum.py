@@ -586,6 +586,16 @@ def test_imaginary_vanishing_k(lp):
     assert imaginary_vanishing_k(limit_params(v=1.0)) is None
 
 
+def test_imaginary_vanishing_k_is_none_for_a_nonpositive_radicand():
+    # 2 (P^2 v^2 - (P^4 + 1) v + P^2) / v < 0 at v = 2, P = 0.1
+    assert imaginary_vanishing_k(limit_params(v=2.0, P=0.1)) is None
+
+
+def test_limit_asymptote_refuses_k_zero(lp):
+    with pytest.raises(ValidationError, match="k != 0"):
+        limit_asymptote(lp, 0)
+
+
 def test_limit_spectrum_rejects_strict_ports(cs):
     with pytest.raises(ValidationError):
         limit_spectrum(cs, k_max=3)
