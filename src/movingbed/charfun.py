@@ -48,7 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteDetected, ThresholdTooSmall, ValidationError
-from .params import PORTS, ModelParams, check_instance, check_zone
+from .params import (PORTS, ModelParams, check_instance, check_items,
+                     check_zone)
 
 # Below this |b| the sinh(b)/b ratio switches to its Taylor series.
 _SMALL_B = 1e-4
@@ -224,14 +225,10 @@ def _set_table(sets) -> np.ndarray:
     """The ``_set_row`` of each parameter set in sets, one column per set:
     what return_map takes from a sequence of sets, built once for as many
     calls as need it.  One set is a sequence of one; what is not a
-    ModelParams is refused by ``params.check_instance``, named "set i" by
+    ModelParams is refused by ``params.check_items``, named "set i" by
     its index."""
-    try:
-        sets = [sets] if isinstance(sets, ModelParams) else list(sets)
-    except TypeError:                   # not iterable: one bad set
-        sets = [sets]
-    return np.array([_set_row(check_instance(f"set {i}", p, ModelParams))
-                     for i, p in enumerate(sets)]).T
+    return np.array([_set_row(p) for p in
+                     check_items("set", sets, ModelParams)[0]]).T
 
 
 def _constants(params, owner, n: int) -> tuple:

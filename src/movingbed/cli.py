@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -235,7 +236,8 @@ def _range_arg(text: str) -> tuple:
             return lo, hi
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected finite lo:hi, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected finite lo:hi, got {reprlib.repr(text)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,10 @@ and rate tables (``EigenSolution.amplitudes``): every point value is one
 ``zone_values`` call over an array of zones, and the pairing
 (``inner_product``) sums all 16 amplitude and exponent pairs of the four
 zones in one closed-form ``exp_integral`` call (``zone_integrals``).
+Every pairing of a direct with an adjoint mode (the sensitivities and
+``projection_coefficient``) goes through ``checked_pairing``, which
+refuses anything but a direct and an adjoint mode of one parameter set,
+in that order.  A solution's basis sign is read from its kind.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .charfun import zone_eigen
 from .errors import (DegenerateNullspace, NearZeroPairing, NonFiniteDetected,
-                     NotAnEigenvalue, SingularSystem)
+                     NotAnEigenvalue, SingularSystem, ValidationError)
 from .params import (PORTS, ZONE_LEFT, ZONES, ModelParams, check_count,
                      check_instance, check_zone)
 
@@ -104,7 +108,11 @@ class EigenSolution:
     params: ModelParams
     nus: np.ndarray           # (4, 2)
     phis: np.ndarray          # (4, 2)
-    sign: int                 # +1 for exp(+nu x) basis, -1 adjoint
+
+    @property
+    def sign(self) -> int:
+        """-1 for the adjoint's exp(-nu x) basis, else +1 for exp(+nu x)."""
+        return -1 if self.kind == "adjoint" else +1
 
     def zone_values(self, zone, x) -> tuple:
         """(c, q) at points x of zone (1..4, or an integer array of zones
@@ -226,7 +234,7 @@ def _solve(lam, params: ModelParams, sign: int, f0=None) -> EigenSolution:
             f"lambda={lam}")
     return EigenSolution(lam=complex(lam), kind=kind, coeffs=coeffs,
                          normalization=tag, residual=residual,
-                         params=params, nus=nus, phis=phis, sign=sign)
+                         params=params, nus=nus, phis=phis)
 
 
 def eigenfunction(lam, params: ModelParams) -> EigenSolution:
@@ -337,8 +345,20 @@ def checked_pairing(direct: EigenSolution, adjoint: EigenSolution) -> complex:
     u is the direct mode at lambda and u* the adjoint mode at
     conj(lambda); the adjoint at a complex lambda itself pairs to zero
     and is refused as NearZeroPairing.  A pairing or norm beyond the
-    double range is refused as NonFiniteDetected.
+    double range is refused as NonFiniteDetected.  Anything but a direct
+    and an adjoint mode of one parameter set, in that order, is refused
+    as ValidationError; lambda is not compared, as modes at two
+    eigenvalues pair to about zero.
     """
+    kinds = (check_instance("direct", direct, EigenSolution).kind,
+             check_instance("adjoint", adjoint, EigenSolution).kind)
+    if kinds != ("direct", "adjoint"):
+        raise ValidationError(
+            f"modes of kinds {kinds} do not pair: pass a direct and an "
+            "adjoint mode, in that order")
+    if direct.params != adjoint.params:
+        raise ValidationError(
+            "the direct and adjoint modes are of different parameter sets")
     pairing = inner_product(direct, adjoint)
     with np.errstate(over="ignore"):    # |z| of a finite z may overflow
         size, norm_u, norm_a = np.abs([pairing,
@@ -379,7 +399,9 @@ def projection_coefficient(direct: EigenSolution, adjoint: EigenSolution,
 
     With the adjoint rescaled so <u0, u0*> = 1, returns M1 = <initial, u0*>;
     the long-time solution behaves like M1 exp(lambda0 t) u0.  For a
-    complex mode at lambda, pass the adjoint at conj(lambda).
+    complex mode at lambda, pass the adjoint at conj(lambda).  The modes
+    are checked by ``checked_pairing`` before initial is sampled.
     """
-    return (_samples_inner_adjoint(initial, adjoint)
-            / checked_pairing(direct, adjoint))
+    den = checked_pairing(direct, adjoint)
+    check_instance("initial", initial, ProfileSamples)
+    return _samples_inner_adjoint(initial, adjoint) / den

@@ -139,6 +139,20 @@ def check_instance(name: str, value, cls):
     return value
 
 
+def check_items(name: str, value, cls) -> tuple:
+    """(items, one): ([value], True) if value is a cls, else the items of
+    value as a list and False, anything not iterable counting as one item;
+    each item is checked by check_instance, named "{name} i" by its
+    index."""
+    one = isinstance(value, cls)
+    try:
+        items = [value] if one else list(value)
+    except TypeError:                   # not iterable: one bad item
+        items = [value]
+    return [check_instance(f"{name} {i}", x, cls)
+            for i, x in enumerate(items)], one
+
+
 def _check_fields(obj, fields: dict) -> None:
     """Check each field of a frozen dataclass named in fields against its
     bounds with check_real, raising NonPositiveParameter, and store it as
@@ -306,11 +320,13 @@ def params_from_dict(data: dict) -> ModelParams:
             raise ValidationError(f"missing parameter {name!r}")
     v = data["v"]
     if not isinstance(v, (list, tuple)) or len(v) != 4:
-        raise NonPositiveParameter(f"'v' must hold 4 velocities, got {v!r}")
+        raise NonPositiveParameter(
+            f"'v' must hold 4 velocities, got {reprlib.repr(v)}")
     phys = data.get("physical")
     if phys is not None:
         if not isinstance(phys, dict):
-            raise ValidationError(f"'physical' must be an object, got {phys!r}")
+            raise ValidationError(
+                f"'physical' must be an object, got {reprlib.repr(phys)}")
         try:
             phys = PhysicalParams(**phys)
         except TypeError as exc:         # a missing or unknown field
@@ -356,5 +372,5 @@ def preset(name: str) -> ModelParams:
         return PRESETS[name]()
     except KeyError:
         raise ValidationError(
-            f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
-        ) from None
+            f"unknown preset {reprlib.repr(name)}; choose from "
+            f"{sorted(PRESETS)}") from None

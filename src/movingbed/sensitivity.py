@@ -8,9 +8,12 @@ adjoint eigenfunctions,
 with every integral a finite sum of exponentials evaluated in closed form
 by ``eigfun.zone_integrals``.  The denominator is the pairing
 <u, u*> = int c c̄* + q q̄* over [-2, 2] (``eigfun.inner_product``),
-refused as ``NearZeroPairing`` when negligible.  Array expressions on the
-two modes' amplitude tables give all six numerators; ``sensitivities``
-computes the pairing once and divides all six by it.  The numerators are
+refused as ``NearZeroPairing`` when negligible.  ``sensitivities(direct,
+adjoint)`` takes a direct and an adjoint mode of one parameter set, in
+that order, and reads R and P from them: ``eigfun.checked_pairing``
+refuses any other pair with ``ValidationError``.  Array expressions on
+the two modes' amplitude tables give all six numerators; the pairing is
+computed once and divides all six.  The numerators are
 
     dlambda/dv_k : boundary term (-c c̄* at the zone inlet for k odd,
                    +c c̄* at the zone exit for k even) - int_{I_k} c_x c̄*
@@ -25,6 +28,7 @@ sets in one lockstep call.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,11 +56,10 @@ _BOUNDARY_X, _BOUNDARY_SIGN = np.array([_BOUNDARY[k] for k in range(1, 5)]).T
 _NAMES = ("v1", "v2", "v3", "v4", "R", "P")
 
 
-def _numerators(direct: EigenSolution, adjoint: EigenSolution,
-                params: ModelParams) -> list:
+def _numerators(direct: EigenSolution, adjoint: EigenSolution) -> list:
     """Numerators of the six derivatives, in the order of _NAMES, from
     the two modes' (4, 2) amplitude tables."""
-    R, P = params.R, params.P
+    R, P = direct.params.R, direct.params.P
     cd, qd, rd = direct.amplitudes()
     ca, qa, ra = adjoint.amplitudes()
     # c of each zone at its v-weighted port
@@ -75,7 +78,6 @@ class SensitivityReport:
     """All six derivatives of an eigenvalue, with diagnostics; fd_check is
     set by ``full_report`` with fd."""
 
-    lam: complex
     dv: np.ndarray            # 4 complex
     dR: complex
     dP: complex
@@ -84,20 +86,24 @@ class SensitivityReport:
     adjoint: EigenSolution
     fd_check: np.ndarray | None = None   # 6 relative errors vs FD
 
+    @property
+    def lam(self) -> complex:
+        """The eigenvalue, read from the direct mode."""
+        return self.direct.lam
 
-def sensitivities(direct: EigenSolution, adjoint: EigenSolution,
-                  params: ModelParams) -> SensitivityReport:
+
+def sensitivities(direct: EigenSolution,
+                  adjoint: EigenSolution) -> SensitivityReport:
     """The six derivatives of the eigenvalue of direct, the mode at
-    lambda; adjoint is the adjoint mode at conj(lambda).  One checked
-    pairing divides all six numerators; fd_check is None."""
-    check_instance("params", params, ModelParams)
-    check_instance("direct", direct, EigenSolution)
-    check_instance("adjoint", adjoint, EigenSolution)
+    lambda; adjoint is the adjoint mode at conj(lambda) of the same
+    parameter set, which R and P are read from.  One checked pairing
+    (``eigfun.checked_pairing``, which refuses any other pair) divides
+    all six numerators; fd_check is None."""
     den = checked_pairing(direct, adjoint)
-    analytic = [num / den for num in _numerators(direct, adjoint, params)]
-    return SensitivityReport(lam=direct.lam, dv=np.array(analytic[:4]),
-                             dR=analytic[4], dP=analytic[5],
-                             denominator=den, direct=direct, adjoint=adjoint)
+    analytic = [num / den for num in _numerators(direct, adjoint)]
+    return SensitivityReport(dv=np.array(analytic[:4]), dR=analytic[4],
+                             dP=analytic[5], denominator=den, direct=direct,
+                             adjoint=adjoint)
 
 
 def _fd_pair(params: ModelParams, name: str) -> tuple:
@@ -125,7 +131,8 @@ def central_difference(params: ModelParams, name: str,
     name is one of v1..v4, R, P."""
     if name not in _NAMES:
         raise ValidationError(
-            f"name must be one of {', '.join(_NAMES)}, got {name!r}")
+            f"name must be one of {', '.join(_NAMES)}, got "
+            f"{reprlib.repr(name)}")
     h, pair = _fd_pair(params, name)
     lam_p, lam_m = dominant_eigenvalue(pair, tol)
     return (lam_p - lam_m) / (2.0 * h)
@@ -143,7 +150,7 @@ def full_report(params: ModelParams, tol: float = 1e-10,
     lam0, *shifted = dominant_eigenvalue(
         [params, *(p for _, pair in fd_sets for p in pair)], tol)
     rep = sensitivities(eigenfunction(lam0, params),
-                        adjoint_eigenfunction(lam0, params), params)
+                        adjoint_eigenfunction(lam0, params))
     if not fd:
         return rep
     analytic = [*rep.dv, rep.dR, rep.dP]

@@ -34,6 +34,8 @@ calling them in turn.
 from __future__ import annotations
 
 import math
+import reprlib
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +44,7 @@ from .eigfun import EigenSolution, eigenfunction, steady_state
 from .errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                      ValidationError, ZeroProfile)
 from .params import (PORTS, ZONE_LEFT, ZONES, ModelParams, check_count,
-                     check_instance, check_pair, check_real)
+                     check_instance, check_items, check_pair, check_real)
 from .spectrum import dominant_eigenvalue
 
 
@@ -74,7 +76,7 @@ class SimConfig:
             check_real("p", self.p, BadCFL, gt=0.0)
         if not isinstance(self.strang, bool):
             raise ValidationError(
-                f"strang={self.strang!r} must be True or False")
+                f"strang={reprlib.repr(self.strang)} must be True or False")
 
 
 class _Rows:
@@ -408,7 +410,8 @@ def init(config: SimConfig, params: ModelParams, initial="constant") -> SimState
         elif initial == "eigenfunction":
             c[:, 1:], q[:, 1:] = sample_eigenfunction(params, config.Nx)
         elif initial != "zero":
-            raise ValidationError(f"unknown initial preset {initial!r}")
+            raise ValidationError(
+                f"unknown initial preset {reprlib.repr(initial)}")
     else:
         c[:, 1:], q[:, 1:] = _real_pair(initial, config.Nx, "initial",
                                         "a preset name or a pair")
@@ -505,20 +508,11 @@ def _row(state, params, eigen_profile, den) -> DiagnosticsRow:
 
 def _callback_list(callbacks) -> list:
     """callbacks as a list, if it is None, one callable or an iterable of
-    callables; else ValidationError."""
+    callables; else ValidationError naming the one at fault ("callbacks
+    i")."""
     if callbacks is None:
         return []
-    if callable(callbacks):
-        return [callbacks]
-    try:
-        listed = list(callbacks)
-    except TypeError:                   # not iterable
-        listed = None
-    if listed is None or not all(callable(cb) for cb in listed):
-        raise ValidationError(
-            "callbacks must be a callable or an iterable of callables, "
-            f"got {callbacks!r}")
-    return listed
+    return check_items("callbacks", callbacks, Callable)[0]
 
 
 def run(state: SimState, config: SimConfig, params: ModelParams,

@@ -21,7 +21,9 @@ has no real root of Delta between it and 0.
 
 from __future__ import annotations
 
+import cmath
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ from .charfun import _set_table, return_map
 from .errors import (EigSolverFailure, LimitCaseHasNoBracket, NotLimitCase,
                      NoSignChangeFound, ValidationError)
 from .params import (PORTS, ModelParams, check_count, check_instance,
-                     check_pair, check_real)
+                     check_items, check_pair, check_real)
 
 
 @dataclass(frozen=True)
@@ -268,20 +270,16 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     In any batch, the sign check refuses a window with one root between
     it and -tol; only an even number of them could pass it.
 
-    Every set is checked (its type by ``params.check_instance``, equal
-    velocities, tol against M0) before Delta is evaluated; errors about a
-    sequence, or anything else that is not one ModelParams, name the index
-    of the set at fault ("set i").
+    tol is checked first, then every set (its type by
+    ``params.check_items``, equal velocities, tol against M0), all before
+    Delta is evaluated; errors about a sequence, or anything else that is
+    not one ModelParams, name the index of the set at fault ("set i").
     """
-    single = isinstance(params, ModelParams)
-    try:
-        sets = [params] if single else list(params)
-    except TypeError:               # not iterable: a batch of one bad set
-        sets = [params]
+    tol = check_real("tol", tol, gt=0.0)
+    sets, single = check_items("set", params, ModelParams)
     if not sets:
         raise ValidationError("no parameter sets to solve")
-    tol = check_real("tol", tol, gt=0.0)
-    table = _set_table(sets)            # refuses what is not a ModelParams
+    table = _set_table(sets)
     # where an error names its set: nowhere for a single one
     at = [""] if single else [f" (set {i})" for i in range(len(sets))]
     M0 = []
@@ -395,18 +393,39 @@ def _uv_from_xy(X: float, Y: float) -> tuple:
     return U, V
 
 
-def limit_point(params: ModelParams, k: int) -> LimitSpectrum:
-    """lambda_k^+/- for one integer index k (equal velocities)."""
-    _require_limit(params)
-    check_count("k", k)
+def _finite_in_k(pair_of_k):
+    """pair_of_k(params, k), a pair of limit eigenvalues, refused with
+    ValidationError naming k where either is not finite or k overflows a
+    float on the way."""
+    def checked(params: ModelParams, k: int) -> tuple:
+        try:
+            pair = pair_of_k(params, k)
+        except OverflowError:           # an int k that no float holds
+            pair = None
+        if pair is None or not all(map(cmath.isfinite, pair)):
+            raise ValidationError(
+                f"k={reprlib.repr(k)} takes the limit eigenvalues beyond "
+                "the double range")
+        return pair
+    return checked
+
+
+@_finite_in_k
+def _limit_pair(params: ModelParams, k: int) -> tuple:
     v, R, P = params.v1, params.R, params.P
     A = R * (1.0 + P * P)
     B = math.pi * k * (v - 1.0) / 2.0
     X = -math.pi ** 2 * k * k * (v + 1.0) ** 2 / 4.0 + R * R * (1.0 + P * P) ** 2
     Y = math.pi * R * (P * P - 1.0) * (v + 1.0) * k
     U, V = _uv_from_xy(X, Y)
-    lam_p = complex((-A + U) / 2.0, (-B + V) / 2.0)
-    lam_m = complex((-A - U) / 2.0, (-B - V) / 2.0)
+    return (complex((-A + U) / 2.0, (-B + V) / 2.0),
+            complex((-A - U) / 2.0, (-B - V) / 2.0))
+
+
+def limit_point(params: ModelParams, k: int) -> LimitSpectrum:
+    """lambda_k^+/- for one integer index k (equal velocities)."""
+    _require_limit(params)
+    lam_p, lam_m = _limit_pair(params, check_count("k", k))
     return LimitSpectrum(k=k, lambda_plus=lam_p, lambda_minus=lam_m)
 
 
@@ -423,6 +442,11 @@ def limit_asymptote(params: ModelParams, k: int) -> tuple:
     _require_limit(params)
     if check_count("k", k) == 0:
         raise ValidationError("asymptote is defined for k != 0")
+    return _asymptote_pair(params, k)
+
+
+@_finite_in_k
+def _asymptote_pair(params: ModelParams, k: int) -> tuple:
     v, R, P = params.v1, params.R, params.P
     c1 = 2.0 * R * R * P * P / (math.pi * (v + 1.0))
     c2 = 4.0 * R ** 3 * (P * P - 1.0) * P * P / (math.pi ** 2 * (v + 1.0) ** 2)

@@ -320,6 +320,20 @@ def test_projection_near_zero_pairing(cs, lam0, direct):
         projection_coefficient(direct, other, evaluate(direct))
 
 
+@pytest.mark.parametrize("args, match", [
+    (lambda d, a: (a, d, evaluate(d)), r"kinds \('adjoint', 'direct'\)"),
+    (lambda d, a: (d, None, evaluate(d)),
+     r"^not a EigenSolution: None \(adjoint\)$"),
+    (lambda d, a: (d, a, None), r"^not a ProfileSamples: None \(initial\)$")],
+    ids=["swapped", "adjoint None", "initial None"])
+def test_projection_refuses_what_is_not_a_pair_and_samples(direct, adjoint,
+                                                           args, match):
+    # the swapped pair gave 3.8e-7 for 1.0; the two Nones ended in an
+    # AttributeError
+    with pytest.raises(ValidationError, match=match):
+        projection_coefficient(*args(direct, adjoint))
+
+
 @pytest.mark.parametrize("k", [-2, -1, 1, 2])
 def test_complex_mode_pairs_with_the_adjoint_at_the_conjugate(lp, k):
     # the adjoint at conj(lambda) pairs with the direct mode at lambda; the

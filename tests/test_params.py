@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 from dataclasses import replace
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from movingbed import sim
+from movingbed import cli, sim
 from movingbed.charfun import (asymptotic_envelope, branch_boundaries, delta,
                                delta_sign_log, det_closed_form_log,
                                return_map, zone_eigen, zone_matrix,
@@ -259,14 +260,56 @@ def test_scalar_inputs_refuse_bools_strings_none_and_non_finite(entry, value):
     pytest.param(entry, value, id=f"{entry}-{kind}")
     for entry in sorted(_SCALARS)
     for kind, value in (("huge_int", 10 ** 400), ("long_string", "a" * 5000))
-    if not (kind == "huge_int" and entry in ("SimConfig.record_every",
-                                             "limit_point.k"))])
+    if not (kind == "huge_int" and entry == "SimConfig.record_every")])
 def test_scalar_refusals_quote_a_long_value_in_short(entry, value):
     # the whole repr went into the message: 441 characters for 10**400,
     # 5,035 for the string
     call, name, error = _SCALARS[entry]
     with pytest.raises(error, match=re.escape(name)) as info:
         call(value)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("call", [limit_point, limit_asymptote])
+@pytest.mark.parametrize("k", [10 ** 160, -10 ** 160, 10 ** 400])
+def test_limit_closed_forms_refuse_k_beyond_the_double_range(call, k):
+    # limit_point returned -18.5481 +- inf i at 10**160 and both raised an
+    # untyped OverflowError at 10**400
+    with pytest.raises(ValidationError,
+                       match=r"^k=.* beyond the double range$") as info:
+        call(limit_params(), k)
+    assert len(str(info.value)) < 200
+
+
+_LONG = "a" * 5000
+
+# every refusal that quotes a value of any type: (the call with one
+# value, the error)
+_QUOTED = {
+    "init.initial": (lambda x: sim.init(sim.SimConfig(Nx=8), case_study(), x),
+                     ValidationError),
+    "run.callbacks": (lambda x: sim.run(_state8(), _CONFIG8, case_study(),
+                                        callbacks=[x]), ValidationError),
+    "SimConfig.strang": (lambda x: sim.SimConfig(strang=x), ValidationError),
+    "params_from_dict.v": (
+        lambda x: params_from_dict({"v": x, "R": 18.0, "P": 1.03}),
+        NonPositiveParameter),
+    "params_from_dict.physical": (
+        lambda x: params_from_dict({**params_to_dict(case_study()),
+                                    "physical": x}), ValidationError),
+    "preset": (preset, ValidationError),
+    "central_difference.name": (lambda x: central_difference(case_study(), x),
+                                ValidationError),
+    "cli._range_arg": (cli._range_arg, argparse.ArgumentTypeError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_QUOTED))
+def test_refusals_quote_a_long_string_in_short(entry):
+    # the whole repr went into the message, 5,000 characters and more
+    call, error = _QUOTED[entry]
+    with pytest.raises(error) as info:
+        call(_LONG)
     assert len(str(info.value)) < 200
 
 
@@ -277,12 +320,6 @@ def test_check_zone_quotes_a_long_value_in_short(cs):
 
 
 _LAM0 = -0.1103771231538904     # the case study's dominant eigenvalue
-
-
-def _sensitivities(params):
-    cs = case_study()
-    return sensitivities(eigenfunction(_LAM0, cs),
-                         adjoint_eigenfunction(_LAM0, cs), params)
 
 
 def _state8():
@@ -314,7 +351,6 @@ _PARAM_SETS = {
     "stable_eigenvalues": (stable_eigenvalues, "params"),
     "full_report": (full_report, "params"),
     "central_difference": (lambda p: central_difference(p, "R"), "params"),
-    "sensitivities": (_sensitivities, "params"),
     "sample_eigenfunction": (lambda p: sim.sample_eigenfunction(p, 8),
                              "params"),
     "sample_steady_state": (lambda p: sim.sample_steady_state(p, 8),
@@ -388,10 +424,10 @@ _OBJECTS = {
     "inner_product-b": (lambda x: inner_product(_direct(), x), "b",
                         EigenSolution),
     "sensitivities-direct": (
-        lambda x: sensitivities(x, _direct(), case_study()), "direct",
+        lambda x: sensitivities(x, _direct()), "direct",
         EigenSolution),
     "sensitivities-adjoint": (
-        lambda x: sensitivities(_direct(), x, case_study()), "adjoint",
+        lambda x: sensitivities(_direct(), x), "adjoint",
         EigenSolution),
 }
 

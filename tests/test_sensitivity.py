@@ -1,12 +1,14 @@
+import inspect
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from movingbed import eigfun
 from movingbed.charfun import return_map
-from movingbed.eigfun import (adjoint_eigenfunction, eigenfunction, evaluate,
+from movingbed.eigfun import (EigenSolution, adjoint_eigenfunction,
+                              eigenfunction, evaluate,
                               exp_integral, inner_product, steady_state)
 from movingbed.errors import (MovingBedError, NearZeroPairing,
                               ValidationError)
@@ -96,7 +98,7 @@ def _derivatives(rep):
 
 
 def test_derivatives_regression(pair, cs):
-    got = _derivatives(sensitivities(*pair, cs))
+    got = _derivatives(sensitivities(*pair))
     for name, want in _TRUE.items():
         assert got[name].real == pytest.approx(want, abs=2e-9), name
         assert abs(got[name].imag) <= 1e-9, name
@@ -104,7 +106,7 @@ def test_derivatives_regression(pair, cs):
 
 def test_derivative_matches_runtime_fd(pair, cs):
     # slow path only for one parameter; full_report covers the rest
-    analytic = sensitivities(*pair, cs).dv[1].real
+    analytic = sensitivities(*pair).dv[1].real
     fd = central_difference(cs, "v2", tol=1e-11)
     assert analytic == pytest.approx(fd, rel=1e-4)
 
@@ -169,7 +171,7 @@ def test_full_report_pairs_the_modes_once(cs, monkeypatch):
     rep = full_report(cs, fd=True)
     assert len(calls) == 3
     monkeypatch.undo()
-    ref = sensitivities(rep.direct, rep.adjoint, cs)
+    ref = sensitivities(rep.direct, rep.adjoint)
     assert ref.fd_check is None
     assert rep.dv.tobytes() == ref.dv.tobytes()
     for got, want in ((rep.dR, ref.dR), (rep.dP, ref.dP),
@@ -251,8 +253,8 @@ def test_normalization_independence(pair, cs):
     direct, adjoint = pair
     d2 = _rescaled(direct, 3.0 - 1.0j)
     a2 = _rescaled(adjoint, -0.25j)
-    base = sensitivities(direct, adjoint, cs)
-    scaled = sensitivities(d2, a2, cs)
+    base = sensitivities(direct, adjoint)
+    scaled = sensitivities(d2, a2)
     assert scaled.dP == pytest.approx(base.dP, rel=1e-12)
     assert scaled.dv[0] == pytest.approx(base.dv[0], rel=1e-12)
 
@@ -268,7 +270,44 @@ def test_zero_denominator_between_modes(cs, lam0):
     other = adjoint_eigenfunction(deep, cs)
     assert abs(inner_product(direct, other)) < 1e-8
     with pytest.raises(NearZeroPairing):
-        sensitivities(direct, other, cs)
+        sensitivities(direct, other)
+
+
+def _other_set_direct(cs):
+    """The direct mode at lambda0 of another parameter set."""
+    other = replace(cs, R=30.0, P=1.5)
+    return eigenfunction(dominant_eigenvalue(other), other)
+
+
+@pytest.mark.parametrize("modes, match", [
+    (lambda cs, d, a: (a, d), r"kinds \('adjoint', 'direct'\) do not pair"),
+    (lambda cs, d, a: (d, d), r"kinds \('direct', 'direct'\) do not pair"),
+    (lambda cs, d, a: (_other_set_direct(cs), a),
+     "of different parameter sets")], ids=["swapped", "direct twice",
+                                           "other set"])
+def test_sensitivities_refuse_a_pair_that_is_not_one_sets_modes(cs, pair,
+                                                                 modes,
+                                                                 match):
+    # each returned numbers: the swapped pair gave dv = (-0.0151, 0.0775,
+    # -0.0100, -0.0989) for (-0.0809, 0.0886, -0.1288, 0.2551), and the
+    # direct mode of R = 30, P = 1.5 with the case study's adjoint
+    # dv = (-0.1280, 0.1119, -0.1022, 0.1112)
+    with pytest.raises(ValidationError, match=match):
+        sensitivities(*modes(cs, *pair))
+
+
+def test_reports_read_lam_and_sign_from_the_modes(pair):
+    # the eigenvalue and the basis sign are read from the objects that own
+    # them, not stored beside them
+    direct, adjoint = pair
+    assert list(inspect.signature(sensitivities).parameters) == [
+        "direct", "adjoint"]
+    assert "sign" not in {f.name for f in fields(EigenSolution)}
+    assert "lam" not in {f.name for f in fields(SensitivityReport)}
+    assert (direct.sign, adjoint.sign) == (+1, -1)
+    rep = sensitivities(direct, adjoint)
+    assert rep.lam == direct.lam == adjoint.lam
+    assert replace(rep, fd_check=np.zeros(6)).lam == rep.lam
 
 
 def test_full_report(cs):
@@ -316,7 +355,7 @@ def test_limit_case_closed_forms():
     lp = limit_params()
     direct = eigenfunction(0.0, lp)
     adjoint = adjoint_eigenfunction(0.0, lp)
-    rep = sensitivities(direct, adjoint, lp)
+    rep = sensitivities(direct, adjoint)
     assert rep.dv[0].real == pytest.approx(-1.0 / (4.0 * (1.0 + lp.P ** 2)),
                                            rel=1e-10)
     assert abs(rep.dR) <= 1e-12
@@ -342,7 +381,7 @@ def test_sensitivities_at_a_complex_eigenvalue(cs):
     lam1 = _secant(-0.2185553 + 0.0808866j, cs)
     assert lam1 == pytest.approx(-0.218555259 + 0.080886585j, abs=1e-9)
     rep = sensitivities(eigenfunction(lam1, cs),
-                        adjoint_eigenfunction(lam1.conjugate(), cs), cs)
+                        adjoint_eigenfunction(lam1.conjugate(), cs))
     assert rep.lam == lam1
     for name, got in _derivatives(rep).items():
         theta = getattr(cs, name)
@@ -402,6 +441,6 @@ def test_dR_dP_match_quadrature(modes):
     num_P = _gl_pairing(direct, adjoint, lambda c, q, cs_, qs_:
                         R * (-2.0 * P * c + q) * np.conj(cs_)
                         + R * c * np.conj(qs_))
-    rep = sensitivities(direct, adjoint, params)
+    rep = sensitivities(direct, adjoint)
     for got, ref in ((rep.dR, num_R / den), (rep.dP, num_P / den)):
         assert abs(got - ref) <= 1e-12 * abs(ref)
