@@ -369,8 +369,9 @@ PRESETS = {"case-study": case_study, "limit": limit_params}
 
 def preset(name: str) -> ModelParams:
     try:
-        return PRESETS[name]()
-    except KeyError:
+        make = PRESETS[name]
+    except (KeyError, TypeError):       # TypeError: a name not hashable
         raise ValidationError(
             f"unknown preset {reprlib.repr(name)}; choose from "
             f"{sorted(PRESETS)}") from None
+    return make()

@@ -16,7 +16,9 @@ once per solve.  In such a batch only the first set scans its whole
 grid at once; each later set scans a window of its grid around the
 first set's root cell, and its whole grid only when the window cannot
 settle its cell.  The window suffices because the dominant eigenvalue
-has no real root of Delta between it and 0.
+has no real root of Delta between it and 0.  The window call also
+densifies the first set's root cell on every set's grid, for each set
+whose window settles there.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
 # Most lambda points per return_map call.  The largest stage of a batch
 # is the whole grids of the later sets whose windows do not settle: 2400
 # points for 12 sets, whose temporaries peak at about 1.3 MB in one pass
-# against 0.33 MB in each of four calls of 600, for no gain in speed.  A
-# round of bisection paths is one call: a path is about 23 points at
+# against 0.33 MB in each of four calls of 600, for no gain in speed.
+# full_report's window call is one: 12 windows of 7 points and 13
+# densified cells of 19, 12*7 + 13*19 = 331 points.  A round of
+# bisection paths is one call: a path is about 23 points at
 # tol 1e-10, so the 13 sets of full_report take 299, and 603 at tol
 # 1e-20, where the paths end at adjacent doubles.
 _MAX_POINTS = 650
@@ -108,16 +112,17 @@ def _sign_cells(xs, values) -> list:
     return [_cell(xs, values, i) for i in np.flatnonzero(_hits(values))]
 
 
-def _inverse_cubic(xs, values, first) -> np.ndarray:
-    """Per row of the grids xs with Delta values, the x where the cubic
-    x(Delta) through the four points around the cell (first, first + 1)
-    has Delta = 0: a root guess, not finite where two values coincide."""
-    k = np.clip(first - 1, 0, xs.shape[1] - 4)[:, None] + np.arange(4)
+def _inverse_interpolation(xs, values, first) -> np.ndarray:
+    """Per row of the grids xs with Delta values, the x where the
+    polynomial x(Delta) through the eight points around the cell (first,
+    first + 1), indices first - 3 .. first + 4 shifted into the grid, has
+    Delta = 0: a root guess, not finite where two values coincide."""
+    k = np.clip(first - 3, 0, xs.shape[1] - 8)[:, None] + np.arange(8)
     x, f = np.take_along_axis(xs, k, 1), np.take_along_axis(values, k, 1)
     with np.errstate(all="ignore"):
         # Lagrange weights at 0: the product over m != n of f_m / (f_m - f_n)
         w = f[:, None, :] / (f[:, None, :] - f[:, :, None])
-        w[:, range(4), range(4)] = 1.0
+        w[:, range(8), range(8)] = 1.0
         return (w.prod(axis=2) * x).sum(axis=1)
 
 
@@ -246,10 +251,11 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     Takes the first sign change on a 200-point geometric grid from -tol
     toward -M0 (the root hugs 0 while Delta stays nearly flat over most of
     the bracket), densifies that cell tenfold and takes its first sign
-    change, then bisects to |interval| < tol, guided by the cubic through
-    the four densified points around that change.  A grid without a sign
-    change is followed by Delta(0): a root in (-tol, 0) is bisected there,
-    and NoSignChangeFound is raised only if the sign at 0 is the same.
+    change, then bisects to |interval| < tol, guided by the polynomial
+    through the eight densified points around that change.  A grid
+    without a sign change is followed by Delta(0): a root in (-tol, 0) is
+    bisected there, and NoSignChangeFound is raised only if the sign at 0
+    is the same.
 
     params is one ModelParams, which gives a float, or a sequence of them,
     which gives a list of floats, each the float the set gives alone.  A
@@ -262,11 +268,15 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     first sign is the sign at -tol and the window holds a sign change,
     the window's first sign cell is the set's cell.  Every other set (the
     first set has no grid cell, or the window does not settle) scans its
-    whole grid in the next call.  In the batch full_report solves, lambda0
-    and its finite-difference neighbours, each neighbour's lambda0 lies
-    in the first set's grid cell or the next one, so in its window, and
-    it is the dominant eigenvalue (Krein-Rutman), so Delta has no real root
-    between it and 0: the settled cell is the cell the whole grid gives.
+    whole grid in the next call.  The window call also densifies cell k
+    on every set's grid; the first set and each set whose window settles
+    on cell k take their densified cells from it, and every other set's
+    cell is densified in the next call.  In the batch full_report solves,
+    lambda0 and its finite-difference neighbours, each neighbour's lambda0
+    lies in the first set's grid cell or the next one, so in its window,
+    and it is the dominant eigenvalue (Krein-Rutman), so Delta has no real
+    root between it and 0: the settled cell is the cell the whole grid
+    gives.
     In any batch, the sign check refuses a window with one root between
     it and -tol; only an even number of them could pass it.
 
@@ -294,13 +304,24 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
         M0.append(bb.M0)
     grids = -np.geomspace(tol, M0, _GRID_N, axis=1)
     cells = _grid_cells(grids, table, [0]) + [None] * (len(sets) - 1)
+    inner = {}      # set -> Delta at the inner points of its densified cell
     a, b = cells[0][:2]
     if len(sets) > 1 and b < 0.0:       # the first set has a grid cell
         k = int(np.flatnonzero(grids[0] == a)[0])
         cols = np.r_[0, max(k + _WINDOW[0], 1):min(k + _WINDOW[1], _GRID_N)]
-        values = _delta_values(grids[1:, cols], table, range(1, len(sets)))
+        # the windows, then every set's cell (k, k + 1) densified, kept for
+        # the sets whose cell it is (k + 1 is clipped only where the first
+        # set's Delta is 0 at the grid's end)
+        ends = grids[:, [k, min(k + 1, _GRID_N - 1)]].T
+        spec = -np.geomspace(-ends[0], -ends[1], _DENSE_N, axis=1)[:, 1:-1]
+        n = len(sets) - 1
+        values = _delta_values([*grids[1:, cols], *spec], table,
+                               [*range(1, len(sets)), *range(len(sets))])
         cells[1:] = [_window_cell(grid, cols, f) for grid, f in
-                     zip(grids[1:], values.reshape(len(sets) - 1, -1))]
+                     zip(grids[1:], values[:n * len(cols)].reshape(n, -1))]
+        inner = {i: f for i, f in
+                 enumerate(values[n * len(cols):].reshape(n + 1, -1))
+                 if cells[i] is not None and cells[i][0] == grids[i, k]}
     rest = [i for i, cell in enumerate(cells) if cell is None]
     if rest:
         for i, cell in zip(rest, _grid_cells(grids, table, rest)):
@@ -328,11 +349,16 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     if dense:
         a, b, fa, fb = np.array([cells[i] for i in dense]).T
         grids = -np.geomspace(-a, -b, _DENSE_N, axis=1)
-        inner = _delta_values(grids[:, 1:-1], table, dense)
-        values = np.column_stack((fa, inner.reshape(len(dense), -1), fb))
+        late = [j for j, i in enumerate(dense) if i not in inner]
+        if late:        # the cells the window call did not densify
+            owners = [dense[j] for j in late]
+            inner.update(zip(owners, _delta_values(
+                grids[late, 1:-1], table, owners).reshape(len(late), -1)))
+        values = np.column_stack((fa, [inner[i] for i in dense], fb))
         first = _hits(values).argmax(axis=1)
-        for i, grid, f, j, guess in zip(dense, grids, values, first,
-                                        _inverse_cubic(grids, values, first)):
+        for i, grid, f, j, guess in zip(
+                dense, grids, values, first,
+                _inverse_interpolation(grids, values, first)):
             cells[i], guesses[i] = _cell(grid, f, j), float(guess)
     roots = _bisect(cells, table, range(len(sets)), [tol] * len(sets),
                     guesses)

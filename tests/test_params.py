@@ -478,6 +478,17 @@ def test_presets():
         preset("nope")
 
 
+@pytest.mark.parametrize("name", [["case-study"], {}, {"limit"}])
+def test_preset_refuses_a_name_that_is_not_hashable(name):
+    # each ended in an untyped TypeError: unhashable type
+    with pytest.raises(ValidationError,
+                       match=rf"^unknown preset {re.escape(repr(name))};"):
+        preset(name)
+    with pytest.raises(ValidationError) as info:
+        preset([name] * 5000)
+    assert len(str(info.value)) < 200
+
+
 def test_f0_dimensionless():
     phys = case_study().physical
     # f0 = sqrt(H/F) Q_feed / (u_s L^2) vanishes with the feed flow

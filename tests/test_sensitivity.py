@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from movingbed import eigfun
+from movingbed import eigfun, sensitivity
 from movingbed.charfun import return_map
 from movingbed.eigfun import (EigenSolution, adjoint_eigenfunction,
                               eigenfunction, evaluate,
@@ -15,9 +15,10 @@ from movingbed.errors import (MovingBedError, NearZeroPairing,
 from movingbed.params import ModelParams, case_study, limit_params
 from movingbed.sensitivity import (SensitivityReport, central_difference,
                                    full_report, sensitivities)
-from movingbed.spectrum import dominant_eigenvalue, real_root_scan
+from movingbed.spectrum import (bracket_bound, dominant_eigenvalue,
+                                real_root_scan)
 
-from oracles import central_diff, gl64, mode_values
+from oracles import bisect_dominant, central_diff, gl64, mode_values
 
 # Frozen from a validated run: every value agrees with independent central
 # differences of the re-bisected eigenvalue to ~1e-5 relative.
@@ -199,6 +200,22 @@ def _broad_domain(n):
         s = np.sort(rng.uniform(0.3, 3.0, 4))
         R, P = np.exp(rng.uniform(np.log([0.1, 0.1]), np.log([200.0, 6.3])))
         yield ModelParams(s[2], s[0], s[3], s[1], R=R, P=P)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_broad_domain_roots_are_the_scalar_bisection_roots(tol):
+    # far from the case study the FD neighbours' windows and the root
+    # guesses meet other cells and other slopes: each root is still the
+    # oracle's scalar bisection root, alone and as entry 0 of full_report's
+    # 13-set batch, and the batch is the loop
+    for p in _broad_domain(40):
+        batch = [p, *(q for name in sensitivity._NAMES
+                      for q in sensitivity._fd_pair(p, name)[1])]
+        looped = [dominant_eigenvalue(q, tol) for q in batch]
+        ref = bisect_dominant(lambda x: return_map(x, p).delta_sign,
+                              bracket_bound(p).M0, tol)
+        assert looped[0] == ref, p
+        assert dominant_eigenvalue(batch, tol) == looped, p
 
 
 @pytest.mark.parametrize("v, R, P", [

@@ -81,7 +81,7 @@ def test_real_root_scan_rejects_a_grid_below_two(cs, grid_n):
 
 def test_dominant_eigenvalue_stops_scanning_at_the_root(cs, monkeypatch):
     # one return_map call for the 200-point grid, one for the densified
-    # cell and one per round of bisection paths, two for the case study;
+    # cell and one per round of bisection paths, one for the case study;
     # the lambda points of all calls are distinct
     calls = []
     real = spectrum.return_map
@@ -91,8 +91,7 @@ def test_dominant_eigenvalue_stops_scanning_at_the_root(cs, monkeypatch):
         return real(lam, *sets)
     monkeypatch.setattr(spectrum, "return_map", counted)
     dominant_eigenvalue(cs)
-    assert len(calls) <= 4
-    assert len(calls[0]) == 200
+    assert [len(call) for call in calls] == [200, 19, 23]
     points = [x for call in calls for x in call]
     assert len(set(points)) == len(points)
 
@@ -174,11 +173,12 @@ def _counting(monkeypatch) -> list:
 
 
 def test_batch_calls_stay_under_the_point_cap(cs, wide_box, monkeypatch):
-    # the first set's grid, a 7-point window on each of the 12 others, and
-    # the whole grids of the two whose windows do not settle
+    # the first set's grid, a 7-point window on each of the 12 others with
+    # the first set's cell densified on all 13 grids, and the whole grids
+    # of the two whose windows do not settle
     sizes = _counting(monkeypatch)
     dominant_eigenvalue([cs, *wide_box[:12]])
-    assert sizes[:3] == [200, 12 * 7, 2 * 200]
+    assert sizes[:3] == [200, 12 * 7 + 13 * 19, 2 * 200]
     assert max(sizes) <= spectrum._MAX_POINTS
     assert len(sizes) <= 4 + 1 + 7
 
@@ -216,9 +216,10 @@ def test_batch_no_sign_change_names_the_set(cs, monkeypatch):
 
 def test_a_root_between_minus_tol_and_0_is_bisected_there(cs, monkeypatch):
     # lambda0 = -0.1048 at R = 24 lies above the grid's end -tol = -0.108,
-    # so its window round the case study's cell holds no sign change and
-    # it scans its whole grid; Delta(0) shows the sign change, and only
-    # that set pays for it
+    # so its window round the case study's cell (5 points, with that cell
+    # densified on both grids) holds no sign change and it scans its
+    # whole grid; Delta(0) shows the sign change, and only that set pays
+    # for it
     calls = []
     real = spectrum.return_map
 
@@ -229,7 +230,7 @@ def test_a_root_between_minus_tol_and_0_is_bisected_there(cs, monkeypatch):
     lam0, lam = dominant_eigenvalue([cs, replace(cs, R=24.0)], tol=0.108)
     assert lam0 == dominant_eigenvalue(cs, tol=0.108)
     assert -0.108 < lam < 0.0 and abs(lam + 0.10482181834723969) < 0.108
-    assert calls[:4] == [200, 5, 200, 1]
+    assert calls[:4] == [200, 5 + 2 * 19, 200, 1]
 
 
 def test_wrong_type_tol_and_range_are_refused_before_any_delta(cs,
@@ -255,10 +256,10 @@ def _fd_batch(p) -> list:
 
 def test_full_report_scans_windows_and_builds_each_row_once(cs,
                                                             monkeypatch):
-    # the case study's grid, a 7-point window on each of its 12 FD
-    # neighbours, the 13 densified cells and two rounds of bisection
-    # paths; each set's constant row is built once per solve, not once
-    # per call
+    # the case study's grid, then a 7-point window on each of its 12 FD
+    # neighbours with the 13 densified cells, and two rounds of bisection
+    # paths, the second for one set; each set's constant row is built
+    # once per solve, not once per call
     sizes = _counting(monkeypatch)
     rows = []
     real_row = charfun._set_row
@@ -272,7 +273,7 @@ def test_full_report_scans_windows_and_builds_each_row_once(cs,
         return real_solve(sets, tol)
     monkeypatch.setattr(sensitivity, "dominant_eigenvalue", solve)
     sensitivity.full_report(cs, fd=True)
-    assert sizes == [200, 12 * 7, 13 * 19, 299, 83]
+    assert sizes == [200, 12 * 7 + 13 * 19, 299, 1]
     assert solves == [0] and rows == _fd_batch(cs)
     rows.clear()
     dominant_eigenvalue(cs)
@@ -285,7 +286,8 @@ def test_full_report_scans_windows_and_builds_each_row_once(cs,
 def test_a_window_that_does_not_settle_falls_back_to_the_whole_grid(
         cs, monkeypatch, stubbed, value, grids):
     # the stub touches only the window call; the sets it unsettles scan
-    # their whole grids in the next call(s), 2400 points making four of 600
+    # their whole grids in the next call(s), 2400 points making four of
+    # 600, and then densify their cells, 19 points each
     sizes = []
     real = spectrum.return_map
 
@@ -298,10 +300,47 @@ def test_a_window_that_does_not_settle_falls_back_to_the_whole_grid(
     monkeypatch.setattr(spectrum, "return_map", stub)
     sets = _fd_batch(cs)
     roots = dominant_eigenvalue(sets)
-    assert sizes[:3 + len(grids)] == [200, 12 * 7, *grids, 13 * 19]
+    assert sizes[:3 + len(grids)] == [200, 12 * 7 + 13 * 19, *grids,
+                                      len(stubbed) * 19]
     monkeypatch.undo()
     assert [root.hex() for root in roots] == _PINNED_FD_BATCH
     assert roots == [dominant_eigenvalue(p) for p in sets]
+
+
+def test_a_window_settled_off_the_first_cell_densifies_in_the_next_call(
+        cs, monkeypatch):
+    # at v4 = 1.0608 lambda0 = -0.1011 lies in cell 165 of its own grid,
+    # in its window round the case study's cell 166 but not in that cell:
+    # the window call densified cell 166 on its grid, which it does not
+    # use, and its own cell is densified in the next call
+    p = replace(cs, v4=1.0608)
+    sizes = _counting(monkeypatch)
+    roots = dominant_eigenvalue([cs, p])
+    assert sizes[:3] == [200, 7 + 2 * 19, 19]
+    monkeypatch.undo()
+    assert roots == [dominant_eigenvalue(cs), dominant_eigenvalue(p)]
+    for q, lam, k in ((cs, roots[0], 166), (p, roots[1], 165)):
+        grid = -np.geomspace(1e-10, bracket_bound(q).M0, 200)
+        assert grid[k + 1] < lam < grid[k]
+
+
+def test_a_first_set_with_delta_0_at_its_grid_end_keeps_the_batch(
+        cs, monkeypatch):
+    # the first set's Delta is stubbed to 1 on its grid but 0 at its end
+    # -M0, so its grid cell k is the last point, and the window call's
+    # densified cell (k, k + 1) runs past the grid
+    end = -bracket_bound(cs).M0
+    real = spectrum.return_map
+
+    def stub(lam, sets, owner):
+        values = real(lam, sets, owner).delta
+        first = np.where(lam == end, 0.0, 1.0)
+        return SimpleNamespace(delta=np.where(owner == 0, first, values))
+    monkeypatch.setattr(spectrum, "return_map", stub)
+    p = replace(cs, R=20.0)
+    roots = dominant_eigenvalue([cs, p])
+    monkeypatch.undo()
+    assert roots == [end, dominant_eigenvalue(p)]
 
 
 def test_near_limit_root_inside_tol_matches_the_perturbation(cs):
@@ -426,10 +465,10 @@ def test_hard_guesses_keep_the_scalar_bisection_root(name, tol):
 
 
 def test_root_guesses_keep_the_delta_calls_down(wide_box, monkeypatch):
-    # a lambda0 solve is its grid, its densified cell and mostly two
-    # rounds of bisection paths, and full_report's lockstep solve adds
-    # the windows of its twelve FD neighbours; a worse guess means more
-    # rounds
+    # a lambda0 solve is its grid, its densified cell and mostly one
+    # round of bisection paths, and full_report's lockstep solve densifies
+    # its cells in the call of its twelve FD neighbours' windows; a worse
+    # guess means more rounds
     sizes = _counting(monkeypatch)
     one, fd = [], []
     for p in wide_box:
@@ -439,7 +478,7 @@ def test_root_guesses_keep_the_delta_calls_down(wide_box, monkeypatch):
         sizes.clear()
         sensitivity.full_report(p, fd=True)
         fd.append(len(sizes))
-    assert np.mean(one) <= 4.5 and np.mean(fd) <= 5.5
+    assert np.mean(one) <= 3.5 and np.mean(fd) <= 3.75
 
 
 def _step_values(roots, zeros, power):
