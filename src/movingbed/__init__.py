@@ -17,13 +17,12 @@ from .errors import (MovingBedError, NumericalError,  # noqa: F401
 from .params import (ModelParams, PhysicalParams, case_study,  # noqa: F401
                      from_physical, limit_params, load_params, preset,
                      save_params, time_constant)
-from .charfun import (asymptotic_envelope, delta, delta_sign_log,  # noqa: F401
+from .charfun import (asymptotic_envelope, delta_sign_log,  # noqa: F401
                       det_closed_form_log, return_map, zone_eigen,
                       zone_matrix)
 from .spectrum import (bracket_bound, collocation_spectrum,  # noqa: F401
                        dominant_eigenvalue, imaginary_vanishing_k,
-                       limit_asymptote, limit_spectrum, real_root_scan,
-                       stable_eigenvalues)
+                       limit_asymptote, limit_spectrum, real_root_scan)
 from .eigfun import (adjoint_eigenfunction, eigenfunction,  # noqa: F401
                      evaluate, exp_integral, inner_product,
                      projection_coefficient, steady_state)

@@ -434,12 +434,6 @@ def return_map(lam, params, owner=None) -> ReturnMapEval:
                          det_log=det_log)
 
 
-def delta(lam, params: ModelParams) -> complex:
-    """Delta(lambda) = trace C - det C - 1 (plain value, real for real
-    lambda)."""
-    return return_map(lam, params).delta
-
-
 def delta_sign_log(lam, params: ModelParams) -> tuple:
     """(sign, log|Delta|) for real lambda; overflow-free bracketing form."""
     ev = return_map(lam, params)

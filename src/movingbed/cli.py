@@ -260,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     # only the subcommands that locate roots read a tolerance
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=1e-10,
-                     help="root-finding tolerance (default: 1e-10)")
+                     help="root-finding tolerance (default: 1e-10); below "
+                     "the spacing of doubles near the root (1e-20, say) "
+                     "a lambda0 solve takes 6-10 Delta calls instead of "
+                     "3-4, for the same root")
 
     p = sub.add_parser("analyze", parents=[common, tol],
                        help="eigenvalue, eigenfunctions, sensitivities")

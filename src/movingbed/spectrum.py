@@ -18,7 +18,8 @@ first set's root cell, and its whole grid only when the window cannot
 settle its cell.  The window suffices because the dominant eigenvalue
 has no real root of Delta between it and 0.  The window call also
 densifies the first set's root cell on every set's grid, for each set
-whose window settles there.
+whose window settles there.  A grid is built only at the points a call
+evaluates, and each stage finds the cells of all its sets as arrays.
 """
 
 from __future__ import annotations
@@ -71,22 +72,45 @@ def bracket_bound(params: ModelParams) -> BracketBudget:
 _MAX_POINTS = 650
 
 
-def _delta_values(rows, table: np.ndarray, owners) -> np.ndarray:
-    """Delta at the real points of rows, flat in row order: row r under
-    the set of column owners[r] of table, a ``_set_table``, in return_map
-    calls of at most _MAX_POINTS points.  Its sign is return_map's
-    delta_sign: Delta = z e^L with L >= 0, so it does not underflow, and
-    an overflow is an infinity of z's sign (0 where z is 0)."""
-    lams = np.concatenate(rows)
-    owner = np.repeat(owners, [len(row) for row in rows])
+def _delta_values(lams: np.ndarray, table, owner) -> np.ndarray:
+    """Delta at the real points lams, a flat array: point i under the set
+    of column owner[i] of table, a ``_set_table``, in return_map calls of
+    at most _MAX_POINTS points.  Its sign is return_map's delta_sign:
+    Delta = z e^L with L >= 0, so it does not underflow, and an overflow
+    is an infinity of z's sign (0 where z is 0)."""
     # equal calls: 2400 points make four of 600, 2000 four of 500
     size = -(-lams.size // -(-lams.size // _MAX_POINTS))
     with np.errstate(invalid="ignore"):     # 0 * inf: Delta is 0 there
-        values = np.concatenate([
-            return_map(lams[i:i + size], table, owner[i:i + size]).delta
-            for i in range(0, lams.size, size)])
+        parts = [return_map(lams[i:i + size], table,
+                            owner[i:i + size]).delta
+                 for i in range(0, lams.size, size)]
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     values[np.isnan(values)] = 0.0
     return values
+
+
+def _geomspace(start, stop, num: int, cols: np.ndarray) -> np.ndarray:
+    """-np.geomspace(start, stop, num, axis=1)[:, cols], bit for bit, for
+    positive start (one number, or one per row), stop (one per row) and
+    ascending float indices cols: numpy's own steps (log10 of both ends,
+    cols * step + log10 start, 10 to that power, the exact ends put back)
+    at those columns only, without its generic path.
+
+    Each row is built alone.  np.geomspace differs only in a call where
+    some row has log10(start) == log10(stop) (a grid within a few ulps):
+    that row is the same, but every other row of the call is then built
+    as cols / (num - 1) * (log10 stop - log10 start), which rounds
+    otherwise.
+    """
+    lo, hi = np.log10(start), np.log10(stop)
+    x = cols[:, None] * ((hi - lo) / (num - 1))
+    x += lo
+    np.power(10.0, x, out=x)
+    if cols[0] == 0:
+        x[0] = start
+    if cols[-1] == num - 1:
+        x[-1] = stop
+    return -x.T
 
 
 def _hits(values) -> np.ndarray:
@@ -98,18 +122,16 @@ def _hits(values) -> np.ndarray:
     return hits
 
 
-def _cell(xs, values, i) -> tuple:
-    """The cell at hit i of the grid xs with the given Delta values: the
-    zero point (x, x, 0, 0) or the sign change (a, b, Delta at a, Delta
-    at b)."""
-    j = i + (values[i] != 0)
-    return float(xs[i]), float(xs[j]), float(values[i]), float(values[j])
+def _cells(xs, values, rows, i) -> np.ndarray:
+    """The cells at the hits (rows, i) of the grids xs with the given Delta
+    values, one row (a, b, Delta at a, Delta at b) each: the zero point
+    (x, x, 0, 0) or the sign change to the next point."""
+    j = i + (values[rows, i] != 0)
+    return np.array((xs[rows, i], xs[rows, j], values[rows, i],
+                     values[rows, j])).T
 
 
-def _sign_cells(xs, values) -> list:
-    """The cells of Delta along the grid xs with the given values, in
-    order."""
-    return [_cell(xs, values, i) for i in np.flatnonzero(_hits(values))]
+_EYE8 = np.eye(8, dtype=bool)
 
 
 def _inverse_interpolation(xs, values, first) -> np.ndarray:
@@ -117,12 +139,14 @@ def _inverse_interpolation(xs, values, first) -> np.ndarray:
     polynomial x(Delta) through the eight points around the cell (first,
     first + 1), indices first - 3 .. first + 4 shifted into the grid, has
     Delta = 0: a root guess, not finite where two values coincide."""
-    k = np.clip(first - 3, 0, xs.shape[1] - 8)[:, None] + np.arange(8)
-    x, f = np.take_along_axis(xs, k, 1), np.take_along_axis(values, k, 1)
+    k = (np.minimum(np.maximum(first - 3, 0), xs.shape[1] - 8)[:, None]
+         + np.arange(8))
+    rows = np.arange(len(xs))[:, None]
+    x, f = xs[rows, k], values[rows, k]
     with np.errstate(all="ignore"):
         # Lagrange weights at 0: the product over m != n of f_m / (f_m - f_n)
         w = f[:, None, :] / (f[:, None, :] - f[:, :, None])
-        w[:, range(8), range(8)] = 1.0
+        w[:, _EYE8] = 1.0
         return (w.prod(axis=2) * x).sum(axis=1)
 
 
@@ -136,9 +160,11 @@ def _path(a: float, b: float, guess: float, tol: float, steps: int) -> list:
     """
     mids = []
     rising = a < b
-    while steps + len(mids) < 300 and abs(b - a) >= tol:
+    for _ in range(300 - steps):
+        if abs(b - a) < tol:
+            break
         mid = 0.5 * (a + b)
-        if mid in (a, b):
+        if mid == a or mid == b:
             break
         mids.append(mid)
         if (mid <= guess) == rising:
@@ -148,17 +174,18 @@ def _path(a: float, b: float, guess: float, tol: float, steps: int) -> list:
     return mids
 
 
-def _bisect(cells: list, table: np.ndarray, owner, tols: list,
+def _bisect(cells, table: np.ndarray, owner, tols: list,
             guesses=None) -> list:
-    """Roots in cells (a, b, Delta at a, Delta at b) of ``_sign_cells``:
-    bisection, stopped on width, each cell to its own tol and under its
-    own set, of column owner[i] of table (as for ``_delta_values``).
+    """Roots in cells (a, b, Delta at a, Delta at b), rows as ``_cells``
+    gives them: bisection, stopped on width, each cell to its own tol and
+    under its own set, of column owner[i] of table (as for
+    ``_delta_values``).
 
     Every round evaluates the ``_path`` of each open cell from a guess at
     its root in one ``_delta_values``: guesses[i] in the first round,
-    where given, later regula falsi on the cell's ends, and the midpoint
-    where the guess is not strictly inside the cell.  Each cell then
-    takes the steps of scalar bisection on the signs of those values
+    where given (not None), later regula falsi on the cell's ends, and the
+    midpoint where the guess is not strictly inside the cell.  Each cell
+    then takes the steps of scalar bisection on the signs of those values
     until it reaches a midpoint that was not evaluated, where the guess
     was on the wrong side of a midpoint; it stays open with the ends it
     reached.  So a guess sets only the number of rounds, and each root is
@@ -169,7 +196,8 @@ def _bisect(cells: list, table: np.ndarray, owner, tols: list,
     roots = [None] * len(cells)
     # cell index -> (a, b, Delta at a, Delta at b, guess, steps taken)
     open_ = {i: (*cell, None if guesses is None else guesses[i], 0)
-             for i, cell in enumerate(cells)}
+             for i, cell in enumerate(
+                 np.asarray(cells, dtype=float).reshape(-1, 4).tolist())}
     while open_:
         paths = {}
         for i, (a, b, fa, fb, guess, steps) in list(open_.items()):
@@ -187,8 +215,10 @@ def _bisect(cells: list, table: np.ndarray, owner, tols: list,
                 del open_[i]
         if not paths:
             break
-        values = _delta_values(list(paths.values()), table,
-                               [owner[i] for i in paths]).tolist()
+        values = _delta_values(
+            np.array([mid for mids in paths.values() for mid in mids]), table,
+            np.repeat([owner[i] for i in paths],
+                      [len(mids) for mids in paths.values()])).tolist()
         at = 0
         for i, mids in paths.items():
             a, b, fa, fb, _, steps = open_[i]
@@ -211,30 +241,20 @@ def _bisect(cells: list, table: np.ndarray, owner, tols: list,
     return roots
 
 
-def _grid_cells(grids, table, rows) -> list:
-    """The first cell on the whole grid of each set in rows; a grid that
-    keeps one sign gives (its -tol end, 0.0, Delta there, nan), the cell
-    up to 0 that Delta(0) must confirm."""
-    values = _delta_values(grids[rows], table, rows).reshape(len(rows), -1)
-    return [(_sign_cells(x, f)
-             or [(float(x[0]), 0.0, float(f[0]), math.nan)])[0]
-            for x, f in zip(grids[rows], values)]
-
-
-def _window_cell(grid, cols, values):
-    """The first cell on grid, settled from its Delta values at the
-    indices cols alone (0, then the window, a run of adjacent indices),
-    or None.
-
-    It is settled when no value is 0 and the first hit lies between
-    adjacent indices, which holds when the window's first sign is the
-    sign at grid[0] and the window holds a sign change.
-    """
+def _grid_cells(tol: float, M0, table, rows) -> tuple:
+    """(cells, first): the first cell on the whole grid of each set in
+    rows, of bracket width M0[rows], from one ``_delta_values``, and the
+    grid index of its first point; a grid that keeps one sign gives (its
+    -tol end, 0.0, Delta there, nan), the cell up to 0 that Delta(0) must
+    confirm."""
+    xs = _geomspace(tol, M0[rows], _GRID_N, _COLS)
+    values = _delta_values(xs.ravel(), table, np.repeat(
+        rows, _GRID_N)).reshape(len(rows), -1)
     hits = _hits(values)
-    i = hits.argmax()
-    if not (values.all() and hits[i] and cols[i + 1] == cols[i] + 1):
-        return None
-    return _cell(grid[cols], values, i)
+    first = hits.argmax(axis=1)
+    cells = _cells(xs, values, np.arange(len(rows)), first)
+    cells[~hits.any(axis=1), 1::2] = 0.0, math.nan
+    return cells, first
 
 
 # The window of grid indices a later set of a batch scans first: k-2 ..
@@ -243,6 +263,8 @@ _WINDOW = (-2, 4)
 # Points of the geometric grid and of the densified first cell (the
 # densified cell's ends are known, so 19 of its 21 points are evaluated).
 _GRID_N, _DENSE_N = 200, 21
+# the indices of all their points, for _geomspace
+_COLS, _DENSE = np.arange(float(_GRID_N)), np.arange(float(_DENSE_N))
 
 
 def dominant_eigenvalue(params, tol: float = 1e-10):
@@ -255,7 +277,11 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     through the eight densified points around that change.  A grid
     without a sign change is followed by Delta(0): a root in (-tol, 0) is
     bisected there, and NoSignChangeFound is raised only if the sign at 0
-    is the same.
+    is the same.  Below the spacing of doubles near the root (tol 1e-20,
+    say) the sign of Delta within a few ulps of it is rounding noise, the
+    guided paths miss after a step or two, and a one-set solve takes 6-10
+    return_map calls instead of 3-4; the root is still scalar
+    bisection's.
 
     params is one ModelParams, which gives a float, or a sequence of them,
     which gives a list of floats, each the float the set gives alone.  A
@@ -302,66 +328,75 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
             raise ValidationError(
                 f"tol={tol} exceeds bracket width M0={bb.M0}{at[i]}")
         M0.append(bb.M0)
-    grids = -np.geomspace(tol, M0, _GRID_N, axis=1)
-    cells = _grid_cells(grids, table, [0]) + [None] * (len(sets) - 1)
-    inner = {}      # set -> Delta at the inner points of its densified cell
-    a, b = cells[0][:2]
-    if len(sets) > 1 and b < 0.0:       # the first set has a grid cell
-        k = int(np.flatnonzero(grids[0] == a)[0])
-        cols = np.r_[0, max(k + _WINDOW[0], 1):min(k + _WINDOW[1], _GRID_N)]
+    M0, n = np.array(M0), len(sets)
+    # one row (a, b, Delta at a, Delta at b) per set, nan until found
+    cells = np.full((n, 4), math.nan)
+    cells[:1], first = _grid_cells(tol, M0, table, np.zeros(1, dtype=int))
+    k = int(first[0])
+    dense_values = np.empty((n, _DENSE_N))   # Delta on each densified cell
+    densified = np.zeros(n, dtype=bool)     # in the window call
+    if n > 1 and cells[0, 1] < 0.0:     # the first set has a grid cell k
+        # index 0, then the run lo .. hi - 1, k at position k - lo + 1
+        lo, hi = max(k + _WINDOW[0], 1), min(k + _WINDOW[1], _GRID_N)
+        cols = np.arange(lo - 1.0, hi)
+        cols[0] = 0.0
+        xs = _geomspace(tol, M0, _GRID_N, cols)
         # the windows, then every set's cell (k, k + 1) densified, kept for
         # the sets whose cell it is (k + 1 is clipped only where the first
         # set's Delta is 0 at the grid's end)
-        ends = grids[:, [k, min(k + 1, _GRID_N - 1)]].T
-        spec = -np.geomspace(-ends[0], -ends[1], _DENSE_N, axis=1)[:, 1:-1]
-        n = len(sets) - 1
-        values = _delta_values([*grids[1:, cols], *spec], table,
-                               [*range(1, len(sets)), *range(len(sets))])
-        cells[1:] = [_window_cell(grid, cols, f) for grid, f in
-                     zip(grids[1:], values[:n * len(cols)].reshape(n, -1))]
-        inner = {i: f for i, f in
-                 enumerate(values[n * len(cols):].reshape(n + 1, -1))
-                 if cells[i] is not None and cells[i][0] == grids[i, k]}
-    rest = [i for i, cell in enumerate(cells) if cell is None]
-    if rest:
-        for i, cell in zip(rest, _grid_cells(grids, table, rest)):
-            cells[i] = cell
+        ends = xs[:, [k - lo + 1, min(k + 1, _GRID_N - 1) - lo + 1]]
+        spec = _geomspace(-ends[:, 0], -ends[:, 1], _DENSE_N, _DENSE[1:-1])
+        later, m = np.arange(1, n), (n - 1) * len(cols)
+        values = _delta_values(
+            np.concatenate((xs[1:].ravel(), spec.ravel())), table,
+            np.concatenate((np.repeat(later, len(cols)),
+                            np.repeat(np.arange(n), _DENSE_N - 2))))
+        window = values[:m].reshape(n - 1, -1)
+        hits = _hits(window)
+        first = hits.argmax(axis=1)
+        # settled: no value 0, and the first hit between adjacent indices
+        settled = (window.all(axis=1) & hits.any(axis=1)
+                   & ((first > 0) | (lo == 1)))
+        cells[later[settled]] = _cells(xs[1:], window, later - 1,
+                                       first)[settled]
+        densified = cells[:, 0] == ends[:, 0]
+        dense_values[densified, 1:-1] = values[m:].reshape(n, -1)[densified]
+    rest = np.flatnonzero(np.isnan(cells[:, 0]))
+    if rest.size:
+        cells[rest] = _grid_cells(tol, M0, table, rest)[0]
     # a set whose grid keeps one sign may have its root in (-tol, 0): that
     # cell, tol wide, goes straight to bisection if Delta(0) has the other
     # sign
-    flat = [i for i, cell in enumerate(cells) if cell[1] == 0.0]
-    if flat:
-        at0 = _delta_values([[0.0]] * len(flat), table, flat)
-        for i, f0 in zip(flat, at0.tolist()):
-            grid, (a, _, fa, _) = grids[i], cells[i]
-            s = 1 if fa > 0 else -1
-            if s * f0 >= 0:
-                raise NoSignChangeFound(
-                    f"no sign change of Delta on {_GRID_N}-point geometric "
-                    f"grid in [{grid[-1]}, {grid[0]}] or up to 0: its sign "
-                    f"is {s} throughout{at[i]}")
-            cells[i] = (a, 0.0, fa, f0)
+    flat = np.flatnonzero(cells[:, 1] == 0.0)
+    if flat.size:
+        f0 = _delta_values(np.zeros(flat.size), table, flat)
+        s = np.where(cells[flat, 2] > 0, 1, -1)
+        if (s * f0 >= 0).any():
+            i = int(np.argmax(s * f0 >= 0))
+            raise NoSignChangeFound(
+                f"no sign change of Delta on {_GRID_N}-point geometric "
+                f"grid in [{-M0[flat[i]]}, {-tol}] or up to 0: its sign is "
+                f"{s[i]} throughout{at[flat[i]]}")
+        cells[flat, 3] = f0
     # the grid cells to densify tenfold: every sign change found on a grid;
-    # geomspace keeps their known ends exactly
-    guesses = [None] * len(sets)
-    dense = [i for i, (_, b, fa, _) in enumerate(cells)
-             if fa != 0.0 and b < 0.0]
-    if dense:
-        a, b, fa, fb = np.array([cells[i] for i in dense]).T
-        grids = -np.geomspace(-a, -b, _DENSE_N, axis=1)
-        late = [j for j, i in enumerate(dense) if i not in inner]
-        if late:        # the cells the window call did not densify
-            owners = [dense[j] for j in late]
-            inner.update(zip(owners, _delta_values(
-                grids[late, 1:-1], table, owners).reshape(len(late), -1)))
-        values = np.column_stack((fa, [inner[i] for i in dense], fb))
+    # the densified grid keeps their known ends exactly
+    guesses = [None] * n
+    dense = np.flatnonzero((cells[:, 2] != 0.0) & (cells[:, 1] < 0.0))
+    if dense.size:
+        xs = _geomspace(-cells[dense, 0], -cells[dense, 1], _DENSE_N, _DENSE)
+        late = ~densified[dense]    # the cells the window call did not densify
+        if late.any():
+            dense_values[dense[late], 1:-1] = _delta_values(
+                xs[late, 1:-1].ravel(), table,
+                np.repeat(dense[late], _DENSE_N - 2)).reshape(-1, _DENSE_N - 2)
+        values = dense_values[dense]
+        values[:, 0], values[:, -1] = cells[dense, 2], cells[dense, 3]
         first = _hits(values).argmax(axis=1)
-        for i, grid, f, j, guess in zip(
-                dense, grids, values, first,
-                _inverse_interpolation(grids, values, first)):
-            cells[i], guesses[i] = _cell(grid, f, j), float(guess)
-    roots = _bisect(cells, table, range(len(sets)), [tol] * len(sets),
-                    guesses)
+        for i, guess in zip(dense.tolist(), _inverse_interpolation(
+                xs, values, first).tolist()):
+            guesses[i] = guess
+        cells[dense] = _cells(xs, values, np.arange(dense.size), first)
+    roots = _bisect(cells, table, range(n), [tol] * n, guesses)
     return roots[0] if single else roots
 
 
@@ -381,10 +416,11 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
         return []
     table = _set_table([params])
     grid = np.linspace(lo, hi, grid_n)
-    cells = _sign_cells(grid, _delta_values([grid], table, [0]))
+    values = _delta_values(grid, table, np.zeros(grid_n, dtype=int))
+    cells = _cells(grid[None], values[None], 0, np.flatnonzero(_hits(values)))
     roots = _bisect(cells, table, [0] * len(cells),
-                    [tol * max(1.0, abs(cell[0])) for cell in cells])
-    return [(r, a, b) for r, (a, b, _, _) in zip(roots, cells)]
+                    (tol * np.maximum(1.0, np.abs(cells[:, 0]))).tolist())
+    return list(zip(roots, *cells[:, :2].T.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +600,3 @@ def collocation_spectrum(params: ModelParams, N: int = 30) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigSolverFailure(str(exc)) from exc
     return np.sort_complex(w)
-
-
-def stable_eigenvalues(params: ModelParams, N1: int = 30, N2: int = 45,
-                       match_tol: float = 1e-2) -> np.ndarray:
-    """Eigenvalues of the N1 collocation that persist at resolution N2.
-
-    Filters the spurious discretization eigenvalues by keeping those with
-    a partner within match_tol at the finer resolution.
-    """
-    w1 = collocation_spectrum(params, N1)
-    w2 = collocation_spectrum(params, N2)
-    keep = [lam for lam in w1 if np.min(np.abs(w2 - lam)) <= match_tol]
-    return np.array(keep, dtype=complex)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from movingbed import cli, sim
-from movingbed.charfun import (asymptotic_envelope, branch_boundaries, delta,
+from movingbed.charfun import (asymptotic_envelope, branch_boundaries,
                                delta_sign_log, det_closed_form_log,
                                return_map, zone_eigen, zone_matrix,
                                zone_matrix_scaled)
@@ -27,8 +27,7 @@ from movingbed.sensitivity import (central_difference, full_report,
 from movingbed.spectrum import (bracket_bound, collocation_spectrum,
                                 dominant_eigenvalue, imaginary_vanishing_k,
                                 limit_asymptote, limit_point, limit_residual,
-                                limit_spectrum, real_root_scan,
-                                stable_eigenvalues)
+                                limit_spectrum, real_root_scan)
 
 
 def test_case_study_values(cs):
@@ -348,7 +347,6 @@ _PARAM_SETS = {
     "imaginary_vanishing_k": (imaginary_vanishing_k, "params"),
     "limit_residual": (lambda p: limit_residual(-1.0, p), "params"),
     "collocation_spectrum": (collocation_spectrum, "params"),
-    "stable_eigenvalues": (stable_eigenvalues, "params"),
     "full_report": (full_report, "params"),
     "central_difference": (lambda p: central_difference(p, "R"), "params"),
     "sample_eigenfunction": (lambda p: sim.sample_eigenfunction(p, 8),
@@ -364,7 +362,6 @@ _PARAM_SETS = {
     "mass": (lambda p: sim.mass(_state8(), p), "params"),
     "params_to_dict": (params_to_dict, "params"),
     "return_map": (lambda p: return_map(-0.5, p), "set 0"),
-    "delta": (lambda p: delta(-0.5, p), "set 0"),
     "delta_sign_log": (lambda p: delta_sign_log(-0.5, p), "set 0"),
     "zone_matrix": (lambda p: zone_matrix(-0.5, 1, p), "set 0"),
     "zone_matrix_scaled": (lambda p: zone_matrix_scaled(-0.5, 1, p),

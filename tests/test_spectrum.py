@@ -14,8 +14,7 @@ from movingbed.params import ModelParams, case_study, limit_params
 from movingbed.spectrum import (bracket_bound, collocation_spectrum,
                                 dominant_eigenvalue, imaginary_vanishing_k,
                                 limit_asymptote, limit_residual,
-                                limit_spectrum, real_root_scan,
-                                stable_eigenvalues)
+                                limit_spectrum, real_root_scan)
 from oracles import bisect, bisect_dominant
 
 
@@ -358,6 +357,17 @@ def test_near_limit_root_inside_tol_matches_the_perturbation(cs):
                                                  lam]
 
 
+def test_a_grid_within_an_ulp_of_tol_leaves_the_other_grids_alone(cs):
+    # at R = 1e-12 tol one ulp below M0 makes log10 M0 == log10 tol; with
+    # every grid in one np.geomspace call the case study's grid was then
+    # built another way, and its root in the batch read
+    # -0.11037712315215417 against -0.11037712315215462 alone
+    p = replace(cs, R=1e-12)
+    tol = float(np.nextafter(bracket_bound(p).M0, 0.0))
+    assert dominant_eigenvalue([cs, p], tol) == [dominant_eigenvalue(cs, tol),
+                                                 dominant_eigenvalue(p, tol)]
+
+
 # float.hex of the case-study lambda0 by tol, and of the 13 roots (lambda0,
 # then each parameter at theta + h and theta - h) of full_report's lockstep
 # solve at tol 1e-10: any change to Delta's arithmetic that moves a root
@@ -544,6 +554,50 @@ def test_the_replay_is_scalar_bisection_for_any_guess(monkeypatch, seed):
     assert cells >= 80 and hits >= 30
 
 
+def _one_by_one(start, stop, num):
+    """-np.geomspace(start, stop, num) row by row: each set's own grid."""
+    return np.array([-np.geomspace(a, b, num)
+                     for a, b in np.broadcast(start, stop)])
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-20])
+def test_grids_are_numpy_geomspace_bit_for_bit(tol):
+    # the 200-point grids -np.geomspace(tol, M0, 200, axis=1), whole and at
+    # a window's columns, and the densified cells -np.geomspace(-a, -b, 21,
+    # axis=1) from a few ulps to 1e-3 wide: if numpy's geomspace changes,
+    # this fails, not the root pins
+    rng = np.random.default_rng(9)
+    M0 = []
+    for _ in range(200):        # the broad domain of test_sensitivity
+        v = np.sort(rng.uniform(0.3, 3.0, 4))
+        R, P = np.exp(rng.uniform(np.log([0.1, 0.1]), np.log([200.0, 6.3])))
+        M0.append(bracket_bound(ModelParams(v[2], v[0], v[3], v[1], R=R,
+                                            P=P)).M0)
+    M0 = np.array([m for m in M0 if m > tol])
+    grids = spectrum._geomspace(tol, M0, 200, spectrum._COLS)
+    assert grids.tobytes() == (-np.geomspace(tol, M0, 200, axis=1)).tobytes()
+    for k in (0, 1, 2, 3, 100, 196, 197, 198, 199):
+        lo, hi = max(k - 2, 1), min(k + 4, 200)
+        cols = np.r_[0, lo:hi].astype(float)
+        window = spectrum._geomspace(tol, M0, 200, cols)
+        assert window.tobytes() == grids[:, cols.astype(int)].tobytes()
+    # M0 from one to a thousand ulps above tol, where log10 M0 may equal
+    # log10 tol: np.geomspace then builds a whole call another way, so
+    # these are compared set by set
+    near = tol * (1.0 + np.finfo(float).eps * np.array([1, 2, 3, 10, 1e3]))
+    assert (spectrum._geomspace(tol, near, 200, spectrum._COLS).tobytes()
+            == _one_by_one(tol, near, 200).tobytes())
+    # densified cells: grid cells, and cells a few ulps to 1e-3 wide
+    rows, k = np.arange(len(M0)), rng.integers(0, 199, len(M0))
+    a = -grids[rows, k]
+    width = 10.0 ** rng.uniform(-15.5, -3.0, len(a))
+    for b in (-grids[rows, k + 1], np.nextafter(a * (1.0 + width), np.inf)):
+        dense = spectrum._geomspace(a, b, 21, spectrum._DENSE)
+        assert dense.tobytes() == _one_by_one(a, b, 21).tobytes()
+        assert (spectrum._geomspace(a, b, 21, spectrum._DENSE[1:-1]).tobytes()
+                == dense[:, 1:-1].tobytes())
+
+
 def test_real_root_scan_matches_scalar_bisection(cs):
     found = real_root_scan(cs, (-14.0, -0.01), grid_n=400, tol=1e-10)
     assert len(found) >= 3
@@ -677,8 +731,3 @@ def test_collocation_returns_8N_finite_sorted_eigenvalues(cs, N):
 def test_collocation_validates_N(cs):
     with pytest.raises(ValidationError):
         collocation_spectrum(cs, N=4)
-
-
-def test_stable_eigenvalues(cs, lam0):
-    stable = stable_eigenvalues(cs, N1=30, N2=45)
-    assert np.abs(np.asarray(stable) - lam0).min() <= 1e-6
