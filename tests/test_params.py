@@ -1,5 +1,6 @@
 import argparse
 import math
+import os
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -361,6 +362,7 @@ _PARAM_SETS = {
                            "params"),
     "mass": (lambda p: sim.mass(_state8(), p), "params"),
     "params_to_dict": (params_to_dict, "params"),
+    "save_params": (lambda p: save_params(p, os.devnull), "params"),
     "return_map": (lambda p: return_map(-0.5, p), "set 0"),
     "delta_sign_log": (lambda p: delta_sign_log(-0.5, p), "set 0"),
     "zone_matrix": (lambda p: zone_matrix(-0.5, 1, p), "set 0"),
