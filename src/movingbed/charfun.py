@@ -207,8 +207,10 @@ def _zone_factors(lams: np.ndarray, v, R, P) -> tuple:
     return K, a.real + re_b, a
 
 
-# the injecting ports, whose factor D_k = diag(w_up/w_in, 1) is not I
+# the injecting ports, whose factor D_k = diag(w_up/w_in, 1) is not I, and
+# the (upstream, inlet) indices into v of their weights (``Port.weights``)
 _INJECTING = tuple(port for port in PORTS if port.injects)
+_INJECTING_V = tuple((port.up - 1, port.zone - 1) for port in _INJECTING)
 
 
 def _set_row(params: ModelParams) -> tuple:
@@ -217,18 +219,15 @@ def _set_row(params: ModelParams) -> tuple:
     each injecting port."""
     v = params.v
     return (*v, params.R, params.P, math.log(v[1] * v[3] / (v[0] * v[2])),
-            *(w_up / w_in for w_up, w_in in
-              (port.weights(v) for port in _INJECTING)))
+            *(v[up] / v[inlet] for up, inlet in _INJECTING_V))
 
 
-def _set_table(sets) -> np.ndarray:
-    """The ``_set_row`` of each parameter set in sets, one column per set:
-    what return_map takes from a sequence of sets, built once for as many
-    calls as need it.  One set is a sequence of one; what is not a
-    ModelParams is refused by ``params.check_items``, named "set i" by
-    its index."""
-    return np.array([_set_row(p) for p in
-                     check_items("set", sets, ModelParams)[0]]).T
+def _set_table(sets: list) -> np.ndarray:
+    """The ``_set_row`` of each parameter set in sets, a list that
+    ``params.check_items`` has checked, one column per set: what
+    return_map takes from a sequence of sets, built once for as many calls
+    as need it."""
+    return np.array([_set_row(p) for p in sets]).T
 
 
 def _constants(params, owner, n: int) -> tuple:
@@ -243,7 +242,10 @@ def _constants(params, owner, n: int) -> tuple:
     rest (n,) each).  Every value is its set's own float, so a lambda
     gets the same Delta either way.
     """
-    table = params if isinstance(params, np.ndarray) else _set_table(params)
+    if isinstance(params, np.ndarray):
+        table = params
+    else:   # a set that is not a ModelParams is named "set i" by its index
+        table = _set_table(check_items("set", params, ModelParams)[0])
     sets = table.shape[-1]
     if sets == 1:
         owner = 0

@@ -17,11 +17,17 @@ solve (``_solve``) serves all three kinds: it assembles the matrix,
 takes the null vector or the feed solution, and applies the same
 finiteness and residual checks.
 
+The port matrix is built entry by entry from a per-sign table of its
+rows (``_ENTRIES``), with each of its 16 exponentials taken once.
+
 Sampling and pairing read a solution only through its (4, 2) amplitude
 and rate tables (``EigenSolution.amplitudes``): every point value is one
-``zone_values`` call over an array of zones, and the pairing
-(``inner_product``) sums all 16 amplitude and exponent pairs of the four
-zones in one closed-form ``exp_integral`` call (``zone_integrals``).
+``zone_values`` call over an array of zones, the one point sampler, and
+a pairing sums all 16 amplitude and exponent pairs of the four zones in
+the one closed form, ``zone_integrals`` over ``exp_integral``.  Its
+leading axes stack pairings, so one call gives several with the bits
+each gives alone: ``inner_product`` is one pairing, and
+``checked_pairing`` takes <u, u*>, <u, u> and <u*, u*> from one call.
 Every pairing of a direct with an adjoint mode (the sensitivities and
 ``projection_coefficient``) goes through ``checked_pairing``, which
 refuses anything but a direct and an adjoint mode of one parameter set,
@@ -72,27 +78,52 @@ _FEED_ROW = next(r for r, (port, liquid) in enumerate(_conditions(+1))
                  if liquid and port.feed)
 
 
+# (zone index, basis index, x) at both ends of each zone: the points
+# exp(sign nu x) is read at, each taken once per port matrix
+_ENDS = tuple((i, j, x) for i, left in enumerate(ZONE_LEFT)
+              for x in (left, left + 1.0) for j in range(2))
+
+
+def _entries(sign: int) -> tuple:
+    """The nonzero entries of the port-condition matrix, row by row of
+    ``_conditions(sign)``, as (row, column, index into _ENDS, weight slot,
+    side sign, phi slot): slot 0 holds 1.0, weight slot k holds v_k, and
+    phi slot 1 + column the phi of that column."""
+    entries = []
+    for r, (port, liquid) in enumerate(_conditions(sign)):
+        weighted = liquid and port.weighted(sign < 0)
+        s = -1.0 if liquid and port.x_up > port.x else 1.0
+        for zone, x, side in ((port.up, port.x_up, s),
+                              (port.zone, port.x, -s)):
+            for j in range(2):
+                col = 2 * (zone - 1) + j
+                entries.append((r, col, _ENDS.index((zone - 1, j, x)),
+                                zone if weighted else 0, side,
+                                1 + col if liquid else 0))
+    return tuple(entries)
+
+
+_ENTRIES = {sign: _entries(sign) for sign in (+1, -1)}
+
+
 def _assemble(nus, phis, params: ModelParams, sign: int) -> np.ndarray:
     """8x8 port-condition matrix in the basis exp(sign nu x).
 
     Unknown order is zone-major: (C_1^1, C_1^2, C_2^1, ..., C_4^2).  A q
     row (without its common factor R P) is the upstream outlet value minus
     the inlet value, a c row the value left in x minus the one right in
-    x.  A flipped row solves to the same numbers up to the sign of exactly
-    zero imaginary parts, so the signs fix those bits.
+    x; a liquid row weights its sides by v at the weighted ports
+    (``Port.weights``).  A flipped row solves to the same numbers up to
+    the sign of exactly zero imaginary parts, so the signs fix those
+    bits.  Every entry is the numpy scalar product side * weight * phi *
+    exp(sign nu x), each of the 16 exponentials taken once.
     """
+    # scalar products: numpy's array loops round complex products apart
+    exps = [np.exp(sign * nus[i, j] * x) for i, j, x in _ENDS]
+    weights, phi = (1.0, *params.v), (1.0, *phis.flat)
     M = np.zeros((8, 8), dtype=complex)
-    for r, (port, liquid) in enumerate(_conditions(sign)):
-        w_up, w_in = (port.weights(params.v, adjoint=sign < 0) if liquid
-                      else (1.0, 1.0))
-        s = -1.0 if liquid and port.x_up > port.x else 1.0
-        for zone, x, w, side in ((port.up, port.x_up, w_up, s),
-                                 (port.zone, port.x, w_in, -s)):
-            i = zone - 1
-            for j in range(2):
-                phi = phis[i, j] if liquid else 1.0
-                M[r, 2 * i + j] = (side * w * phi
-                                   * np.exp(sign * nus[i, j] * x))
+    for r, col, end, w, side, p in _ENTRIES[sign]:
+        M[r, col] = side * weights[w] * phi[p] * exps[end]
     return M
 
 
@@ -315,28 +346,40 @@ def exp_integral(D, Dstar, nu, nustar, x_lo, x_hi):
 def zone_integrals(amp_a, amp_b, rates_a, rates_b) -> np.ndarray:
     """Integral over each zone of a conj(b), a = sum amp_a exp(rates_a x).
 
-    b likewise; (4, 2) tables of amplitudes and signed rates as
+    b likewise; (..., 4, 2) tables of amplitudes and signed rates as
     ``EigenSolution.amplitudes`` gives them, so the exponent of each pair
-    is rate_a + conj(rate_b).  Returns the four zone integrals.
+    is rate_a + conj(rate_b).  Leading axes broadcast: returns the
+    (..., 4) zone integrals of every stacked pairing from one
+    ``exp_integral`` call.
     """
+    amp_a, amp_b, rates_a, rates_b = map(np.asarray, (amp_a, amp_b,
+                                                      rates_a, rates_b))
     lo = np.array(ZONE_LEFT)[:, None, None]
-    terms = exp_integral(amp_a[:, :, None], amp_b[:, None, :],
-                         rates_a[:, :, None], -rates_b[:, None, :],
+    terms = exp_integral(amp_a[..., None], amp_b[..., None, :],
+                         rates_a[..., None], -rates_b[..., None, :],
                          lo, lo + 1.0)
-    return terms.reshape(4, 4).sum(axis=1)
+    return terms.reshape(*terms.shape[:-3], 4, 4).sum(axis=-1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _pairings(a_tables, b_tables) -> np.ndarray:
+    """<a, b> of each pair of ``EigenSolution.amplitudes`` tables, the c
+    and q integrals of all pairs stacked in one ``zone_integrals`` call."""
+    # (c, q) amplitudes as (n, 2, 4, 2), the rates as (n, 1, 4, 2)
+    z = zone_integrals([t[:2] for t in a_tables], [t[:2] for t in b_tables],
+                       [t[2:] for t in a_tables], [t[2:] for t in b_tables])
+    return (z[:, 0] + z[:, 1]).sum(axis=-1)
+
+
 def inner_product(a: EigenSolution, b: EigenSolution) -> complex:
     """<a, b> = integral over [-2,2] of (c_a conj(c_b) + q_a conj(q_b)).
 
     Closed form over all zones at once; a and b may be direct, adjoint or
     steady.  A pairing beyond the double range comes out inf or nan.
     """
-    ca, qa, ra = check_instance("a", a, EigenSolution).amplitudes()
-    cb, qb, rb = check_instance("b", b, EigenSolution).amplitudes()
-    return complex((zone_integrals(ca, cb, ra, rb)
-                    + zone_integrals(qa, qb, ra, rb)).sum())
+    return complex(_pairings(
+        [check_instance("a", a, EigenSolution).amplitudes()],
+        [check_instance("b", b, EigenSolution).amplitudes()])[0])
 
 
 def checked_pairing(direct: EigenSolution, adjoint: EigenSolution) -> complex:
@@ -348,7 +391,8 @@ def checked_pairing(direct: EigenSolution, adjoint: EigenSolution) -> complex:
     double range is refused as NonFiniteDetected.  Anything but a direct
     and an adjoint mode of one parameter set, in that order, is refused
     as ValidationError; lambda is not compared, as modes at two
-    eigenvalues pair to about zero.
+    eigenvalues pair to about zero.  <u, u*>, <u, u> and <u*, u*> are one
+    stacked ``_pairings`` call.
     """
     kinds = (check_instance("direct", direct, EigenSolution).kind,
              check_instance("adjoint", adjoint, EigenSolution).kind)
@@ -359,11 +403,11 @@ def checked_pairing(direct: EigenSolution, adjoint: EigenSolution) -> complex:
     if direct.params != adjoint.params:
         raise ValidationError(
             "the direct and adjoint modes are of different parameter sets")
-    pairing = inner_product(direct, adjoint)
+    u, a = direct.amplitudes(), adjoint.amplitudes()
+    pairings = _pairings([u, u, a], [a, u, a])
+    pairing = complex(pairings[0])
     with np.errstate(over="ignore"):    # |z| of a finite z may overflow
-        size, norm_u, norm_a = np.abs([pairing,
-                                       inner_product(direct, direct),
-                                       inner_product(adjoint, adjoint)])
+        size, norm_u, norm_a = np.abs(pairings)
     # geometric mean of the norms, rooted first so that it cannot overflow
     scale = float(np.sqrt(norm_u) * np.sqrt(norm_a))
     if not (math.isfinite(size) and math.isfinite(scale)):

@@ -7,13 +7,16 @@ adjoint eigenfunctions,
 
 with every integral a finite sum of exponentials evaluated in closed form
 by ``eigfun.zone_integrals``.  The denominator is the pairing
-<u, u*> = int c c̄* + q q̄* over [-2, 2] (``eigfun.inner_product``),
-refused as ``NearZeroPairing`` when negligible.  ``sensitivities(direct,
-adjoint)`` takes a direct and an adjoint mode of one parameter set, in
-that order, and reads R and P from them: ``eigfun.checked_pairing``
-refuses any other pair with ``ValidationError``.  Array expressions on
-the two modes' amplitude tables give all six numerators; the pairing is
-computed once and divides all six.  The numerators are
+<u, u*> = int c c̄* + q q̄* over [-2, 2] (``eigfun.checked_pairing``,
+one stacked call with the two norms that gate it), refused as
+``NearZeroPairing`` when negligible.  ``sensitivities(direct, adjoint)``
+takes a direct and an adjoint mode of one parameter set, in that order,
+and reads R and P from them: ``checked_pairing`` refuses any other pair
+with ``ValidationError`` before a numerator is formed.  The four
+numerator integrals are then one stacked ``zone_integrals`` call on the
+two modes' amplitude tables, and the boundary values come from
+``EigenSolution.zone_values``; the pairing divides all six.  The
+numerators are
 
     dlambda/dv_k : boundary term (-c c̄* at the zone inlet for k odd,
                    +c c̄* at the zone exit for k even) - int_{I_k} c_x c̄*
@@ -58,18 +61,19 @@ _NAMES = ("v1", "v2", "v3", "v4", "R", "P")
 
 def _numerators(direct: EigenSolution, adjoint: EigenSolution) -> list:
     """Numerators of the six derivatives, in the order of _NAMES, from
-    the two modes' (4, 2) amplitude tables."""
+    the two modes' (4, 2) amplitude tables: the integrals of dv, dR and
+    the two of dP are one stacked ``zone_integrals`` call."""
     R, P = direct.params.R, direct.params.P
     cd, qd, rd = direct.amplitudes()
     ca, qa, ra = adjoint.amplitudes()
     # c of each zone at its v-weighted port
     cb = direct.zone_values(ZONES[:, 0], _BOUNDARY_X)[0]
     cab = adjoint.zone_values(ZONES[:, 0], _BOUNDARY_X)[0]
-    dv = _BOUNDARY_SIGN * cb * np.conj(cab) - zone_integrals(cd * rd, ca,
-                                                            rd, ra)
-    dR = -zone_integrals(P * cd - qd, P * ca - qa, rd, ra).sum()
-    dP = (zone_integrals(R * (-2.0 * P * cd + qd), ca, rd, ra)
-          + zone_integrals(R * cd, qa, rd, ra)).sum()
+    z = zone_integrals([cd * rd, P * cd - qd, R * (-2.0 * P * cd + qd),
+                        R * cd], [ca, P * ca - qa, ca, qa], rd, ra)
+    dv = _BOUNDARY_SIGN * cb * np.conj(cab) - z[0]
+    dR = -z[1].sum()
+    dP = (z[2] + z[3]).sum()
     return [*dv, complex(dR), complex(dP)]
 
 
@@ -145,7 +149,11 @@ def full_report(params: ModelParams, tol: float = 1e-10,
     lambda0, and with fd the twelve re-solves at theta +- h, are one
     lockstep ``dominant_eigenvalue`` call; each root is the one its set
     gives alone, so the FD values are those of ``central_difference``.
+    fd is refused with ValidationError, before any solve, unless it is a
+    bool.
     """
+    if not isinstance(fd, bool):
+        raise ValidationError(f"fd={reprlib.repr(fd)} must be True or False")
     fd_sets = [_fd_pair(params, name) for name in _NAMES] if fd else []
     lam0, *shifted = dominant_eigenvalue(
         [params, *(p for _, pair in fd_sets for p in pair)], tol)

@@ -47,17 +47,24 @@ class BracketBudget:
     Q0: float
 
 
-def bracket_bound(params: ModelParams) -> BracketBudget:
-    """Explicit 0 < M0 < R with the dominant eigenvalue in [-M0, 0)."""
-    if check_instance("params", params, ModelParams).limit_case:
-        raise LimitCaseHasNoBracket(
-            "equal velocities: the dominant eigenvalue is 0 exactly")
+_LIMIT_CASE = "equal velocities: the dominant eigenvalue is 0 exactly"
+
+
+def _bracket(params: ModelParams) -> tuple:
+    """(M0, R P Q0) of ``bracket_bound``, for a set of unequal
+    velocities."""
     v_min, v_max = min(params.v), max(params.v)
     R, P = params.R, params.P
     denom = v_min * (v_max - v_min) / 2.0 + v_max * (R * P * P + 1.0)
-    M0 = R - R * R * P * P * v_min / denom
-    Q0 = denom / (R * P)
-    return BracketBudget(M0=M0, Q0=Q0)
+    return R - R * R * P * P * v_min / denom, denom
+
+
+def bracket_bound(params: ModelParams) -> BracketBudget:
+    """Explicit 0 < M0 < R with the dominant eigenvalue in [-M0, 0)."""
+    if check_instance("params", params, ModelParams).limit_case:
+        raise LimitCaseHasNoBracket(_LIMIT_CASE)
+    M0, denom = _bracket(params)
+    return BracketBudget(M0=M0, Q0=denom / (params.R * params.P))
 
 
 # Most lambda points per return_map call.  The largest stage of a batch
@@ -316,18 +323,20 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     if not sets:
         raise ValidationError("no parameter sets to solve")
     table = _set_table(sets)
-    # where an error names its set: nowhere for a single one
-    at = [""] if single else [f" (set {i})" for i in range(len(sets))]
+
+    # where an error names its set (formatted only when raising): nowhere
+    # for a single one
+    def at(i: int) -> str:
+        return "" if single else f" (set {i})"
     M0 = []
     for i, p in enumerate(sets):
-        try:
-            bb = bracket_bound(p)  # rejects the equal-velocity case
-        except LimitCaseHasNoBracket as exc:
-            raise LimitCaseHasNoBracket(f"{exc}{at[i]}") from None
-        if tol >= bb.M0:
+        if p.limit_case:
+            raise LimitCaseHasNoBracket(f"{_LIMIT_CASE}{at(i)}")
+        m0 = _bracket(p)[0]
+        if tol >= m0:
             raise ValidationError(
-                f"tol={tol} exceeds bracket width M0={bb.M0}{at[i]}")
-        M0.append(bb.M0)
+                f"tol={tol} exceeds bracket width M0={m0}{at(i)}")
+        M0.append(m0)
     M0, n = np.array(M0), len(sets)
     # one row (a, b, Delta at a, Delta at b) per set, nan until found
     cells = np.full((n, 4), math.nan)
@@ -376,7 +385,7 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
             raise NoSignChangeFound(
                 f"no sign change of Delta on {_GRID_N}-point geometric "
                 f"grid in [{-M0[flat[i]]}, {-tol}] or up to 0: its sign is "
-                f"{s[i]} throughout{at[flat[i]]}")
+                f"{s[i]} throughout{at(flat[i])}")
         cells[flat, 3] = f0
     # the grid cells to densify tenfold: every sign change found on a grid;
     # the densified grid keeps their known ends exactly
@@ -414,7 +423,7 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     tol = check_real("tol", tol, gt=0.0)
     if lo == hi:
         return []
-    table = _set_table([params])
+    table = _set_table(check_items("set", [params], ModelParams)[0])
     grid = np.linspace(lo, hi, grid_n)
     values = _delta_values(grid, table, np.zeros(grid_n, dtype=int))
     cells = _cells(grid[None], values[None], 0, np.flatnonzero(_hits(values)))

@@ -6,7 +6,8 @@ no scipy), Delta(lambda) is a 50-digit mpmath product of plain matrix
 exponentials (no log-scaling), the dominant-root search is a scalar
 bisection, quadrature is plain Gauss-Legendre, a mode is sampled zone by
 zone from the formula on its coefficients, derivatives are central
-differences, and the limited advection step is a cell-by-cell loop.
+differences, a root off the real axis is a secant iteration, and the
+limited advection step is a cell-by-cell loop.
 Agreement between these and the package is the point of the property
 tests, so nothing here may import from movingbed internals.
 """
@@ -135,6 +136,19 @@ def mode_values(sol, zone, x):
 
 def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def secant(f, z, steps=40):
+    """The root of f near z by secant steps from z and z (1 + 1e-7),
+    stopped where two iterates agree to 1e-15 or f takes one value twice."""
+    z0, z1 = z, z * (1.0 + 1e-7)
+    f0, f1 = f(z0), f(z1)
+    for _ in range(steps):
+        if f1 == f0 or abs(z1 - z0) <= 1e-15 * abs(z1):
+            break
+        z0, z1, f0 = z1, z1 - f1 * (z1 - z0) / (f1 - f0), f1
+        f1 = f(z1)
+    return complex(z1)
 
 
 def _van_leer(a, b):

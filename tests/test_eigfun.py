@@ -291,6 +291,34 @@ def test_inner_product_conjugate_symmetry(direct, adjoint):
     assert dd.real > 0 and abs(dd.imag) <= 1e-12 * dd.real
 
 
+def test_stacked_zone_integrals_are_the_single_calls(cs, wide_box):
+    # leading axes stack pairings, with their own rates or with shared ones
+    # broadcast, and each stacked row keeps the bits of its own call; so
+    # checked_pairing is inner_product bit for bit
+    tables = []
+    for p in (cs, *wide_box[:9]):
+        lam = dominant_eigenvalue(p)
+        direct = eigenfunction(lam, p)
+        adjoint = adjoint_eigenfunction(lam, p)
+        tables += [direct.amplitudes(), adjoint.amplitudes()]
+        got, want = checked_pairing(direct, adjoint), inner_product(direct,
+                                                                    adjoint)
+        assert (got.real, got.imag) == (want.real, want.imag)
+    calls = [(ta[k], tb[m], ta[2], tb[2])
+             for ta in tables for tb in tables[:4] for k in (0, 1)
+             for m in (0, 1)]
+    stacked = eigfun.zone_integrals(*(np.array(arg) for arg in zip(*calls)))
+    assert stacked.shape == (len(calls), 4)
+    assert stacked.tobytes() == np.array(
+        [eigfun.zone_integrals(*call) for call in calls]).tobytes()
+    (ca, qa, ra), (cb, qb, rb) = tables[:2]
+    amps_a, amps_b = [ca, qa, ca * ra, qa], [cb, qb, qb, cb]
+    shared = eigfun.zone_integrals(amps_a, amps_b, ra, rb)
+    assert shared.tobytes() == np.array(
+        [eigfun.zone_integrals(a, b, ra, rb)
+         for a, b in zip(amps_a, amps_b)]).tobytes()
+
+
 def test_projection_of_mode_onto_itself(direct, adjoint):
     samples = evaluate(direct, n_per_zone=101)
     M1 = projection_coefficient(direct, adjoint, samples)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import tracemalloc
 from dataclasses import fields, replace
@@ -18,7 +19,8 @@ from movingbed.sensitivity import (SensitivityReport, central_difference,
 from movingbed.spectrum import (bracket_bound, dominant_eigenvalue,
                                 real_root_scan)
 
-from oracles import bisect_dominant, central_diff, gl64, mode_values
+from oracles import (bisect_dominant, central_diff, gl64, mode_values,
+                     secant)
 
 # Frozen from a validated run: every value agrees with independent central
 # differences of the re-bisected eigenvalue to ~1e-5 relative.
@@ -160,17 +162,18 @@ def test_central_difference_refuses_a_name_it_cannot_perturb(cs, name):
 
 
 def test_full_report_pairs_the_modes_once(cs, monkeypatch):
-    # one checked_pairing: <u, u*> and the two norms that gate it
-    real = eigfun.inner_product
+    # two stacked closed-form calls: one checked_pairing (<u, u*> and the
+    # two norms that gate it), then the four numerator integrals
+    real = eigfun.exp_integral
     calls = []
 
-    def counted(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(eigfun, "inner_product", counted)
+    monkeypatch.setattr(eigfun, "exp_integral", counted)
     rep = full_report(cs, fd=True)
-    assert len(calls) == 3
+    assert len(calls) == 2
     monkeypatch.undo()
     ref = sensitivities(rep.direct, rep.adjoint)
     assert ref.fd_check is None
@@ -178,6 +181,18 @@ def test_full_report_pairs_the_modes_once(cs, monkeypatch):
     for got, want in ((rep.dR, ref.dR), (rep.dP, ref.dP),
                       (rep.denominator, ref.denominator), (rep.lam, ref.lam)):
         assert (got.real, got.imag) == (want.real, want.imag)
+
+
+@pytest.mark.parametrize("fd", ["no", None, 0, np.True_, [1]],
+                         ids=["string", "None", "zero", "numpy-bool", "list"])
+def test_full_report_refuses_an_fd_that_is_not_a_bool(cs, fd, monkeypatch):
+    # read by truthiness, "no" ran the twelve re-solves and None or 0
+    # skipped them; refused now before any solve
+    def solve(*args):
+        raise AssertionError("solved before fd was checked")
+    monkeypatch.setattr(sensitivity, "dominant_eigenvalue", solve)
+    with pytest.raises(ValidationError, match="must be True or False"):
+        full_report(cs, fd=fd)
 
 
 def test_full_report_where_the_mode_norms_underflow():
@@ -379,16 +394,9 @@ def test_limit_case_closed_forms():
     assert abs(rep.dP) <= 1e-12
 
 
-def _secant(z, params, steps=40):
+def _secant(z, params):
     """The root of Delta near z by secant steps on return_map's delta."""
-    z0, z1 = z, z * (1.0 + 1e-7)
-    f0, f1 = return_map(z0, params).delta, return_map(z1, params).delta
-    for _ in range(steps):
-        if f1 == f0 or abs(z1 - z0) <= 1e-15 * abs(z1):
-            break
-        z0, z1, f0 = z1, z1 - f1 * (z1 - z0) / (f1 - f0), f1
-        f1 = return_map(z1, params).delta
-    return complex(z1)
+    return secant(lambda lam: return_map(lam, params).delta, z)
 
 
 def test_sensitivities_at_a_complex_eigenvalue(cs):
@@ -405,6 +413,58 @@ def test_sensitivities_at_a_complex_eigenvalue(cs):
         fd = central_diff(lambda t: _secant(lam1, replace(cs, **{name: t})),
                           theta, 1e-5 * max(theta, 1.0))
         assert abs(got - fd) <= 1e-6 * abs(fd), name
+
+
+# ---------------------------------------------------------------------------
+# the reports' output bits
+# ---------------------------------------------------------------------------
+
+def _report_digest(reports) -> str:
+    """sha256 over the dtype, shape and bytes of dv, dR, dP, denominator
+    and fd_check of each report in turn; a None fd_check hashes as None."""
+    h = hashlib.sha256()
+    for rep in reports:
+        for field in (rep.dv, rep.dR, rep.dP, rep.denominator, rep.fd_check):
+            if field is None:
+                h.update(b"None")
+                continue
+            a = np.asarray(field)
+            h.update(f"{a.dtype}{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of full_report(fd=True) on the case study and on each wide-box set
+# (one digest over the 30 sets), and of sensitivities at the limit preset's
+# lambda = 0 and at the case study's complex lambda_1 (adjoint at its
+# conjugate).  Any change to the pairing or numerator integrals, the
+# boundary samples or their roundings shows here.  Like
+# test_eigfun._PINNED_MODE_DIGESTS these are numpy 2.4.6 on x86-64.
+_PINNED_REPORT_DIGESTS = {
+    "case-study-full":
+        "8a5fbb236b2caaa58a21106eeaf5717d76f8d8c07bc008c2b3325de73876507f",
+    "wide-box-full":
+        "c6ac38352f86e70fffaa6f94371439f185caa06a23ff1c58edabc6fe9536d6bc",
+    "limit-0":
+        "0c0bd4a021b91b8656f7b3f36bcc544d1c49dcb7e77063f1c8deeef0cc029119",
+    "case-study-lambda1":
+        "2e60fd29fdcc8046f1f37c7af5f13409fd5060b66bcdcfc1ea0bd72f3cce029f",
+}
+
+
+def test_report_bits_are_pinned(cs, lp, wide_box):
+    lam1 = _secant(-0.2185553 + 0.0808866j, cs)
+    got = {
+        "case-study-full": _report_digest([full_report(cs, fd=True)]),
+        "wide-box-full": _report_digest(
+            [full_report(p, fd=True) for p in wide_box]),
+        "limit-0": _report_digest([sensitivities(
+            eigenfunction(0.0, lp), adjoint_eigenfunction(0.0, lp))]),
+        "case-study-lambda1": _report_digest([sensitivities(
+            eigenfunction(lam1, cs),
+            adjoint_eigenfunction(lam1.conjugate(), cs))]),
+    }
+    assert got == _PINNED_REPORT_DIGESTS
 
 
 # ---------------------------------------------------------------------------
