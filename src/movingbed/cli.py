@@ -25,8 +25,7 @@ import numpy as np
 from . import __version__
 from . import sim as simmod
 from .charfun import return_map
-from .eigfun import (adjoint_eigenfunction, eigenfunction, evaluate,
-                     steady_state)
+from .eigfun import evaluate, steady_state
 from .errors import (InsufficientSamples, NumericalError, ValidationError)
 from .params import (PRESETS, ModelParams, check_count, load_params,
                      params_to_dict, time_constant)
@@ -82,8 +81,9 @@ def _solution_json(sol) -> dict:
 
 
 def _sensitivity_json(rep) -> dict:
+    fd = None if rep.fd_check is None else list(rep.fd_check)
     return {"dv": [z.real for z in rep.dv], "dR": rep.dR.real,
-            "dP": rep.dP.real, "fd_rel_err": list(rep.fd_check)}
+            "dP": rep.dP.real, "fd_rel_err": fd}
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +92,9 @@ def _sensitivity_json(rep) -> dict:
 
 def cmd_analyze(args, params: ModelParams, out: Path) -> None:
     summary: dict = {"version": __version__}
-    if params.limit_case:
-        lam0 = 0.0
-        summary["note"] = ("equal velocities: dominant eigenvalue is 0 "
-                           "exactly; sensitivities skipped")
-        summary["sensitivities"] = None
-        direct = eigenfunction(lam0, params)
-        adjoint = adjoint_eigenfunction(lam0, params)
-    else:
-        rep = full_report(params, tol=args.tol)
-        lam0, direct, adjoint = rep.lam.real, rep.direct, rep.adjoint
-        summary["sensitivities"] = _sensitivity_json(rep)
+    rep = full_report(params, tol=args.tol)
+    lam0, direct, adjoint = rep.lam.real, rep.direct, rep.adjoint
+    summary["sensitivities"] = _sensitivity_json(rep)
     summary["lambda0"] = lam0
     phys = params.physical
     if phys is not None:
@@ -177,7 +169,7 @@ def cmd_simulate(args, params: ModelParams, out: Path) -> None:
                               strang=args.strang)
     eigen_profile = None
     initial = args.initial
-    if params.strict_ports and params.f0 == 0.0:
+    if params.f0 == 0.0:
         eigen_profile = simmod.sample_eigenfunction(params, args.Nx)
         if initial == "eigenfunction":
             initial = eigen_profile

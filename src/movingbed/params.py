@@ -297,6 +297,10 @@ def time_constant(lambda0: float, phys: PhysicalParams, L_ref: float) -> float:
 
 # -- serialization ----------------------------------------------------------
 
+# the fields of a parameter file, as params_to_dict writes them
+_KEYS = ("v", "R", "P", "f0", "physical")
+
+
 def params_to_dict(params: ModelParams) -> dict:
     out = {
         "v": list(check_instance("params", params, ModelParams).v),
@@ -311,10 +315,16 @@ def params_to_dict(params: ModelParams) -> dict:
 
 def params_from_dict(data: dict) -> ModelParams:
     """Parameters from a dict of the form ``params_to_dict`` writes; a
-    missing or ill-typed field raises ValidationError naming it."""
+    missing, unknown or ill-typed field raises ValidationError naming
+    it."""
     if not isinstance(data, dict):
         raise ValidationError(
             f"parameters must be an object, got {type(data).__name__}")
+    unknown = [key for key in data if key not in _KEYS]
+    if unknown:
+        raise ValidationError(
+            f"unknown parameters {reprlib.repr(unknown)}; expected "
+            f"{', '.join(_KEYS)}")
     for name in ("v", "R", "P"):
         if name not in data:
             raise ValidationError(f"missing parameter {name!r}")

@@ -26,7 +26,9 @@ numerators are
 Finite-difference validation re-runs the full bracket-and-bisect
 eigenvalue pipeline at perturbed parameters, so it shares nothing with
 the adjoint path; full_report solves lambda0 and all twelve perturbed
-sets in one lockstep call.
+sets in one lockstep call.  At equal velocities lambda0 is 0 and no
+velocity step stays in the valid sets, so a report there has no
+finite-difference validation.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _numerators(direct: EigenSolution, adjoint: EigenSolution) -> list:
 @dataclass(frozen=True)
 class SensitivityReport:
     """All six derivatives of an eigenvalue, with diagnostics; fd_check is
-    set by ``full_report`` with fd."""
+    set by ``full_report`` with fd, except at equal velocities."""
 
     dv: np.ndarray            # 4 complex
     dR: complex
@@ -115,7 +117,8 @@ def _fd_pair(params: ModelParams, name: str) -> tuple:
 
     h = 1e-4 max(|theta|, 1), cut to half the room theta has so that both
     sets are valid: the room of R and P is theta, that of a velocity its
-    smallest gap to the velocity across a port.
+    smallest gap to the velocity across a port.  At equal velocities a
+    velocity has no room, and ValidationError is raised.
     """
     theta = getattr(check_instance("params", params, ModelParams), name)
     room = theta
@@ -125,6 +128,9 @@ def _fd_pair(params: ModelParams, name: str) -> tuple:
                    for zone, other in ((port.zone, port.up),
                                        (port.up, port.zone)) if zone == k)
     h = min(1e-4 * max(abs(theta), 1.0), 0.5 * room)
+    if h == 0.0:
+        raise ValidationError(f"equal velocities: no step of {name} stays "
+                              "in the valid sets")
     return h, [replace(params, **{name: theta + h}),
                replace(params, **{name: theta - h})]
 
@@ -149,11 +155,13 @@ def full_report(params: ModelParams, tol: float = 1e-10,
     lambda0, and with fd the twelve re-solves at theta +- h, are one
     lockstep ``dominant_eigenvalue`` call; each root is the one its set
     gives alone, so the FD values are those of ``central_difference``.
-    fd is refused with ValidationError, before any solve, unless it is a
-    bool.
+    At equal velocities lambda0 is 0 and fd_check is None whatever fd is:
+    no velocity step stays in the valid sets there.  fd is refused with
+    ValidationError, before any solve, unless it is a bool.
     """
     if not isinstance(fd, bool):
         raise ValidationError(f"fd={reprlib.repr(fd)} must be True or False")
+    fd = fd and not check_instance("params", params, ModelParams).limit_case
     fd_sets = [_fd_pair(params, name) for name in _NAMES] if fd else []
     lam0, *shifted = dominant_eigenvalue(
         [params, *(p for _, pair in fd_sets for p in pair)], tol)

@@ -359,9 +359,8 @@ def sample_eigenfunction(params: ModelParams, Nx: int,
     profile itself is real.
     """
     if lam is None:
-        # equal velocities: the dominant eigenvalue is 0 exactly
-        lam = (0.0 if check_instance("params", params, ModelParams).limit_case
-               else dominant_eigenvalue(params))
+        lam = dominant_eigenvalue(
+            check_instance("params", params, ModelParams))
     return _sample(eigenfunction(lam, params), Nx)
 
 
@@ -500,7 +499,10 @@ def _profile_rms(state: SimState, eigen_profile: tuple, den: float) -> float:
 def _row(state, params, eigen_profile, den) -> DiagnosticsRow:
     rms = None
     if eigen_profile is not None:
-        rms = _profile_rms(state, eigen_profile, den)
+        try:
+            rms = _profile_rms(state, eigen_profile, den)
+        except ZeroProfile:     # no component along the profile: no rms
+            pass
     return DiagnosticsRow(t=state.t, energy=energy(state),
                           mass=mass(state, params),
                           sup_norm=sup_norm(state), profile_rms=rms)
@@ -526,6 +528,8 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
     change dt.  A state or config of the wrong class, callbacks that are
     not one callable or an iterable of callables, and a state whose grid
     does not have config.Nx cells per zone raise ValidationError first.
+    With eigen_profile, each row's profile_rms is ``profile_rms`` of its
+    state, or None where the state has no component along the profile.
 
     Each step's advection writes its cells to the stepper's scratch, not
     to u, and ``mass_transfer_step`` relaxes them into u and refreshes the

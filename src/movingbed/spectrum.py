@@ -1,9 +1,11 @@
 """Real-eigenvalue location, the closed-form equal-velocity spectrum, and
 a Chebyshev collocation cross-check.
 
-The dominant eigenvalue is the largest real root of Delta(lambda); it lives
-in [-M0, 0) where M0 is an explicit bracket derived from the port
-velocities.  Delta is extremely steep near that root (slopes beyond 1e6),
+The dominant eigenvalue is 0 exactly at equal velocities, where no bracket
+exists and no Delta is evaluated.  Otherwise it is the largest real root
+of Delta(lambda); it lives in [-M0, 0) where M0 is an explicit bracket
+derived from the port velocities.  Delta is extremely steep near that
+root (slopes beyond 1e6),
 so roots are located by sign changes on a geometric grid accumulating at
 0- and refined by bisection on interval width, never on |Delta|.  Grids
 are evaluated as lambda arrays, one return_map call each (or a few, for
@@ -47,9 +49,6 @@ class BracketBudget:
     Q0: float
 
 
-_LIMIT_CASE = "equal velocities: the dominant eigenvalue is 0 exactly"
-
-
 def _bracket(params: ModelParams) -> tuple:
     """(M0, R P Q0) of ``bracket_bound``, for a set of unequal
     velocities."""
@@ -60,9 +59,11 @@ def _bracket(params: ModelParams) -> tuple:
 
 
 def bracket_bound(params: ModelParams) -> BracketBudget:
-    """Explicit 0 < M0 < R with the dominant eigenvalue in [-M0, 0)."""
+    """Explicit 0 < M0 < R with the dominant eigenvalue in [-M0, 0);
+    LimitCaseHasNoBracket at equal velocities, where it is 0."""
     if check_instance("params", params, ModelParams).limit_case:
-        raise LimitCaseHasNoBracket(_LIMIT_CASE)
+        raise LimitCaseHasNoBracket(
+            "equal velocities: the dominant eigenvalue is 0 exactly")
     M0, denom = _bracket(params)
     return BracketBudget(M0=M0, Q0=denom / (params.R * params.P))
 
@@ -275,7 +276,9 @@ _COLS, _DENSE = np.arange(float(_GRID_N)), np.arange(float(_DENSE_N))
 
 
 def dominant_eigenvalue(params, tol: float = 1e-10):
-    """Largest real root of Delta in [-M0, 0).
+    """The dominant eigenvalue: 0.0 exactly at equal velocities, with no
+    Delta evaluated, and otherwise the largest real root of Delta in
+    [-M0, 0).
 
     Takes the first sign change on a 200-point geometric grid from -tol
     toward -M0 (the root hugs 0 while Delta stays nearly flat over most of
@@ -291,47 +294,53 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     bisection's.
 
     params is one ModelParams, which gives a float, or a sequence of them,
-    which gives a list of floats, each the float the set gives alone.  A
-    sequence is solved in lockstep: each stage (the grids, the densified
-    cells, each round of bisection paths) is one ``_delta_values`` over
-    the points of all sets, and each set's constants are built once.  The
-    first set scans its whole grid.  Each later set scans its own grid at
-    -tol and at the indices k-2 .. k+3 (its window) around the first
-    set's first sign cell k; when none of these signs is 0, the window's
-    first sign is the sign at -tol and the window holds a sign change,
-    the window's first sign cell is the set's cell.  Every other set (the
-    first set has no grid cell, or the window does not settle) scans its
-    whole grid in the next call.  The window call also densifies cell k
-    on every set's grid; the first set and each set whose window settles
-    on cell k take their densified cells from it, and every other set's
-    cell is densified in the next call.  In the batch full_report solves,
-    lambda0 and its finite-difference neighbours, each neighbour's lambda0
-    lies in the first set's grid cell or the next one, so in its window,
-    and it is the dominant eigenvalue (Krein-Rutman), so Delta has no real
-    root between it and 0: the settled cell is the cell the whole grid
-    gives.
+    which gives a list of floats, each the float the set gives alone.  The
+    sets of a sequence that are not at the limit are solved in lockstep,
+    and "the first set" below is the first of them: each stage (the grids,
+    the densified cells, each round of bisection paths) is one
+    ``_delta_values`` over the points of all those sets, and each set's
+    constants are built once.  The first set scans its whole grid.  Each
+    later set scans its own grid at -tol and at the indices k-2 .. k+3 (its
+    window) around the first set's first sign cell k; when none of these
+    signs is 0, the window's first sign is the sign at -tol and the window
+    holds a sign change, the window's first sign cell is the set's cell.
+    Every other set (the first set has no grid cell, or the window does not
+    settle) scans its whole grid in the next call.  The window call also
+    densifies cell k on every set's grid; the first set and each set whose
+    window settles on cell k take their densified cells from it, and every
+    other set's cell is densified in the next call.  In the batch
+    full_report solves, lambda0 and its finite-difference neighbours, each
+    neighbour's lambda0 lies in the first set's grid cell or the next one,
+    so in its window, and it is the dominant eigenvalue (Krein-Rutman), so
+    Delta has no real root between it and 0: the settled cell is the cell
+    the whole grid gives.
     In any batch, the sign check refuses a window with one root between
     it and -tol; only an even number of them could pass it.
 
     tol is checked first, then every set (its type by
-    ``params.check_items``, equal velocities, tol against M0), all before
-    Delta is evaluated; errors about a sequence, or anything else that is
-    not one ModelParams, name the index of the set at fault ("set i").
+    ``params.check_items``, then tol against M0 where the velocities are
+    not equal), all before Delta is evaluated; errors about a sequence, or
+    anything else that is not one ModelParams, name the index of the set
+    at fault in the sequence ("set i").
     """
     tol = check_real("tol", tol, gt=0.0)
     sets, single = check_items("set", params, ModelParams)
     if not sets:
         raise ValidationError("no parameter sets to solve")
+    # equal velocities: 0 exactly; solved set i is the caller's index[i]
+    roots = [0.0] * len(sets)
+    index = [i for i, p in enumerate(sets) if not p.limit_case]
+    sets = [sets[i] for i in index]
+    if not sets:
+        return roots[0] if single else roots
     table = _set_table(sets)
 
     # where an error names its set (formatted only when raising): nowhere
     # for a single one
     def at(i: int) -> str:
-        return "" if single else f" (set {i})"
+        return "" if single else f" (set {index[i]})"
     M0 = []
     for i, p in enumerate(sets):
-        if p.limit_case:
-            raise LimitCaseHasNoBracket(f"{_LIMIT_CASE}{at(i)}")
         m0 = _bracket(p)[0]
         if tol >= m0:
             raise ValidationError(
@@ -405,7 +414,9 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
                 xs, values, first).tolist()):
             guesses[i] = guess
         cells[dense] = _cells(xs, values, np.arange(dense.size), first)
-    roots = _bisect(cells, table, range(n), [tol] * n, guesses)
+    for i, root in zip(index, _bisect(cells, table, range(n), [tol] * n,
+                                      guesses)):
+        roots[i] = root
     return roots[0] if single else roots
 
 
@@ -421,9 +432,9 @@ def real_root_scan(params: ModelParams, range_: tuple, grid_n: int = 400,
     check_count("grid_n", grid_n, 2)
     lo, hi = check_pair("range_", range_)
     tol = check_real("tol", tol, gt=0.0)
+    table = _set_table(check_items("set", [params], ModelParams)[0])
     if lo == hi:
         return []
-    table = _set_table(check_items("set", [params], ModelParams)[0])
     grid = np.linspace(lo, hi, grid_n)
     values = _delta_values(grid, table, np.zeros(grid_n, dtype=int))
     cells = _cells(grid[None], values[None], 0, np.flatnonzero(_hits(values)))

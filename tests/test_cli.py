@@ -53,8 +53,13 @@ def test_analyze_limit_preset(tmp_path):
     assert main(["analyze", "--preset", "limit", "--out", str(out)]) == 0
     summary = _read_json(out / "analyze_summary.json")
     assert summary["lambda0"] == 0.0
-    assert summary["sensitivities"] is None
-    assert "note" in summary
+    assert "note" not in summary
+    # the report of the one path; no velocity step stays valid for FD
+    sens = summary["sensitivities"]
+    g = 1.0 / (4.0 * (1.0 + 1.03 ** 2))
+    assert sens["dv"] == pytest.approx([-g, g, -g, g], rel=1e-10)
+    assert abs(sens["dR"]) <= 1e-12 * g and abs(sens["dP"]) <= 1e-12 * g
+    assert sens["fd_rel_err"] is None
 
 
 def test_spectrum(tmp_path):
@@ -139,6 +144,27 @@ def test_simulate_with_feed_has_no_profile_column(tmp_path):
                  "--record-every", "4", "--out", str(out)]) == 0
     _, rows = _read_csv(out / "diagnostics.csv")
     assert all(r[4] == "" for r in rows)
+
+
+@pytest.mark.parametrize("preset", ["case-study", "limit"])
+def test_simulate_from_zero_data_exits_0(tmp_path, preset):
+    # the state has no component along the eigen-profile: the case study
+    # exited 2 on it
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", preset, "--initial", "zero",
+                 "--Nx", "16", "--T", "0.5", "--record-every", "4",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "diagnostics.csv")
+    assert all(r[4] == "" for r in rows)
+
+
+def test_simulate_limit_preset_measures_the_zero_mode(tmp_path):
+    # constant data is the limit's zero mode, which the profile samples
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "limit", "--Nx", "64", "--T", "5",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "diagnostics.csv")
+    assert max(float(r[4]) for r in rows) <= 1e-12
 
 
 def test_simulate_eigenfunction_solves_the_mode_once(tmp_path, monkeypatch):
@@ -282,10 +308,15 @@ _PHYSICAL = ('"epsilon": 0.67, "k": 6.0, "L_zone": 60.0, "L_column": 30.0, '
     ('{"v": [1.53, 1.12, 1.43, 1.02], "R": 18.0, "P": 1.03, '
      '"physical": {"H": true, ' + _PHYSICAL + '}}', "'H'"),
     ('{"v": [1.53, 1.12, 1.43, 1.02], "R": 18.0, "P": 1.03, '
-     '"physical": {"H": 2.14, "Q_feed": -5, ' + _PHYSICAL + '}}', "'Q_feed'")],
+     '"physical": {"H": 2.14, "Q_feed": -5, ' + _PHYSICAL + '}}', "'Q_feed'"),
+    # an unknown key: the top-level one ran with f0 = 0 and exited 0
+    ('{"v": [1.53, 1.12, 1.43, 1.02], "R": 18.0, "P": 1.03, "f_0": 2.0}',
+     "'f_0'"),
+    ('{"v": [1.53, 1.12, 1.43, 1.02], "R": 18.0, "P": 1.03, '
+     '"physical": {"H": 2.14, "f_0": 2.0, ' + _PHYSICAL + '}}', "'f_0'")],
     ids=["no-R", "list", "scalar-v", "string-R", "partial-physical",
          "numeric-string-R", "bool-R", "bool-physical-H",
-         "negative-physical-Q_feed"])
+         "negative-physical-Q_feed", "unknown-key", "unknown-physical-key"])
 def test_params_file_of_the_wrong_shape_exits_2(tmp_path, capsys, body,
                                                  field):
     bad = tmp_path / "bad.json"

@@ -297,6 +297,9 @@ _QUOTED = {
     "params_from_dict.physical": (
         lambda x: params_from_dict({**params_to_dict(case_study()),
                                     "physical": x}), ValidationError),
+    "params_from_dict.key": (
+        lambda x: params_from_dict({**params_to_dict(case_study()), x: 2.0}),
+        ValidationError),
     "preset": (preset, ValidationError),
     "central_difference.name": (lambda x: central_difference(case_study(), x),
                                 ValidationError),
@@ -370,6 +373,9 @@ _PARAM_SETS = {
                            "set 0"),
     "dominant_eigenvalue": (dominant_eigenvalue, "set 0"),
     "real_root_scan": (lambda p: real_root_scan(p, (-1.0, -0.01)), "set 0"),
+    # an empty range returned [] before the set was checked
+    "real_root_scan-empty": (lambda p: real_root_scan(p, (-1.0, -1.0)),
+                             "set 0"),
 }
 
 
@@ -452,6 +458,15 @@ def test_from_physical_refuses_a_phase_ratio_that_rounds_to_zero(cs):
 def test_params_from_dict_refuses_a_physical_block_that_is_not_an_object(cs):
     with pytest.raises(ValidationError, match="'physical' must be an object"):
         params_from_dict({**params_to_dict(cs), "physical": 3})
+
+
+@pytest.mark.parametrize("keys", [["f_0"], ["f_0", "r"]])
+def test_params_from_dict_refuses_unknown_keys(cs, keys):
+    # "f_0": 2.0 was dropped, and the set ran with f0 = 0.0
+    data = {**params_to_dict(cs), **dict.fromkeys(keys, 2.0)}
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"unknown parameters {keys!r}")):
+        params_from_dict(data)
 
 
 def test_number_fields_are_stored_as_floats(cs):

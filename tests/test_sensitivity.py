@@ -394,6 +394,46 @@ def test_limit_case_closed_forms():
     assert abs(rep.dP) <= 1e-12
 
 
+def test_limit_report_identities():
+    # lambda0 = 0 for every R, P and common v, so the derivatives along R,
+    # P and a common shift of the four velocities vanish; the velocity
+    # derivatives alternate as (-g, g, -g, g) with g = 1/(4 (1 + P^2))
+    lp = limit_params()
+    g = 1.0 / (4.0 * (1.0 + lp.P ** 2))
+    for fd in (True, False):
+        rep = full_report(lp, fd=fd)
+        assert rep.lam == 0.0 and rep.fd_check is None
+        assert abs(rep.dv.sum()) <= 1e-12 * g
+        assert abs(rep.dR) <= 1e-12 * g
+        assert abs(rep.dP) <= 1e-12 * g
+        assert rep.dv.real == pytest.approx([-g, g, -g, g], rel=1e-10)
+
+
+def test_near_limit_slope_converges_at_first_order():
+    # v1 = v3 = v (1 + eps), v2 = v4 = v (1 - eps): lambda0 / eps tends to
+    # v dv.(1, -1, 1, -1) at the limit, with an error of O(eps)
+    lp = limit_params()
+    v = lp.v1
+    slope = v * (full_report(lp).dv.real @ [1.0, -1.0, 1.0, -1.0])
+    eps = [1e-2, 1e-3, 1e-4]
+    lams = dominant_eigenvalue([
+        ModelParams(v * (1 + e), v * (1 - e), v * (1 + e), v * (1 - e),
+                    R=lp.R, P=lp.P) for e in eps], tol=1e-14)
+    err = [abs(lam / e - slope) for lam, e in zip(lams, eps)]
+    assert all(d <= e for d, e in zip(err, eps))
+    assert all(5.0 <= a / b <= 20.0 for a, b in zip(err, err[1:]))
+
+
+def test_central_difference_at_the_limit():
+    # R and P keep their room, and lambda0 is 0 on both sides; a velocity
+    # has none: h = 0 ended in a ZeroDivisionError
+    lp = limit_params()
+    assert central_difference(lp, "R") == central_difference(lp, "P") == 0.0
+    for name in ("v1", "v2", "v3", "v4"):
+        with pytest.raises(ValidationError, match=f"no step of {name}"):
+            central_difference(lp, name)
+
+
 def _secant(z, params):
     """The root of Delta near z by secant steps on return_map's delta."""
     return secant(lambda lam: return_map(lam, params).delta, z)

@@ -713,6 +713,23 @@ def test_profile_rms(cs):
         profile_rms(st2, profile)
 
 
+def test_run_records_no_profile_rms_where_the_state_has_no_component(cs):
+    # the ZeroProfile of such a row escaped from run; profile_rms itself
+    # still raises it (test_profile_rms)
+    config = SimConfig(Nx=16, T=0.5, record_every=4)
+    profile = sample_eigenfunction(cs, 16)
+    _, rows = run(init(config, cs, initial="zero"), config, cs,
+                  eigen_profile=profile)
+    assert len(rows) > 2 and all(r.profile_rms is None for r in rows)
+
+
+def test_limit_eigenfunction_is_the_zero_mode(lp):
+    # dominant_eigenvalue gives the limit's 0 exactly: no branch of its own
+    for got, want in zip(sample_eigenfunction(lp, 16),
+                         sample_eigenfunction(lp, 16, lam=0.0)):
+        assert np.array_equal(got, want)
+
+
 def test_profile_rms_detects_mismatch(cs):
     config = SimConfig(Nx=32, T=1.0)
     profile = sample_eigenfunction(cs, 32)

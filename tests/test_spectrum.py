@@ -187,16 +187,41 @@ def test_batch_refusals_come_before_any_delta_evaluation(cs, lp,
     sizes = _counting(monkeypatch)
     with pytest.raises(ValidationError):
         dominant_eigenvalue([])
-    with pytest.raises(LimitCaseHasNoBracket, match=r"\(set 1\)$"):
-        dominant_eigenvalue([cs, lp, cs])
-    # M0 < R = 5 for the second set, while the case study's M0 is 6.69
-    with pytest.raises(ValidationError, match=r"\(set 1\)$"):
-        dominant_eigenvalue([cs, replace(cs, R=5.0)], tol=6.0)
+    # M0 < R = 5 for the second set, while the case study's M0 is 6.69;
+    # a set at the limit before it has no M0, and the index stays the
+    # caller's
+    for sets in ([cs, replace(cs, R=5.0)], [lp, replace(cs, R=5.0)]):
+        with pytest.raises(ValidationError, match=r"\(set 1\)$"):
+            dominant_eigenvalue(sets, tol=6.0)
+    # tol is checked first, at the limit too
+    with pytest.raises(ValidationError, match="'tol'"):
+        dominant_eigenvalue([lp, cs], tol=-1.0)
     # not a ModelParams: a number, a string's characters, a None
     for params, i in ((5, 0), ("ab", 0), ([cs, None], 1)):
         with pytest.raises(ValidationError, match=rf"\(set {i}\)$"):
             dominant_eigenvalue(params)
     assert sizes == []
+
+
+def test_equal_velocities_give_zero_with_no_delta_evaluation(lp,
+                                                             monkeypatch):
+    sizes = _counting(monkeypatch)
+    assert dominant_eigenvalue(lp) == 0.0
+    sets = [lp, limit_params(v=2.0, R=0.5)]
+    assert dominant_eigenvalue(sets) == [0.0, 0.0]
+    # no M0 bounds tol where there is no bracket
+    assert dominant_eigenvalue(lp, tol=1e300) == 0.0
+    assert sizes == []
+
+
+def test_limit_sets_in_a_batch_leave_the_other_roots_bit_equal(cs, lp,
+                                                              wide_box):
+    lam = dominant_eigenvalue(cs)
+    assert dominant_eigenvalue([cs, lp, cs]) == [lam, 0.0, lam]
+    # the windows anchor on the first set that is not at the limit
+    batch = [cs, *wide_box[:12]]
+    assert dominant_eigenvalue([lp, *batch, lp]) == [
+        0.0, *dominant_eigenvalue(batch), 0.0]
 
 
 def test_batch_no_sign_change_names_the_set(cs, monkeypatch):
@@ -211,6 +236,10 @@ def test_batch_no_sign_change_names_the_set(cs, monkeypatch):
     monkeypatch.setattr(spectrum, "return_map", stub)
     with pytest.raises(NoSignChangeFound, match=r"\(set 1\)$"):
         dominant_eigenvalue([cs, replace(cs, R=24.0)], tol=0.108)
+    # a set at the limit is not solved, but the index is the caller's
+    with pytest.raises(NoSignChangeFound, match=r"\(set 2\)$"):
+        dominant_eigenvalue([limit_params(), cs, replace(cs, R=24.0)],
+                            tol=0.108)
 
 
 def test_a_root_between_minus_tol_and_0_is_bisected_there(cs, monkeypatch):
