@@ -224,12 +224,12 @@ def cmd_delta_scan(args, params: ModelParams, out: Path) -> None:
 def _range_arg(text: str) -> tuple:
     try:
         lo, hi = map(float, text.split(":"))
-        if math.isfinite(lo) and math.isfinite(hi):
+        if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
             return lo, hi
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"expected finite lo:hi, got {reprlib.repr(text)}")
+        f"expected finite lo:hi with lo <= hi, got {reprlib.repr(text)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,7 +43,7 @@ from .eigfun import EigenSolution, eigenfunction, steady_state
 from .errors import (BadCFL, InsufficientSamples, NonFiniteDetected,
                      ValidationError, ZeroProfile)
 from .params import (PORTS, ZONE_LEFT, ZONES, ModelParams, check_count,
-                     check_instance, check_items, check_pair, check_real)
+                     check_instance, check_pair, check_real)
 from .spectrum import dominant_eigenvalue
 
 
@@ -508,28 +507,23 @@ def _row(state, params, eigen_profile, den) -> DiagnosticsRow:
                           sup_norm=sup_norm(state), profile_rms=rms)
 
 
-def _callback_list(callbacks) -> list:
-    """callbacks as a list, if it is None, one callable or an iterable of
-    callables; else ValidationError naming the one at fault ("callbacks
-    i")."""
-    if callbacks is None:
-        return []
-    return check_items("callbacks", callbacks, Callable)[0]
-
-
 def run(state: SimState, config: SimConfig, params: ModelParams,
-        callbacks=None, eigen_profile: tuple | None = None):
-    """March to t >= T, recording diagnostics every record_every steps.
+        eigen_profile: tuple | None = None):
+    """March from the state's own time t0 = state.t to t >= T, recording
+    diagnostics every record_every steps.
 
     Returns (final state, list of DiagnosticsRow).  The given state is
-    left as it is; the run advances a copy in place.  Callbacks, if given,
-    are invoked as cb(state, row) at every recorded step with that live
-    state, so a callback copies what it keeps; it may assign a new u or
-    change dt.  A state or config of the wrong class, callbacks that are
-    not one callable or an iterable of callables, and a state whose grid
-    does not have config.Nx cells per zone raise ValidationError first.
-    With eigen_profile, each row's profile_rms is ``profile_rms`` of its
-    state, or None where the state has no component along the profile.
+    left as it is; the run advances a copy in place, taking
+    max(ceil((T - t0)/dt), 0) steps and giving step n the time t0 + n*dt,
+    so a state at or past T takes no step and returns its one row.  A run
+    resumed from the state another run returned carries on where that one
+    stopped: to watch a run at stages (read or copy the state, assign a
+    new u, change dt), run it in segments.  A state or config of the wrong
+    class, a state whose t is not a finite real number and a state whose
+    grid does not have config.Nx cells per zone raise ValidationError
+    first.  With eigen_profile, each row's profile_rms is ``profile_rms``
+    of its state, or None where the state has no component along the
+    profile.
 
     Each step's advection writes its cells to the stepper's scratch, not
     to u, and ``mass_transfer_step`` relaxes them into u and refreshes the
@@ -537,22 +531,18 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
     calling ``advection_step`` and ``mass_transfer_step`` in turn, with
     the same bits.
     """
-    callbacks = _callback_list(callbacks)
     shape = (8, check_instance("config", config, SimConfig).Nx + 2)
     if check_instance("state", state, SimState).u.shape != shape:
         raise ValidationError(
             f"state array {state.u.shape} does not fit config.Nx="
             f"{config.Nx}, which needs {shape}")
+    t0 = check_real("state.t", state.t)
     state = replace(state, u=state.u.copy())
-    n_steps = int(math.ceil(config.T / state.dt - 1e-12))
+    n_steps = max(int(math.ceil((config.T - t0) / state.dt - 1e-12)), 0)
     # the profile's norm is the same on every row
     den = (None if eigen_profile is None
            else _profile_norm2(eigen_profile, state))
     rows = [_row(state, params, eigen_profile, den)]
-    for cb in callbacks:
-        cb(state, rows[-1])
-    # a callback may swap u or change dt, so the stepper is fetched again
-    # after each recorded step; c, q and dx are read from whatever u is
     k = _stepper(state, params)
     for n in range(1, n_steps + 1):
         if config.strang:
@@ -562,16 +552,13 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
         else:
             k.advect(1.0, held=True)
             mass_transfer_step(state, params)
-        state.t = n * state.dt
+        state.t = t0 + n * state.dt
         if n % config.record_every == 0 or n == n_steps:
             if not (np.all(np.isfinite(state.c))
                     and np.all(np.isfinite(state.q))):
                 raise NonFiniteDetected(
                     f"non-finite cell value at step {n}, t={state.t:.6g}")
             rows.append(_row(state, params, eigen_profile, den))
-            for cb in callbacks:
-                cb(state, rows[-1])
-            k = _stepper(state, params)
     return state, rows
 
 

@@ -414,6 +414,8 @@ def test_exit_code_validation(tmp_path):
     ["spectrum", "--range=nan:0"],
     ["spectrum", "--range=-inf:0"],
     ["delta-scan", "--range=-inf:0"],
+    ["spectrum", "--range=0:-1"],
+    ["delta-scan", "--range=5:-5"],
     ["simulate", "--T", "nan"],
     ["simulate", "--T", "inf"],
     ["spectrum", "--tol", "-1"],

@@ -219,6 +219,9 @@ _SCALARS = {
     "SimConfig.p": (lambda x: sim.SimConfig(p=x), "'p'", BadCFL),
     "SimConfig.record_every": (lambda x: sim.SimConfig(record_every=x),
                                "record_every", ValidationError),
+    "run.state.t": (lambda x: sim.run(replace(_state8(), t=x), _CONFIG8,
+                                      case_study()), "'state.t'",
+                    ValidationError),
     "_resolve_p": (lambda x: sim._resolve_p(SimpleNamespace(p=x),
                                             case_study()), "'p'", BadCFL),
     "decay_rate.window": (lambda x: sim.decay_rate([], (0.0, x)),
@@ -288,8 +291,8 @@ _LONG = "a" * 5000
 _QUOTED = {
     "init.initial": (lambda x: sim.init(sim.SimConfig(Nx=8), case_study(), x),
                      ValidationError),
-    "run.callbacks": (lambda x: sim.run(_state8(), _CONFIG8, case_study(),
-                                        callbacks=[x]), ValidationError),
+    "run.state.t": (lambda x: sim.run(replace(_state8(), t=x), _CONFIG8,
+                                      case_study()), ValidationError),
     "SimConfig.strang": (lambda x: sim.SimConfig(strang=x), ValidationError),
     "params_from_dict.v": (
         lambda x: params_from_dict({"v": x, "R": 18.0, "P": 1.03}),

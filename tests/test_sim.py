@@ -407,26 +407,20 @@ def test_c_q_and_dx_are_read_from_the_current_u(cs, make):
 
 @pytest.mark.parametrize("swap", [_swapped, _strided],
                          ids=["new-u", "strided-u"])
-def test_a_run_follows_a_u_its_callback_swaps_in(cs, swap):
-    # the rows after the swap are those of a run started from the new u
+def test_a_resumed_run_follows_a_u_swapped_in(cs, swap):
+    # swap u on the state a run returned and run on: the rows are those of
+    # a run from a fresh state holding the new u at the same t and dt
     config = SimConfig(Nx=16, T=0.5, record_every=3)
     profile = sample_eigenfunction(cs, 16)
-    start = init(config, cs, initial="eigenfunction")
-    seen = []
-
-    def callback(st, row):
-        if not seen:
-            swap(st)
-        else:
-            _assert_read_from_u(st, profile)
-        seen.append(row)
-
-    st, rows = run(start, config, cs, callbacks=callback,
-                   eigen_profile=profile)
-    want, want_rows = run(swap(replace(start, u=start.u.copy())), config, cs,
-                          eigen_profile=profile)
-    assert len(rows) == len(seen) > 2
-    assert rows[1:] == want_rows[1:]
+    mid, _ = run(init(config, cs, initial="eigenfunction"),
+                 replace(config, T=0.2), cs)
+    mid = swap(mid)
+    fresh = SimState(mid.u.copy(), mid.t, mid.dt)
+    st, rows = run(mid, config, cs, eigen_profile=profile)
+    want, want_rows = run(fresh, config, cs, eigen_profile=profile)
+    assert len(rows) > 2
+    assert rows == want_rows
+    assert rows[0].t == mid.t > 0.0
     assert np.array_equal(st.u, want.u)
     _assert_read_from_u(st, profile)
 
@@ -543,33 +537,49 @@ def test_run_records_and_final_time(cs):
     assert len(diag) == 2 + (n_steps - 1) // 7
 
 
-def test_run_callbacks_and_strang(cs):
-    seen = []
-    config = SimConfig(Nx=16, T=0.3, record_every=3, strang=True)
-    st = init(config, cs)
-    run(st, config, cs, callbacks=[lambda s, r: seen.append(r.t)])
-    assert seen and seen[0] == 0.0
+@pytest.mark.parametrize("strang", [False, True], ids=["plain", "strang"])
+@pytest.mark.parametrize("which", ["case", "fed", "limit"])
+def test_a_resumed_run_is_one_run(cs, which, strang):
+    # run restarted the clock at 0: resumed from a state at t = 1.029 with
+    # T = 1, its rows read t = 1.029, 0.368, 0.735, 1.029
+    params = {"case": cs, "fed": replace(cs, f0=0.7),
+              "limit": limit_params()}[which]
+    config = SimConfig(Nx=16, T=2.0, record_every=10, strang=strang)
+    st = init(config, params, initial="eigenfunction")
+    mid, first = run(st, replace(config, T=1.0), params)
+    got, second = run(mid, config, params)
+    want, _ = run(st, config, params)
+    assert got.u.tobytes() == want.u.tobytes()
+    assert second[0] == first[-1]
+    times = [r.t for r in first + second[1:]]
+    assert times == sorted(set(times))
+    assert got.t == pytest.approx(want.t, rel=1e-15)
 
 
-def _called_before_the_check(state, row):
-    raise AssertionError("a callback ran before run checked them all")
+def test_a_run_with_dt_halved_between_segments_reaches_T(cs):
+    # a callback that halved dt at row 0 left the run the 28 steps worked
+    # out from the old dt, so it stopped at t = 0.515 with T = 1
+    config = SimConfig(Nx=16, T=1.0, record_every=10)
+    mid, _ = run(init(config, cs), replace(config, T=0.5), cs)
+    mid.dt *= 0.5
+    got, rows = run(mid, config, cs)
+    want, want_rows, _ = _public_run(mid, config, cs)
+    assert config.T <= got.t < config.T + got.dt
+    assert got.t == mid.t + round((got.t - mid.t) / got.dt) * got.dt
+    assert got.u.tobytes() == want.u.tobytes()
+    assert rows == want_rows
 
 
-@pytest.mark.parametrize("callbacks", ["abc", 3, [None],
-                                       [_called_before_the_check, 5]])
-def test_run_refuses_callbacks_it_cannot_call(cs, callbacks):
-    config = SimConfig(Nx=16, T=0.2)
-    with pytest.raises(ValidationError, match="callbacks"):
-        run(init(config, cs), config, cs, callbacks=callbacks)
-
-
-def test_run_takes_any_iterable_of_callables(cs):
-    seen = []
-    config = SimConfig(Nx=16, T=0.2, record_every=4)
-    st = init(config, cs)
-    _, rows = run(st, config, cs,
-                  callbacks=(cb for cb in [lambda s, r: seen.append(r)]))
-    assert seen == rows
+def test_a_state_at_or_past_T_takes_no_step(cs):
+    config = SimConfig(Nx=16, T=1.0, record_every=10)
+    done, rows = run(init(config, cs), config, cs)
+    assert done.t > config.T
+    for T in (done.t, config.T, 0.5, 0.0):
+        got, again = run(done, replace(config, T=T), cs)
+        assert again == [rows[-1]]
+        assert got is not done
+        assert got.t == done.t
+        assert got.u.tobytes() == done.u.tobytes()
 
 
 def test_run_refuses_a_state_on_another_grid(cs):
@@ -582,7 +592,8 @@ def _public_run(state, config, params, eigen_profile=None):
     """run rebuilt from the public sub-steps and diagnostics: the final
     state, its rows and the inlet ghost column of c at each row."""
     st = replace(state, u=state.u.copy())
-    n_steps = int(math.ceil(config.T / st.dt - 1e-12))
+    t0 = st.t
+    n_steps = max(int(math.ceil((config.T - t0) / st.dt - 1e-12)), 0)
 
     def row():
         rms = (None if eigen_profile is None
@@ -600,7 +611,7 @@ def _public_run(state, config, params, eigen_profile=None):
         else:
             advection_step(st, params)
             mass_transfer_step(st, params)
-        st.t = n * st.dt
+        st.t = t0 + n * st.dt
         if n % config.record_every == 0 or n == n_steps:
             rows.append(row())
             ghosts.append(st.c[:, 0].copy())
@@ -626,13 +637,20 @@ def test_run_is_the_public_step_sequence(cs, which, Nx, initial, strang):
                        strang=strang)
     st = init(config, params, initial=initial)
     profile = sample_eigenfunction(params, Nx)
-    ghosts = []
-    got, rows = run(st, config, params, eigen_profile=profile,
-                    callbacks=lambda s, r: ghosts.append(s.c[:, 0].copy()))
+    got, rows = run(st, config, params, eigen_profile=profile)
     want, want_rows, want_ghosts = _public_run(st, config, params, profile)
     assert len(rows) > 3
     assert got.u.tobytes() == want.u.tobytes()
     assert rows == want_rows
+    # the ghosts at each row: the final u of runs of record_every steps
+    # (a T half a step short of t + record_every*dt, which rounding in
+    # t could push past it and add a step)
+    seg, ghosts = st, [st.c[:, 0].copy()]
+    for _ in rows[1:]:
+        T = min(seg.t + (config.record_every - 0.5) * seg.dt, config.T)
+        seg, _ = run(seg, replace(config, T=T), params)
+        ghosts.append(seg.c[:, 0].copy())
+    assert seg.u.tobytes() == want.u.tobytes()
     assert [g.tobytes() for g in ghosts] == [g.tobytes() for g in want_ghosts]
 
 
@@ -684,16 +702,21 @@ def test_decay_rate_matches_eigenvalue(cs, lam0):
 
 
 def test_run_profile_rms_is_the_per_row_formula(cs, lam0):
-    # the criterion-9 run, which computes the profile norm once per run;
+    # the criterion-9 run in segments of record_every steps (T half a
+    # step short, as above), each run computing the profile norm once;
     # each row must equal profile_rms recomputing it, bit for bit
     config = SimConfig(Nx=400, p=0.55, T=60.0, record_every=50)
     profile = sample_eigenfunction(cs, 400, lam=lam0)
-    pairs = []
-    run(init(config, cs, initial="constant"), config, cs,
-        callbacks=lambda s, row: pairs.append(
-            (row.profile_rms, profile_rms(s, profile))),
-        eigen_profile=profile)
-    assert len(pairs) == 874
+    st, pairs = init(config, cs, initial="constant"), []
+    while st.t < config.T:
+        start = st
+        T = min(st.t + (config.record_every - 0.5) * st.dt, config.T)
+        st, rows = run(start, replace(config, T=T), cs,
+                       eigen_profile=profile)
+        assert len(rows) == 2
+        pairs += [(rows[0].profile_rms, profile_rms(start, profile)),
+                  (rows[-1].profile_rms, profile_rms(st, profile))]
+    assert len(pairs) == 2 * 873
     assert all(got == want for got, want in pairs)
 
 
