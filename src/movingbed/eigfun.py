@@ -15,7 +15,9 @@ lambda = 0 with the x=0 jump row carrying the feed:
 v2 c(0-) + f0 = v3 c(0+), i.e. right-hand side -f0 on that row.  One
 solve (``_solve``) serves all three kinds: it assembles the matrix,
 takes the null vector or the feed solution, and applies the same
-finiteness and residual checks.
+finiteness and residual checks.  The last direct and the last adjoint
+mode are kept, one each: a repeat call on the same parameter object (by
+identity) at a lambda of the same bits gets a copy of it, with no solve.
 
 The port matrix is built entry by entry from a per-sign table of its
 rows (``_ENTRIES``), with each of its 16 exponentials taken once.
@@ -37,11 +39,11 @@ in that order.  A solution's basis sign is read from its kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charfun import zone_eigen
+from .charfun import _lambdas, zone_eigen
 from .errors import (DegenerateNullspace, NearZeroPairing, NonFiniteDetected,
                      NotAnEigenvalue, SingularSystem, ValidationError)
 from .params import (PORTS, ZONE_LEFT, ZONES, ModelParams, check_count,
@@ -268,9 +270,38 @@ def _solve(lam, params: ModelParams, sign: int, f0=None) -> EigenSolution:
                          params=params, nus=nus, phis=phis)
 
 
+# sign -> (params, bits of complex(lambda), mode): the last mode of each
+# kind; holding params keeps its id from being reused
+_last_mode = {}
+
+
+def _mode(lam, params: ModelParams, sign: int) -> EigenSolution:
+    """``_solve``'s mode at lam, or the last mode of this sign again where
+    params is the same object and complex(lam) has the same bits (the
+    sign of a zero included).  lam and params are checked first, as
+    ``zone_eigen`` checks them, so a refusal does not depend on the last
+    mode; the caller owns the arrays of the mode it gets."""
+    _lambdas(lam, one=True)
+    check_instance("params", params, ModelParams)
+    z = complex(lam)
+    key = z.real.hex(), z.imag.hex()
+    last = _last_mode.get(sign)
+    if last and last[0] is params and last[1] == key:
+        sol = last[2]
+    else:
+        sol = _solve(lam, params, sign)
+        _last_mode[sign] = params, key, sol
+    return replace(sol, coeffs=sol.coeffs.copy(), nus=sol.nus.copy(),
+                   phis=sol.phis.copy())
+
+
 def eigenfunction(lam, params: ModelParams) -> EigenSolution:
-    """Direct eigenfunction at a root of Delta, normalized to C_1^1 = 1."""
-    return _solve(lam, params, +1)
+    """Direct eigenfunction at a root of Delta, normalized to C_1^1 = 1.
+
+    A repeat call on the same params object at a lambda of the same bits
+    returns the last direct mode again (``_mode``), with no solve.
+    """
+    return _mode(lam, params, +1)
 
 
 def adjoint_eigenfunction(lam, params: ModelParams) -> EigenSolution:
@@ -278,9 +309,11 @@ def adjoint_eigenfunction(lam, params: ModelParams) -> EigenSolution:
 
     The adjoint mode that pairs with the direct mode at lambda is the one
     at conj(lambda); for a complex lambda the adjoint at lambda itself is
-    orthogonal to it.
+    orthogonal to it.  A repeat call on the same params object at a
+    lambda of the same bits returns the last adjoint mode again
+    (``_mode``), with no solve.
     """
-    return _solve(lam, params, -1)
+    return _mode(lam, params, -1)
 
 
 def steady_state(params: ModelParams) -> EigenSolution:

@@ -507,6 +507,14 @@ def _row(state, params, eigen_profile, den) -> DiagnosticsRow:
                           sup_norm=sup_norm(state), profile_rms=rms)
 
 
+def _step_count(t0: float, T: float, dt: float) -> int:
+    """max(ceil((T - t0)/dt), 0), with a slack for the rounding of t0,
+    T and their difference: 1e-12 steps, or 4 ulps of max(|t0|, |T|) in
+    steps where that is more.  So T = t0 + n*dt takes n steps at any t0."""
+    slack = max(1e-12, 4.0 * 2.0 ** -52 * max(abs(t0), abs(T)) / dt)
+    return max(int(math.ceil((T - t0) / dt - slack)), 0)
+
+
 def run(state: SimState, config: SimConfig, params: ModelParams,
         eigen_profile: tuple | None = None):
     """March from the state's own time t0 = state.t to t >= T, recording
@@ -514,8 +522,10 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
 
     Returns (final state, list of DiagnosticsRow).  The given state is
     left as it is; the run advances a copy in place, taking
-    max(ceil((T - t0)/dt), 0) steps and giving step n the time t0 + n*dt,
-    so a state at or past T takes no step and returns its one row.  A run
+    max(ceil((T - t0)/dt), 0) steps (``_step_count``, whose slack absorbs
+    the rounding of t: T = t0 + n*dt takes n steps at any t0) and giving
+    step n the time t0 + n*dt, so a state at or past T takes no step and
+    returns its one row.  A run
     resumed from the state another run returned carries on where that one
     stopped: to watch a run at stages (read or copy the state, assign a
     new u, change dt), run it in segments.  A state or config of the wrong
@@ -538,7 +548,7 @@ def run(state: SimState, config: SimConfig, params: ModelParams,
             f"{config.Nx}, which needs {shape}")
     t0 = check_real("state.t", state.t)
     state = replace(state, u=state.u.copy())
-    n_steps = max(int(math.ceil((config.T - t0) / state.dt - 1e-12)), 0)
+    n_steps = _step_count(t0, config.T, state.dt)
     # the profile's norm is the same on every row
     den = (None if eigen_profile is None
            else _profile_norm2(eigen_profile, state))

@@ -22,6 +22,9 @@ has no real root of Delta between it and 0.  The window call also
 densifies the first set's root cell on every set's grid, for each set
 whose window settles there.  A grid is built only at the points a call
 evaluates, and each stage finds the cells of all its sets as arrays.
+The whole-grid scan of the last call's first set is kept: a call whose
+first set is the same object, at the same tol, starts from it, as
+full_report does after its own set was solved alone.
 """
 
 from __future__ import annotations
@@ -274,6 +277,10 @@ _GRID_N, _DENSE_N = 200, 21
 # the indices of all their points, for _geomspace
 _COLS, _DENSE = np.arange(float(_GRID_N)), np.arange(float(_DENSE_N))
 
+# (set, tol, cell row, grid index k of its first point): the last first
+# set's whole-grid scan; holding the set keeps its id from being reused
+_last_scan = None
+
 
 def dominant_eigenvalue(params, tol: float = 1e-10):
     """The dominant eigenvalue: 0.0 exactly at equal velocities, with no
@@ -317,6 +324,13 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     In any batch, the sign check refuses a window with one root between
     it and -tol; only an even number of them could pass it.
 
+    The first set's whole-grid scan (its cell and the grid index of the
+    cell's first point) is kept until the next call that scans one.  A
+    call whose first set is that very object (``is``, not ``==``: an
+    equal copy scans again) at the same tol starts from the kept scan and
+    skips the grid call, with the same root; a design sweep's
+    ``full_report`` after lambda0 of its set does so.
+
     tol is checked first, then every set (its type by
     ``params.check_items``, then tol against M0 where the velocities are
     not equal), all before Delta is evaluated; errors about a sequence, or
@@ -349,8 +363,14 @@ def dominant_eigenvalue(params, tol: float = 1e-10):
     M0, n = np.array(M0), len(sets)
     # one row (a, b, Delta at a, Delta at b) per set, nan until found
     cells = np.full((n, 4), math.nan)
-    cells[:1], first = _grid_cells(tol, M0, table, np.zeros(1, dtype=int))
-    k = int(first[0])
+    global _last_scan
+    last = _last_scan
+    if last and last[0] is sets[0] and last[1] == tol:
+        cells[0], k = last[2:]
+    else:
+        cells[:1], first = _grid_cells(tol, M0, table, np.zeros(1, dtype=int))
+        k = int(first[0])
+        _last_scan = (sets[0], tol, cells[0].copy(), k)
     dense_values = np.empty((n, _DENSE_N))   # Delta on each densified cell
     densified = np.zeros(n, dtype=bool)     # in the window call
     if n > 1 and cells[0, 1] < 0.0:     # the first set has a grid cell k

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
+from movingbed import eigfun, spectrum
 from movingbed.params import ModelParams, case_study, limit_params
 from movingbed.spectrum import dominant_eigenvalue
+
+
+@pytest.fixture(autouse=True)
+def _no_last_solve():
+    """Each test starts with no last solve kept: the session fixtures
+    below are one object each, and a stubbed or counting test must see
+    the grid scan and mode solves of its own calls."""
+    spectrum._last_scan = None
+    eigfun._last_mode.clear()
 
 
 @pytest.fixture(scope="session")

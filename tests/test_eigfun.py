@@ -250,6 +250,71 @@ def test_each_solve_takes_its_tables_from_one_zone_eigen_call(
     assert calls == [lam0, lam0, 0.0]
 
 
+def _zone_eigen_calls(monkeypatch) -> list:
+    """Record the lambda of every zone_eigen call eigfun makes."""
+    calls = []
+    monkeypatch.setattr(eigfun, "zone_eigen",
+                        lambda lam, p: calls.append(lam) or zone_eigen(lam, p))
+    return calls
+
+
+@pytest.mark.parametrize("solve", [eigenfunction, adjoint_eigenfunction])
+def test_a_repeated_mode_solve_makes_no_zone_eigen_call(cs, lam0, solve,
+                                                        monkeypatch):
+    calls = _zone_eigen_calls(monkeypatch)
+    cold = solve(lam0, cs)
+    want = _mode_digest([cold])
+    # the caller owns the arrays it got: writing into them reaches
+    # neither the kept mode nor the next call's
+    for a in (cold.coeffs, cold.nus, cold.phis):
+        a[:] = math.nan
+    warm = solve(lam0, cs)
+    assert calls == [lam0]
+    assert _mode_digest([warm]) == want
+    for a in (warm.coeffs, warm.nus, warm.phis):
+        a[:] = math.nan
+    again = solve(lam0, cs)
+    assert calls == [lam0]
+    assert _mode_digest([again]) == want
+    assert again.lam == lam0 and again.params is cs
+    assert again.normalization == "C11=1 (SVD)"
+
+
+def test_a_mode_of_another_set_lambda_or_kind_is_solved_again(cs, lam0,
+                                                              monkeypatch):
+    calls = _zone_eigen_calls(monkeypatch)
+    direct = eigenfunction(lam0, cs)
+    adjoint = adjoint_eigenfunction(lam0, cs)
+    # equal but another object; the same lambda with a -0.0 imaginary
+    # part; one kind's mode does not serve the other
+    assert _mode_digest([eigenfunction(lam0, replace(cs))]) == _mode_digest(
+        [direct])
+    signed = eigenfunction(complex(lam0, -0.0), cs)
+    assert math.copysign(1.0, signed.lam.imag) == -1.0
+    assert len(calls) == 4
+    # each kind keeps its last mode: the direct one is now at -0.0
+    assert math.copysign(
+        1.0, eigenfunction(complex(lam0, -0.0), cs).lam.imag) == -1.0
+    assert _mode_digest([adjoint_eigenfunction(lam0, cs)]) == _mode_digest(
+        [adjoint])
+    assert len(calls) == 4
+    assert math.copysign(1.0, eigenfunction(lam0, cs).lam.imag) == 1.0
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("solve", [eigenfunction, adjoint_eigenfunction])
+def test_refusals_after_a_mode_solve_are_unchanged(cs, lam0, solve):
+    # as without a kept mode: lambda, then params, are checked before it
+    # is read
+    solve(lam0, cs)
+    with pytest.raises(ValidationError, match="lambda must be numeric"):
+        solve("x", cs)
+    with pytest.raises(ValidationError, match="lambda must be numeric"):
+        solve("x", None)
+    with pytest.raises(ValidationError, match=r"\(params\)$"):
+        solve(lam0, None)
+
+
 def test_zone_values_match_the_docstring_formula(cs, lam0, lp):
     # one call on a (4, n) zone array against the oracle's per-zone sums,
     # which read coeffs, phis and nus, not the amplitude tables

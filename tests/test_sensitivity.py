@@ -507,6 +507,31 @@ def test_report_bits_are_pinned(cs, lp, wide_box):
     assert got == _PINNED_REPORT_DIGESTS
 
 
+def _report_bits(rep) -> list:
+    """Every field of a report as bytes, its modes' fields included."""
+    bits = [np.asarray(f).tobytes() for f in (rep.dv, rep.dR, rep.dP,
+                                              rep.denominator, rep.fd_check)]
+    for sol in (rep.direct, rep.adjoint):
+        bits += [np.asarray(f).tobytes() for f in (
+            sol.lam, sol.coeffs, sol.nus, sol.phis, sol.residual)]
+        bits += [sol.kind, sol.normalization, sol.params]
+    return bits
+
+
+def test_a_warm_report_is_the_cold_one_bit_for_bit(cs, wide_box):
+    # after lambda0 and both modes on the same object, full_report reuses
+    # the first set's grid scan and both modes; a new object reuses
+    # nothing
+    for p in [cs, *wide_box]:
+        cold = full_report(replace(p), fd=True)
+        lam = dominant_eigenvalue(p)
+        eigenfunction(lam, p)
+        adjoint_eigenfunction(lam, p)
+        warm = full_report(p, fd=True)
+        assert _report_bits(warm) == _report_bits(cold)
+        assert warm.direct.params is p
+
+
 # ---------------------------------------------------------------------------
 # closed-form pairing and numerators vs quadrature of the sampled modes
 # ---------------------------------------------------------------------------

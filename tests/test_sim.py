@@ -570,6 +570,34 @@ def test_a_run_with_dt_halved_between_segments_reaches_T(cs):
     assert rows == want_rows
 
 
+@pytest.mark.parametrize("k", [50, 1])
+def test_a_run_from_a_late_clock_takes_the_steps_T_asks_for(cs, k):
+    # a slack of 1e-12 steps is below the rounding of t there: resumed at
+    # t0 = n dt with T = t0 + 50 dt (dt = 0.55/400), 11,628 of the 20,000
+    # starts n = 0, 3, ..., 59,997 took 51 steps, and with T = t0 + dt
+    # 7,758 of them took 2
+    config = SimConfig(Nx=400, p=0.55, record_every=1000)
+    st = init(config, cs)
+    assert st.dt == 0.55 / 400
+    for n in range(59997, 0, -603):
+        start = replace(st, t=n * st.dt)
+        got, rows = run(start, replace(config, T=start.t + k * st.dt), cs)
+        assert got.t == start.t + k * st.dt, n
+        assert len(rows) == 2
+
+
+def test_a_horizon_of_whole_steps_takes_that_many_from_t_0(cs):
+    # T = steps * p / Nx, as perfbench sets it: at Nx = 100, 944 of
+    # steps = 1 .. 20,000 took one step more, the first at 6,991
+    p = 0.9 / max(cs.v)
+    config = SimConfig(Nx=100, T=6991 * p / 100, record_every=10000)
+    st = init(config, cs)
+    assert st.dt == p * (1.0 / 100)
+    got, rows = run(st, config, cs)
+    assert got.t == 6991 * st.dt
+    assert len(rows) == 2
+
+
 def test_a_state_at_or_past_T_takes_no_step(cs):
     config = SimConfig(Nx=16, T=1.0, record_every=10)
     done, rows = run(init(config, cs), config, cs)

@@ -371,6 +371,75 @@ def test_a_first_set_with_delta_0_at_its_grid_end_keeps_the_batch(
     assert roots == [end, dominant_eigenvalue(p)]
 
 
+# ---------------------------------------------------------------------------
+# the last first-set scan
+# ---------------------------------------------------------------------------
+
+def test_a_repeated_solve_skips_the_grid_scan(cs, monkeypatch):
+    sizes = _counting(monkeypatch)
+    cold = dominant_eigenvalue(cs)
+    assert sizes == [200, 19, 23]
+    sizes.clear()
+    assert dominant_eigenvalue(cs).hex() == cold.hex()
+    assert sizes == [19, 23]
+
+
+def test_full_report_after_lambda0_starts_with_the_window_call(
+        cs, monkeypatch):
+    # the case study is the first set of the report's batch: its grid
+    # scan is the one the lambda0 solve kept
+    cold = sensitivity.full_report(replace(cs))
+    dominant_eigenvalue(cs)
+    sizes = _counting(monkeypatch)
+    warm = sensitivity.full_report(cs)
+    assert sizes == [12 * 7 + 13 * 19, 299, 1]
+    assert warm.lam == cold.lam
+    assert warm.fd_check.tobytes() == cold.fd_check.tobytes()
+
+
+def test_an_equal_set_or_another_tol_scans_again(cs, monkeypatch):
+    lam = dominant_eigenvalue(cs)
+    sizes = _counting(monkeypatch)
+    # equal but another object, then another tol: each is a whole scan,
+    # and the last one is the one kept
+    assert dominant_eigenvalue(replace(cs)) == lam
+    assert dominant_eigenvalue(cs, tol=1e-12) == dominant_eigenvalue(
+        replace(cs), tol=1e-12)
+    assert dominant_eigenvalue(cs) == lam
+    assert [n for n in sizes if n == 200] == [200] * 4
+    sizes.clear()
+    dominant_eigenvalue(cs)
+    assert sizes == [19, 23]
+
+
+def test_a_kept_scan_without_a_grid_cell_checks_delta_0_again(cs,
+                                                              monkeypatch):
+    # lambda0 = -0.1048 at R = 24 lies above the grid's end -tol = -0.108:
+    # the kept row is the one-sign grid's, and Delta(0) is evaluated in
+    # every call
+    p = replace(cs, R=24.0)
+    sizes = _counting(monkeypatch)
+    cold = dominant_eigenvalue(p, tol=0.108)
+    assert sizes[:2] == [200, 1]
+    sizes.clear()
+    assert dominant_eigenvalue(p, tol=0.108) == cold
+    assert sizes[0] == 1 and 200 not in sizes
+
+
+def test_refusals_after_a_solve_come_before_any_delta_evaluation(
+        cs, monkeypatch):
+    # as without a kept scan: the checks run before it is read
+    dominant_eigenvalue(cs)
+    sizes = _counting(monkeypatch)
+    with pytest.raises(ValidationError, match="'tol'"):
+        dominant_eigenvalue(cs, tol=-1)
+    with pytest.raises(ValidationError, match=r"exceeds bracket width"):
+        dominant_eigenvalue(cs, tol=7.0)
+    with pytest.raises(ValidationError, match=r"\(set 1\)$"):
+        dominant_eigenvalue([cs, None])
+    assert sizes == []
+
+
 def test_near_limit_root_inside_tol_matches_the_perturbation(cs):
     # v1 = v3 = 1.275 (1 + eps), v2 = v4 = 1.275 (1 - eps): first-order
     # perturbation of the limit's zero mode gives lambda0 = -0.61866 eps,
